@@ -31,7 +31,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fd-h", type=float, help="relative finite-difference step")
     parser.add_argument("--format", choices=["csv", "json"])
     parser.add_argument("--output", help="output path (overrides output_path)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (0 = machine parallelism)")
 
 
 def _parse_ratio_list(text: str, fieldname: str) -> tuple[float, ...]:
@@ -71,8 +70,6 @@ def _apply_overrides(config: SweepConfig, args: argparse.Namespace) -> SweepConf
         updates["format"] = args.format
     if args.output is not None:
         updates["output_path"] = args.output
-    if args.threads is not None:
-        updates["threads"] = args.threads
     return dataclasses.replace(config, **updates) if updates else config
 
 

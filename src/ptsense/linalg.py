@@ -16,26 +16,17 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "KAPPA_EPS",
     "EigenDecomposition",
     "dagger",
     "expm",
     "expm_su2_analytic",
     "su2_like_propagator",
     "eig",
-    "numeric_rank",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-#: Scale (in units of omega) below which kappa-dependent closed forms are in
-#: their series regime.  The propagator formulas below are written with sinc,
-#: which realizes the limits sin(kappa*t/2)/kappa -> t/2 and
-#: (1-cos(kappa*t))/kappa^2 -> t^2/2 continuously, so no explicit branch is
-#: needed; the constant documents the crossover scale used by tests.
-KAPPA_EPS = 1e-8
 
 _SUPPORTED_DIMS = (2, 3, 4)
 
@@ -95,7 +86,7 @@ def expm_su2_analytic(h, t: float) -> np.ndarray:
     Raises NotSu2Like unless ||H^2 - c I|| <= 1e-12 ||H||^2 with
     c = tr(H^2)/2.  For the PT Hamiltonian c = (kappa/2)^2, so this is the
     cos/sin closed form, with the exceptional-point limit built in through
-    sinc (see KAPPA_EPS).
+    sinc.
     """
     a = _as_square(h, "H")
     if a.shape[0] != 2:
@@ -149,10 +140,3 @@ def eig(m) -> EigenDecomposition:
             raise EigFailure("eigenpair residual exceeds 1e-10 * ||M||")
     return EigenDecomposition(values=values, vectors=vectors)
 
-
-def numeric_rank(m, tol: float = 1e-10) -> int:
-    """Rank by SVD with a relative threshold; used for defectiveness checks."""
-    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))

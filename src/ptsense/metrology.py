@@ -62,6 +62,7 @@ __all__ = [
     "weighted_qfi_scheme1",
     "weighted_qfi_scheme2",
     "resource_metrics",
+    "resource_report",
 ]
 
 logger = logging.getLogger(__name__)
@@ -133,12 +134,10 @@ def population_shift(scheme: str, p: PtParams, delta: float, t: float) -> float:
 
     def level1(omega: float) -> float:
         q = p.with_omega(omega)
-        if scheme == "pt":
+        if scheme in ("pt", "eff"):
             return evolve_state(plus_y(), q, t).population
         if scheme == "enlarged":
             return float(evolve_enlarged(plus_y(), q, t).populations[0])
-        if scheme == "eff":
-            return evolve_state(plus_y(), q, t).population
         raise InvalidScheme(f"unknown scheme {scheme!r}")
 
     if delta == 0.0:
@@ -485,7 +484,15 @@ def resource_metrics(p: PtParams, t: float, fd: FdConfig, probe=None) -> Resourc
     such values are reported as-is rather than clipped, to keep the identity
     exact.
     """
-    report = weighted_qfi_scheme1(p, t, fd, probe=probe)
+    return resource_report(weighted_qfi_scheme1(p, t, fd, probe=probe))
+
+
+def resource_report(report: QfiReport) -> ResourceReport:
+    """xi and zeta of a scheme-1 QfiReport; see resource_metrics.
+
+    Raises UndefinedResourceMetrics when the enlarged-system information
+    vanishes, since the ratio then has no reference to normalize by.
+    """
     if report.i_total <= 1e-12:
         raise UndefinedResourceMetrics(
             f"enlarged-system information {report.i_total:.3e} too small to normalize"

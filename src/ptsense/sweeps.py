@@ -1,19 +1,19 @@
 """Parameter sweeps over (gamma/omega, tau, delta) producing flat datasets.
 
-Every grid point is evaluated by pure closed-form calls, so points can be
-fanned out to a thread pool; rows are sorted before writing, which makes the
-parallel and serial outputs byte-identical.  Floats are serialized with
-repr() (shortest round-trip, at most 17 significant digits); non-finite or
-failed entries are the literal strings "inf"/"undefined"; complex spectra are
-serialized like "-0.6+0.8j".
+Which (quantity, scheme) pairs exist, the rows each writes per grid point and
+how they are evaluated is one table, `_PAIRS`.  Points are evaluated serially:
+the work is Python-level arithmetic on 2x2-4x4 matrices that holds the
+interpreter lock, so a thread pool was no faster than one thread on any figure
+preset (README).  Rows are sorted before writing, so reruns are byte-identical.
+Floats are serialized with repr() (shortest round-trip, at most 17 significant
+digits); non-finite or failed entries are the literal strings
+"inf"/"undefined"; complex spectra are serialized like "-0.6+0.8j".
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,17 +30,6 @@ from .states import bloch_probe, minus_y, plus_y, pure_density
 
 __all__ = ["SweepConfig", "RecordRow", "run", "figure_preset", "QUANTITIES", "SCHEMES", "FIGURE_NAMES"]
 
-QUANTITIES = (
-    "population",
-    "postselect_rates",
-    "population_shift",
-    "susceptibility",
-    "qfi_single",
-    "qfi_weighted",
-    "sensitivity_bound",
-    "resources",
-    "liouvillian_spectrum",
-)
 SCHEMES = ("pt", "dilation", "lindblad")
 CSV_HEADER = "tau,t,gamma_ratio,delta_ratio,quantity,value,scheme,probe"
 
@@ -67,7 +56,6 @@ class SweepConfig:
     fd_h: float = 1e-6  # relative to omega
     output_path: str = "sweep.csv"
     format: str = "csv"
-    threads: int = 0  # 0 = machine parallelism
 
     def __post_init__(self) -> None:
         for q in self.quantities:
@@ -104,8 +92,6 @@ class SweepConfig:
             raise ConfigError("fd_h: relative step must be in (0, 1e-3]")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: unknown value {self.format!r}")
-        if self.threads < 0:
-            raise ConfigError("threads: must be >= 0 (0 = machine parallelism)")
 
     @staticmethod
     def from_mapping(data: dict) -> "SweepConfig":
@@ -113,7 +99,7 @@ class SweepConfig:
         known = {
             "quantity", "scheme", "omega", "gamma_list", "delta_list", "tau_max",
             "tau_steps", "probe", "probe_theta", "probe_phi", "N", "fd_h",
-            "output_path", "format", "threads",
+            "output_path", "format",
         }
         for key in data:
             if key not in known:
@@ -144,7 +130,6 @@ class SweepConfig:
             ("probe_theta", "probe_theta", float), ("probe_phi", "probe_phi", float),
             ("N", "repetitions", int), ("fd_h", "fd_h", float),
             ("output_path", "output_path", str), ("format", "format", str),
-            ("threads", "threads", int),
         ):
             if src in data and data[src] is not None:
                 try:
@@ -196,194 +181,220 @@ def _fmt(value) -> str:
     return repr(v)
 
 
-def _requires_plus_y(config: SweepConfig, quantity: str) -> None:
-    if config.probe != "plus_y":
-        raise ConfigError(f"probe: quantity {quantity!r} is defined for the plus_y probe only")
+class _Point:
+    """One (scheme, gamma/omega, delta/omega, tau) grid point.
+
+    The scheme's QFI report is evaluated at most once and shared by every
+    quantity that reads it; a PtsenseError it raised is shared the same way,
+    so each of those quantities still becomes its own undefined row.
+    """
+
+    def __init__(self, config: SweepConfig, scheme: str, gamma_ratio: float,
+                 delta_ratio: float, tau: float) -> None:
+        omega = config.omega
+        self.scheme = scheme
+        self.base = PtParams(omega=omega, gamma=gamma_ratio * omega)
+        self.delta = delta_ratio * omega
+        self.op = PtParams(omega=omega + self.delta, gamma=self.base.gamma)  # operating point
+        kappa = self.base.kappa
+        self.t = tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf)
+        self.probe = config.probe_vector()
+        self.fd = FdConfig(h=config.fd_h * omega)
+        self.n_rep = config.repetitions
+        self._report = None
+
+    def report(self):
+        """The pt-scheme QFI, or the QfiReport of the dilation or lindblad scheme."""
+        if self._report is None:
+            try:
+                if self.scheme == "dilation":
+                    self._report = metrology.weighted_qfi_scheme1(
+                        self.op, self.t, self.fd, probe=self.probe, n_repetitions=self.n_rep)
+                elif self.scheme == "lindblad":
+                    self._report = metrology.weighted_qfi_scheme2(
+                        self.op, self.t, self.fd, n_repetitions=self.n_rep)
+                else:
+                    self._report = _qfi_pt(self)
+            except PtsenseError as exc:
+                self._report = exc
+        if isinstance(self._report, PtsenseError):
+            raise self._report
+        return self._report
+
+
+def _qfi_pt(pt: _Point) -> float:
+    """QFI of the normalized PT state in omega, at fixed t."""
+    rho0 = pure_density(pt.probe)
+    h = metrology._ep_safe_step(pt.op, pt.fd)
+    d_rho = metrology._derivative(lambda omega: evolve_density(rho0, pt.op.with_omega(omega), pt.t).matrix,
+                                  pt.op.omega, h, pt.fd.richardson)
+    return qfi_two_level(evolve_density(rho0, pt.op, pt.t), d_rho)
+
+
+def _population_pt(pt: _Point):
+    m = evolve_density(pure_density(pt.probe), pt.op, pt.t).matrix
+    return m[0, 0].real, m[1, 1].real
+
+
+def _population_lindblad(pt: _Point):
+    pops = analytic_rho_3l(pt.op, pt.t).populations
+    eff = effective_evolve(pt.probe, pt.op, pt.t)
+    artificial = None
+    if pt.op.gamma * pt.t <= 700.0:
+        artificial = float(artificial_pt(pt.op, pt.t, eff).matrix[0, 0].real)
+    return float(pops[0]), float(pops[1]), float(pops[2]), float(eff.matrix[0, 0].real), artificial
+
+
+def _postselect_rates_dilation(pt: _Point):
+    out = postselect(evolve_enlarged(pt.probe, pt.op, pt.t))
+    rho_a_11 = out.rho_a.matrix[0, 0].real if out.rho_a else None
+    return out.p_suc, out.p_fail, out.rho_pt.matrix[0, 0].real, rho_a_11
+
+
+def _postselect_rates_lindblad(pt: _Point):
+    out = postselect_3l(analytic_rho_3l(pt.op, pt.t))
+    return out.p_suc, out.p_fail, out.rho_pt.matrix[0, 0].real
+
+
+def _population_shift(pt: _Point):
+    kind = {"pt": "pt", "dilation": "enlarged", "lindblad": "eff"}[pt.scheme]
+    return (metrology.population_shift(kind, pt.base, pt.delta, pt.t),)
+
+
+def _resources(pt: _Point):
+    metrics = metrology.resource_report(pt.report())
+    return metrics.xi, metrics.zeta
+
+
+def _liouvillian_spectrum(pt: _Point):
+    _, values = liouvillian_matrix(pt.op)
+    ordered = sorted(values, key=lambda z: (round(z.imag, 12), round(z.real, 12)))
+    return [complex(z) for z in ordered]
+
+
+@dataclass(frozen=True)
+class _Pair:
+    """What one (quantity, scheme) pair writes at each grid point.
+
+    `evaluate(point)` returns one value per row name (None for an undefined
+    entry).  A time-independent pair is written once, at tau = 0.
+    """
+
+    rows: tuple[str, ...]
+    evaluate: object
+    plus_y_only: bool = False
+    time_independent: bool = False
+
+
+def _reported(fields: dict[str, str], plus_y_only: bool = False) -> _Pair:
+    """Pair whose rows, keyed by row name, are fields of the point's shared report."""
+
+    def evaluate(pt: _Point):
+        report = pt.report()
+        return [getattr(report, name) for name in fields.values()]
+
+    return _Pair(tuple(fields), evaluate, plus_y_only)
+
+
+_POP = ("population_1", "population_2", "population_3", "population_4")
+
+#: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs
+#: the plus_y probe.  A pair missing here is rejected.  Evaluators look ptsense functions up when they run.
+_PAIRS = {
+    ("population", "pt"): _Pair(_POP[:2], _population_pt),
+    ("population", "dilation"): _Pair(
+        _POP, lambda pt: [float(v) for v in evolve_enlarged(pt.probe, pt.op, pt.t).populations]),
+    ("population", "lindblad"): _Pair(
+        _POP[:3] + ("population_eff_1", "population_artificial_1"), _population_lindblad, True),
+    ("postselect_rates", "dilation"): _Pair(
+        ("p_suc", "p_fail", "rho_pt_11", "rho_a_11"), _postselect_rates_dilation),
+    ("postselect_rates", "lindblad"): _Pair(
+        ("p_suc", "p_fail", "rho_pt_11"), _postselect_rates_lindblad, True),
+    ("population_shift", "pt"): _Pair(("population_shift_1",), _population_shift, True),
+    ("population_shift", "dilation"): _Pair(("population_shift_1",), _population_shift, True),
+    ("population_shift", "lindblad"): _Pair(("population_shift_1",), _population_shift, True),
+    ("susceptibility", "pt"): _Pair(("susceptibility_pt", "susceptibility_a"), lambda pt: [
+        f(pt.op, pt.t, pt.fd) for f in (metrology.susceptibility_pt, metrology.susceptibility_a)], True),
+    ("susceptibility", "dilation"): _Pair(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda pt: [
+        metrology.susceptibility_enlarged(pt.op, pt.t, pt.fd, index=i) for i in (0, 2)], True),
+    ("susceptibility", "lindblad"): _Pair(
+        ("susceptibility_eff",), lambda pt: (metrology.susceptibility_eff(pt.op, pt.t, pt.fd),), True),
+    ("qfi_single", "pt"): _Pair(("qfi_pt",), lambda pt: (pt.report(),)),
+    ("qfi_single", "dilation"): _reported({"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
+    ("qfi_single", "lindblad"): _reported({"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}, True),
+    ("qfi_weighted", "dilation"): _reported(
+        {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
+    ("qfi_weighted", "lindblad"): _reported({"i_eff": "i_total"}, True),
+    ("sensitivity_bound", "pt"): _Pair(
+        ("delta_omega_pt",), lambda pt: (metrology._bound(pt.report(), pt.n_rep),)),
+    ("sensitivity_bound", "dilation"): _reported(
+        {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
+    ("sensitivity_bound", "lindblad"): _reported(
+        {"delta_omega_eff": "delta_omega_weighted", "delta_omega_eff_single": "delta_omega_total"}, True),
+    ("resources", "dilation"): _Pair(("xi", "zeta"), _resources),
+    ("liouvillian_spectrum", "lindblad"): _Pair(
+        tuple(f"liouvillian_eig_{i}" for i in range(1, 5)), _liouvillian_spectrum, time_independent=True),
+}
+
+QUANTITIES = tuple(dict.fromkeys(quantity for quantity, _ in _PAIRS))
+
+
+def _check_pairs(config: SweepConfig) -> None:
+    """Reject every requested pair the table lacks or the probe rules out."""
+    for quantity in config.quantities:
+        for scheme in config.schemes:
+            pair = _PAIRS.get((quantity, scheme))
+            if pair is None:
+                allowed = " or ".join(s for s in SCHEMES if (quantity, s) in _PAIRS)
+                raise ConfigError(f"quantity: {quantity} requires scheme {allowed}")
+            if pair.plus_y_only and config.probe != "plus_y":
+                raise ConfigError(f"probe: quantity {quantity!r} is defined for the plus_y probe only")
 
 
 def _evaluate_point(config: SweepConfig, scheme: str, gamma_ratio: float,
                     delta_ratio: float, tau: float) -> list[RecordRow]:
-    """All (quantity, value) rows of one grid point; failures become undefined."""
-    omega = config.omega
-    gamma = gamma_ratio * omega
-    delta = delta_ratio * omega
-    base = PtParams(omega=omega, gamma=gamma)
-    kappa = base.kappa
-    probe = config.probe_vector()
-    fd = FdConfig(h=config.fd_h * omega)
-    n_rep = config.repetitions
-
-    def rows_for(quantity: str) -> list[tuple[str, object]]:
-        if quantity == "liouvillian_spectrum":
-            if scheme != "lindblad":
-                raise ConfigError("quantity: liouvillian_spectrum requires scheme lindblad")
-            if tau != 0.0:
-                return []  # spectrum is time-independent; emitted once at tau = 0
-            _, values = liouvillian_matrix(PtParams(omega=omega + delta, gamma=gamma))
-            ordered = sorted(values, key=lambda z: (round(z.imag, 12), round(z.real, 12)))
-            return [(f"liouvillian_eig_{i + 1}", complex(z)) for i, z in enumerate(ordered)]
-
-        if kappa == 0.0 and tau > 0.0:
-            # exceptional point: finite tau is unreachable (kappa = 0)
-            return [(f"{quantity}_undefined", None)]
-        t = tau / kappa if tau > 0.0 else 0.0
-        op = PtParams(omega=omega + delta, gamma=gamma)  # operating point
-
-        if quantity == "population":
-            if scheme == "pt":
-                state = evolve_density(pure_density(probe), op, t)
-                return [("population_1", state.matrix[0, 0].real),
-                        ("population_2", state.matrix[1, 1].real)]
-            if scheme == "dilation":
-                pops = evolve_enlarged(probe, op, t).populations
-                return [(f"population_{i + 1}", float(pops[i])) for i in range(4)]
-            _requires_plus_y(config, quantity)
-            rho3 = analytic_rho_3l(op, t)
-            eff = effective_evolve(probe, op, t)
-            out = [(f"population_{i + 1}", float(rho3.populations[i])) for i in range(3)]
-            out.append(("population_eff_1", float(eff.matrix[0, 0].real)))
-            if op.gamma * t <= 700.0:
-                amplified = artificial_pt(op, t, eff)
-                out.append(("population_artificial_1", float(amplified.matrix[0, 0].real)))
-            else:
-                out.append(("population_artificial_1", None))
-            return out
-
-        if quantity == "postselect_rates":
-            if scheme == "dilation":
-                outcome = postselect(evolve_enlarged(probe, op, t))
-                rows = [("p_suc", outcome.p_suc), ("p_fail", outcome.p_fail),
-                        ("rho_pt_11", outcome.rho_pt.matrix[0, 0].real)]
-                rows.append(("rho_a_11", outcome.rho_a.matrix[0, 0].real if outcome.rho_a else None))
-                return rows
-            if scheme == "lindblad":
-                _requires_plus_y(config, quantity)
-                outcome = postselect_3l(analytic_rho_3l(op, t))
-                return [("p_suc", outcome.p_suc), ("p_fail", outcome.p_fail),
-                        ("rho_pt_11", outcome.rho_pt.matrix[0, 0].real)]
-            raise ConfigError("quantity: postselect_rates requires scheme dilation or lindblad")
-
-        if quantity == "population_shift":
-            _requires_plus_y(config, quantity)
-            shift_scheme = {"pt": "pt", "dilation": "enlarged", "lindblad": "eff"}[scheme]
-            return [("population_shift_1", metrology.population_shift(shift_scheme, base, delta, t))]
-
-        if quantity == "susceptibility":
-            _requires_plus_y(config, quantity)
-            if scheme == "pt":
-                return [("susceptibility_pt", metrology.susceptibility_pt(op, t, fd)),
-                        ("susceptibility_a", metrology.susceptibility_a(op, t, fd))]
-            if scheme == "dilation":
-                return [("susceptibility_4d_pt", metrology.susceptibility_enlarged(op, t, fd, index=0)),
-                        ("susceptibility_4d_a", metrology.susceptibility_enlarged(op, t, fd, index=2))]
-            return [("susceptibility_eff", metrology.susceptibility_eff(op, t, fd))]
-
-        if quantity in ("qfi_single", "qfi_weighted", "sensitivity_bound", "resources"):
-            if scheme == "pt":
-                if quantity in ("qfi_weighted", "resources"):
-                    raise ConfigError(f"quantity: {quantity} requires scheme dilation or lindblad")
-                f_pt = _qfi_pt_direct(probe, op, t, fd)
-                if quantity == "qfi_single":
-                    return [("qfi_pt", f_pt)]
-                bound = 1.0 / math.sqrt(n_rep * f_pt) if f_pt > 0 else math.inf
-                return [("delta_omega_pt", bound)]
-            if scheme == "dilation":
-                report = metrology.weighted_qfi_scheme1(op, t, fd, probe=probe, n_repetitions=n_rep)
-                if quantity == "qfi_single":
-                    return [("qfi_pt", report.f_suc), ("qfi_a", report.f_fail),
-                            ("qfi_4d", report.f_total)]
-                if quantity == "qfi_weighted":
-                    return [("i_suc", report.i_suc), ("i_fail", report.i_fail),
-                            ("i_subs", report.i_subs), ("i_4d", report.i_total)]
-                if quantity == "sensitivity_bound":
-                    return [("delta_omega_subs", report.delta_omega_weighted),
-                            ("delta_omega_4d", report.delta_omega_total)]
-                metrics = metrology.resource_metrics(op, t, fd, probe=probe)
-                return [("xi", metrics.xi), ("zeta", metrics.zeta)]
-            _requires_plus_y(config, quantity)
-            if quantity == "resources":
-                raise ConfigError("quantity: resources requires scheme dilation")
-            report = metrology.weighted_qfi_scheme2(op, t, fd, n_repetitions=n_rep)
-            if quantity == "qfi_single":
-                return [("qfi_eff", report.f_total), ("qfi_conditioned", report.f_suc)]
-            if quantity == "qfi_weighted":
-                return [("i_eff", report.i_total)]
-            return [("delta_omega_eff", report.delta_omega_weighted),
-                    ("delta_omega_eff_single", report.delta_omega_total)]
-
-        raise ConfigError(f"quantity: unknown value {quantity!r}")
-
+    """All rows of one grid point; a quantity that fails becomes one undefined row."""
+    pt = _Point(config, scheme, gamma_ratio, delta_ratio, tau)
+    probe = config.probe_label()
+    reachable = pt.base.kappa > 0.0 or tau == 0.0  # kappa = 0 at the exceptional point
     rows: list[RecordRow] = []
-    t_out = tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf)
     for quantity in config.quantities:
-        try:
-            pairs = rows_for(quantity)
-        except ConfigError:
-            raise
-        except PtsenseError:
-            pairs = [(f"{quantity}_undefined", None)]
-        for name, value in pairs:
-            rows.append(RecordRow(
-                tau=tau, t=t_out, gamma_ratio=gamma_ratio, delta_ratio=delta_ratio,
-                quantity=name, value=value, scheme=scheme, probe=config.probe_label(),
-            ))
+        pair = _PAIRS[quantity, scheme]
+        if pair.time_independent and tau != 0.0:
+            continue
+        values = None
+        if reachable:
+            try:
+                values = pair.evaluate(pt)
+            except PtsenseError:
+                pass
+        named = (zip(pair.rows, values, strict=True) if values is not None
+                 else [(f"{quantity}_undefined", None)])
+        for name, value in named:
+            rows.append(RecordRow(tau, pt.t, gamma_ratio, delta_ratio, name, value, scheme, probe))
     return rows
 
 
-def _qfi_pt_direct(probe: np.ndarray, p: PtParams, t: float, fd: FdConfig):
-    base = evolve_density(pure_density(probe), p, t)
-    h = min(fd.h, 0.25 * (p.omega - p.gamma)) if p.gamma > 0 else fd.h
-
-    def family(omega: float) -> np.ndarray:
-        return evolve_density(pure_density(probe), p.with_omega(omega), t).matrix
-
-    d_h = (family(p.omega + h) - family(p.omega - h)) / (2.0 * h)
-    if fd.richardson:
-        d_h2 = (family(p.omega + 0.5 * h) - family(p.omega - 0.5 * h)) / h
-        d_h = (4.0 * d_h2 - d_h) / 3.0
-    return qfi_two_level(base, d_h)
-
-
-def _validate_combinations(config: SweepConfig) -> None:
-    """Reject scheme/quantity pairs eagerly so bad configs fail before work."""
-    for quantity in config.quantities:
-        for scheme in config.schemes:
-            if quantity in ("postselect_rates", "qfi_weighted") and scheme == "pt":
-                raise ConfigError(f"quantity: {quantity} requires scheme dilation or lindblad")
-            if quantity == "resources" and scheme != "dilation":
-                raise ConfigError("quantity: resources requires scheme dilation")
-            if quantity == "liouvillian_spectrum" and scheme != "lindblad":
-                raise ConfigError("quantity: liouvillian_spectrum requires scheme lindblad")
-
-
-def run(config: SweepConfig, output_path: str | None = None, threads: int | None = None) -> Path:
+def run(config: SweepConfig, output_path: str | None = None) -> Path:
     """Execute the sweep and write the dataset; returns the output path.
 
     Prints a one-line summary (row count and min/max of the finite values)
     plus the grid parameters, so preset choices are recorded alongside the
     dataset without touching the byte-stable CSV itself.
     """
-    _validate_combinations(config)
+    _check_pairs(config)
     path = Path(output_path if output_path is not None else config.output_path)
-    n_threads = threads if threads is not None else config.threads
-    if n_threads == 0:
-        n_threads = os.cpu_count() or 1
 
     taus = [config.tau_max * i / (config.tau_steps - 1) for i in range(config.tau_steps)]
-    points = [
-        (scheme, g, d, tau)
+    rows = [
+        row
         for g in config.gamma_ratios
         for d in config.delta_ratios
         for tau in taus
         for scheme in config.schemes
+        for row in _evaluate_point(config, scheme, g, d, tau)
     ]
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = list(pool.map(lambda args: _evaluate_point(config, *args), points))
-    else:
-        chunks = [_evaluate_point(config, *point) for point in points]
-    rows = sorted((row for chunk in chunks for row in chunk), key=RecordRow.sort_key)
+    rows.sort(key=RecordRow.sort_key)
 
     try:
         if config.format == "csv":

@@ -8,7 +8,7 @@ import pytest
 
 from ptsense.cli import main
 from ptsense.errors import ConfigError
-from ptsense.sweeps import CSV_HEADER, SweepConfig, figure_preset, run
+from ptsense.sweeps import _PAIRS, CSV_HEADER, QUANTITIES, SCHEMES, SweepConfig, figure_preset, run
 
 BASE = dict(quantities=("population",), schemes=("pt",), gamma_ratios=(0.0,))
 
@@ -39,6 +39,35 @@ def test_incompatible_quantity_scheme_pairs(tmp_path):
                       output_path=str(tmp_path / "x.csv"))
     with pytest.raises(ConfigError, match="resources"):
         run(cfg)
+
+
+def test_plus_y_only_pair_rejects_custom_probe_before_writing(tmp_path):
+    out = tmp_path / "shift.csv"
+    cfg = SweepConfig(quantities=("population_shift",), schemes=("pt",), gamma_ratios=(0.3,),
+                      probe="custom", probe_theta=0.4, probe_phi=1.1, output_path=str(out))
+    with pytest.raises(ConfigError, match="plus_y probe only"):
+        run(cfg)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_every_pair_runs_or_is_rejected(tmp_path, quantity, scheme):
+    out = tmp_path / "pair.csv"
+    cfg = SweepConfig(quantities=(quantity,), schemes=(scheme,), gamma_ratios=(0.6,),
+                      tau_max=1.0, tau_steps=2, output_path=str(out))
+    pair = _PAIRS.get((quantity, scheme))
+    if pair is None:
+        with pytest.raises(ConfigError, match=f"quantity: {quantity} requires scheme"):
+            run(cfg)
+        assert not out.exists()
+        return
+    rows = read_rows(run(cfg))
+    names = {tau: [r["quantity"] for r in rows if float(r["tau"]) == tau] for tau in (0.0, 1.0)}
+    if pair.time_independent:
+        assert names == {0.0: sorted(pair.rows), 1.0: []}
+    else:  # at tau = 0 some quantities are undefined (no information yet)
+        assert names[1.0] == sorted(pair.rows)
 
 
 def test_population_reproduces_rabi(tmp_path):
@@ -84,14 +113,13 @@ def test_exceptional_point_rows_are_undefined(tmp_path):
     assert at_zero and float(at_zero[0]["value"]) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_determinism_and_parallel_equality(tmp_path):
+def test_determinism(tmp_path):
     cfg = SweepConfig(quantities=("population", "postselect_rates"), schemes=("dilation",),
                       gamma_ratios=(0.0, 0.6), tau_steps=17,
                       output_path=str(tmp_path / "a.csv"))
     a = run(cfg).read_bytes()
     b = run(cfg, output_path=str(tmp_path / "b.csv")).read_bytes()
-    c = run(cfg, output_path=str(tmp_path / "c.csv"), threads=4).read_bytes()
-    assert a == b == c
+    assert a == b
 
 
 def test_json_format(tmp_path):
@@ -115,6 +143,17 @@ def test_from_mapping_round_trip():
                                   "gamma_list": [0], "bogus": 1})
     with pytest.raises(ConfigError, match="quantity"):
         SweepConfig.from_mapping({"scheme": "pt", "gamma_list": [0]})
+
+
+def test_threads_config_field_is_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "quantity": "population", "scheme": "pt", "gamma_list": [0.0], "tau_steps": 3,
+        "threads": 2, "output_path": str(tmp_path / "out.csv"),
+    }))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "threads: unknown config field" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_figure_presets():
