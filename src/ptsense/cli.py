@@ -88,7 +88,10 @@ def main(argv: list[str] | None = None) -> int:
     figure_parser.add_argument("name", choices=list(FIGURE_NAMES))
     _add_override_flags(figure_parser)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage error (2) or --help (0)
+        return exc.code
     try:
         if args.command == "figure":
             config = figure_preset(args.name)

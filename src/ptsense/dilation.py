@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, MetricSingular
-from .linalg import PAULI_X, PAULI_Y, su2_like_propagator
+from .linalg import PAULI_X, PAULI_Y, su2_like_propagator, vector_norm
 from .params import PtParams
 from .pt_system import hamiltonian_pt, propagator_pt
-from .states import DensityMatrix2, DensityMatrix4, PureState2, PureState4
+from .states import RAISE, DensityMatrix2, DensityMatrix4, PureState2, PureState4
 
 __all__ = [
     "MetricOperator",
@@ -50,7 +50,8 @@ class MetricOperator:
 
 @dataclass(frozen=True)
 class PostSelectionOutcome:
-    """Success/failure rates, raw populations and the conditioned states.
+    """Success/failure rates, raw populations and the conditioned states
+    (arrays stacked along a leading axis for a row; see postselect).
 
     In the unbroken phase p_suc >= (omega - gamma)/(2 omega) > 0, so the
     success branch always exists; rho_a is None in the measure-zero case of
@@ -136,44 +137,63 @@ def propagator_4d(p: PtParams, t: float) -> np.ndarray:
     return su2_like_propagator(h4, (0.5 * p.kappa) ** 2, t)
 
 
-def evolve_enlarged_state(psi0, p: PtParams, t: float) -> PureState4:
+def _enlarged(psi0, p: PtParams, t):
+    """Amplitudes and norm factor C_n of the enlarged state at t (or at each t of an array)."""
+    amps = psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
+    eta = metric_operator(p).eta
+    psi_raw = propagator_pt(p, t) @ amps
+    psi_t = psi_raw / vector_norm(psi_raw)[..., None]
+    chi_t = (eta @ psi_t[..., None])[..., 0]
+    c_n = 1.0 / np.sqrt(1.0 + np.vecdot(chi_t, chi_t).real)
+    return c_n[..., None] * np.concatenate([psi_t, chi_t], axis=-1), c_n
+
+
+def evolve_enlarged_state(psi0, p: PtParams, t, errors=RAISE) -> PureState4:
     """Enlarged pure state (psi_t, eta psi_t)^T / C_n at time t.
 
     Computed from the synchronized construction (evolve the PT subsystem,
     apply the metric) rather than from propagator_4d; the two paths agree to
-    machine precision and are cross-checked in the tests.
+    machine precision and are cross-checked in the tests.  With
+    errors=PointErrors(n), t is an array of n times and the result is the
+    (n, 4) stack of amplitudes.
     """
-    amps = psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
-    eta = metric_operator(p).eta
-    psi_raw = propagator_pt(p, t) @ amps
-    psi_t = psi_raw / np.linalg.norm(psi_raw)
-    chi_t = eta @ psi_t
-    c_n = 1.0 / math.sqrt(1.0 + float(np.vdot(chi_t, chi_t).real))
-    return PureState4(amplitudes=c_n * np.concatenate([psi_t, chi_t]), norm_factor=c_n)
+    return errors.state(PureState4, *_enlarged(psi0, p, t))
 
 
-def evolve_enlarged(psi0, p: PtParams, t: float) -> DensityMatrix4:
-    """Rank-one density matrix of the enlarged system."""
-    return evolve_enlarged_state(psi0, p, t).density()
+def evolve_enlarged(psi0, p: PtParams, t, errors=RAISE) -> DensityMatrix4:
+    """Rank-one density matrix of the enlarged system (a stack of them for a row)."""
+    a, c_n = _enlarged(psi0, p, t)
+    errors.state(PureState4, a, c_n)
+    return errors.state(DensityMatrix4, a[..., :, None] * a.conj()[..., None, :])
 
 
-def postselect(rho4: DensityMatrix4) -> PostSelectionOutcome:
+def postselect(rho4, errors=RAISE) -> PostSelectionOutcome:
     """Collapse the enlarged state onto the PT (success) or auxiliary
     (failure) subsystem.
 
     Both branch probabilities are computed from their own diagonal sums and
-    checked to add to one, so a failure localizes to one branch.
+    checked to add to one, so a failure localizes to one branch.  For a row
+    (errors=PointErrors(n), rho4 an (n, 4, 4) stack) every field is stacked,
+    and a point without a failure branch is an EmptyBranch error instead of
+    rho_a = None.
     """
     m = rho4.matrix if isinstance(rho4, DensityMatrix4) else np.asarray(rho4, dtype=complex)
-    pops = np.diagonal(m).real.copy()
-    p_suc = float(pops[0] + pops[1])
-    p_fail = float(pops[2] + pops[3])
-    if abs(p_suc + p_fail - 1.0) > 1e-12:
-        raise EmptyBranch(f"branch probabilities do not sum to 1: {p_suc + p_fail:.15g}")
-    if p_suc < 1e-14:
-        raise EmptyBranch("success branch has vanishing probability")
-    rho_pt = DensityMatrix2(m[:2, :2] / p_suc)
-    rho_a = DensityMatrix2(m[2:, 2:] / p_fail) if p_fail >= 1e-14 else None
+    pops = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
+    p_suc = pops[..., 0] + pops[..., 1]
+    p_fail = pops[..., 2] + pops[..., 3]
+    total = p_suc + p_fail
+    errors.flag(abs(total - 1.0) > 1e-12, EmptyBranch,
+                lambda i: f"branch probabilities do not sum to 1: {total[i]:.15g}")
+    empty = p_suc < 1e-14
+    errors.flag(empty, EmptyBranch, "success branch has vanishing probability")
+    rho_pt = errors.state(DensityMatrix2, m[..., :2, :2] / errors.guard(p_suc, empty)[..., None, None])
+    has_a = p_fail >= 1e-14
+    block = m[..., 2:, 2:] / np.where(has_a, p_fail, 1.0)[..., None, None]
+    if errors is RAISE:
+        rho_a = DensityMatrix2(block) if has_a else None
+    else:
+        errors.flag(~has_a, EmptyBranch, "failure branch has vanishing probability")
+        rho_a = errors.state(DensityMatrix2, block)
     return PostSelectionOutcome(
         p_suc=p_suc, p_fail=p_fail, populations=pops, rho_pt=rho_pt, rho_a=rho_a
     )

@@ -18,6 +18,8 @@ __all__ = [
     "PAULI_Z",
     "EigenDecomposition",
     "dagger",
+    "vector_norm",
+    "per_element",
     "expm",
     "expm_su2_analytic",
     "su2_like_propagator",
@@ -41,8 +43,29 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
+
+
+def vector_norm(v) -> np.ndarray:
+    """2-norm of a vector, or of each vector of a stack (last axis).
+
+    Rounds exactly as np.linalg.norm rounds one complex vector, which sums the
+    squares of the real parts and of the imaginary parts separately.
+    """
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def per_element(fn, x):
+    """fn(x) for a scalar x; for an array, fn of each element as a Python float.
+
+    Keeps a row's values bitwise equal to one-point values where numpy's
+    array loops round differently from the scalar call: np.exp against
+    math.exp, and x ** 2 (x * x) against a float's ** 2 (C pow).
+    """
+    if not getattr(x, "ndim", 0):
+        return fn(x)
+    return np.array([fn(v) for v in x.tolist()])
 
 
 def expm(m, scale: complex = 1.0) -> np.ndarray:
@@ -68,16 +91,20 @@ def expm(m, scale: complex = 1.0) -> np.ndarray:
     return out
 
 
-def su2_like_propagator(h, c_squared: float, t: float) -> np.ndarray:
+def su2_like_propagator(h, c_squared: float, t) -> np.ndarray:
     """exp(-i*H*t) for H with H^2 = c^2 * I (c real, c >= 0).
 
     Evaluates cos(c t) I - i t sinc(c t) H, which is regular at c = 0 and is
-    the exact exponential whenever the involutory condition holds.
+    the exact exponential whenever the involutory condition holds.  For a 1-D
+    array of times the propagators are stacked along a leading axis.
     """
     a = np.asarray(h, dtype=complex)
     c = float(np.sqrt(c_squared))
     phase = c * t
-    return np.cos(phase) * np.eye(a.shape[0], dtype=complex) - 1j * t * np.sinc(phase / np.pi) * a
+    cos, sinc = np.cos(phase), np.sinc(phase / np.pi)
+    if getattr(t, "ndim", 0):
+        cos, sinc, t = cos[:, None, None], sinc[:, None, None], t[:, None, None]
+    return cos * np.eye(a.shape[0], dtype=complex) - 1j * t * sinc * a
 
 
 def expm_su2_analytic(h, t: float) -> np.ndarray:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, GainOverflow, InvalidMatrix, InvalidStep
-from .linalg import PAULI_X, eig
+from .linalg import PAULI_X, dagger, eig, per_element
 from .params import PtParams
 from .pt_system import hamiltonian_pt, propagator_pt
-from .states import DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, plus_y
+from .states import RAISE, DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, plus_y
 
 __all__ = [
     "LindbladModel",
@@ -119,7 +119,7 @@ def integrate_lindblad(rho0, p: PtParams, t: float, dt: float) -> DensityMatrix3
     return DensityMatrix3(rho)
 
 
-def analytic_rho_3l(p: PtParams, t: float) -> DensityMatrix3:
+def analytic_rho_3l(p: PtParams, t, errors=RAISE) -> DensityMatrix3:
     """Closed-form three-level state for the probe (|1> + i|2>)/sqrt(2).
 
     The {|1>,|2>} block is the non-normalized effective state
@@ -127,32 +127,37 @@ def analytic_rho_3l(p: PtParams, t: float) -> DensityMatrix3:
     the exceptional point) and rho33 makes up the trace.  Once gamma*t is
     large enough that the decay underflows double precision the block is
     exactly zero and the state is the sink, which is the correct limit, so
-    no positive-trace guard applies here (unlike effective_evolve).
+    no positive-trace guard applies here (unlike effective_evolve).  With
+    errors=PointErrors(n), t is an array of n times and the result is the
+    (n, 3, 3) stack.
     """
-    scaled = math.exp(-0.5 * p.gamma * t) * (propagator_pt(p, t) @ plus_y())
-    block = np.outer(scaled, scaled.conj())
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = 0.5 * (block + block.conj().T)
-    out[2, 2] = 1.0 - np.trace(block).real
-    return DensityMatrix3(out)
+    scaled = np.asarray(per_element(math.exp, -0.5 * p.gamma * t))[..., None] * (propagator_pt(p, t) @ plus_y())
+    block = scaled[..., :, None] * scaled.conj()[..., None, :]
+    out = np.zeros(np.shape(t) + (3, 3), dtype=complex)
+    out[..., :2, :2] = 0.5 * (block + dagger(block))
+    out[..., 2, 2] = 1.0 - block.trace(axis1=-2, axis2=-1).real
+    return errors.state(DensityMatrix3, out)
 
 
-def effective_evolve(rho0, p: PtParams, t: float) -> UnnormalizedMatrix2:
+def effective_evolve(rho0, p: PtParams, t, errors=RAISE) -> UnnormalizedMatrix2:
     """Non-normalized dissipative state U_eff rho0 U_eff^dag.
 
     U_eff = e^{-gamma t/2} U_pt elementwise, since the anti-Hermitian part of
     H_eff is a multiple of the identity.  The trace never exceeds one here
-    (it is the success probability of remaining outside the sink).
+    (it is the success probability of remaining outside the sink).  With
+    errors=PointErrors(n), t is an array of n times and the result is the
+    (n, 2, 2) stack of matrices.
     """
     mat = np.asarray(rho0.matrix if isinstance(rho0, DensityMatrix2) else rho0, dtype=complex)
     if mat.shape == (2,):
         mat = np.outer(mat, mat.conj())
-    u_eff = math.exp(-0.5 * p.gamma * t) * propagator_pt(p, t)
-    raw = u_eff @ mat @ u_eff.conj().T
-    raw = 0.5 * (raw + raw.conj().T)
-    out = UnnormalizedMatrix2(raw)
-    if out.trace > 1.0 + 1e-10:  # survival probability cannot exceed one
-        raise InvalidMatrix(f"effective state trace {out.trace:.15g} exceeds 1")
+    u_eff = np.asarray(per_element(math.exp, -0.5 * p.gamma * t))[..., None, None] * propagator_pt(p, t)
+    raw = u_eff @ mat @ dagger(u_eff)
+    raw = 0.5 * (raw + dagger(raw))
+    out = errors.state(UnnormalizedMatrix2, raw)
+    tr = raw.trace(axis1=-2, axis2=-1).real
+    # survival probability cannot exceed one
+    errors.flag(tr > 1.0 + 1e-10, InvalidMatrix, lambda i: f"effective state trace {tr[i]:.15g} exceeds 1")
     return out
 
 
@@ -170,16 +175,20 @@ def effective_rhs(rho, p: PtParams) -> np.ndarray:
     return -1j * (h_eff @ mat - mat @ h_eff.conj().T)
 
 
-def artificial_pt(p: PtParams, t: float, rho_eff: UnnormalizedMatrix2) -> UnnormalizedMatrix2:
+def artificial_pt(p: PtParams, t, rho_eff: UnnormalizedMatrix2, errors=RAISE) -> UnnormalizedMatrix2:
     """Artificially amplified state e^{gamma t} rho_eff.
 
     The exponential compensates the uniform decay so the result mimics a
-    balanced gain-loss system; its trace may exceed one.
+    balanced gain-loss system; its trace may exceed one.  With
+    errors=PointErrors(n), t is an array of n times, rho_eff their stack, and
+    the result is the stack of amplified matrices.
     """
-    if p.gamma * t > 700.0:
-        raise GainOverflow(f"exp(gamma*t) overflows for gamma*t = {p.gamma * t:.6g}")
+    gt = np.asarray(p.gamma * t)
+    overflow = gt > 700.0
+    errors.flag(overflow, GainOverflow, lambda i: f"exp(gamma*t) overflows for gamma*t = {gt[i]:.6g}")
     mat = rho_eff.matrix if isinstance(rho_eff, UnnormalizedMatrix2) else np.asarray(rho_eff, dtype=complex)
-    return UnnormalizedMatrix2(math.exp(p.gamma * t) * mat)
+    gain = np.asarray(per_element(math.exp, errors.guard(gt, overflow)))
+    return errors.state(UnnormalizedMatrix2, gain[..., None, None] * mat)
 
 
 @dataclass(frozen=True)
@@ -193,24 +202,27 @@ class Postselected3L:
     reliable: bool = True
 
 
-def postselect_3l(rho3) -> Postselected3L:
+def postselect_3l(rho3, errors=RAISE) -> Postselected3L:
     """Condition on not having decayed into the sink.
 
     p_suc = rho11 + rho22 and the conditioned state is the renormalized
     {|1>,|2>} block; p_fail = rho33.  When p_suc < 1e-12 the outcome is
-    flagged unreliable (steady-state regime); below 1e-14 it raises.
+    flagged unreliable (steady-state regime); below 1e-14 it raises.  For a
+    row (errors=PointErrors(n), rho3 an (n, 3, 3) stack) every field is
+    stacked.
     """
     m = rho3.matrix if isinstance(rho3, DensityMatrix3) else np.asarray(rho3, dtype=complex)
-    p_suc = float(m[0, 0].real + m[1, 1].real)
-    p_fail = float(m[2, 2].real)
-    if p_suc < 1e-14:
-        raise EmptyBranch("success rate vanished; no post-selected state exists")
-    block = m[:2, :2] / p_suc
+    p_suc = m[..., 0, 0].real + m[..., 1, 1].real
+    p_fail = m[..., 2, 2].real
+    empty = p_suc < 1e-14
+    errors.flag(empty, EmptyBranch, "success rate vanished; no post-selected state exists")
+    block = m[..., :2, :2] / errors.guard(p_suc, empty)[..., None, None]
+    reliable = p_suc >= RELIABLE_P_SUC
     return Postselected3L(
         p_suc=p_suc,
         p_fail=p_fail,
-        rho_pt=DensityMatrix2(0.5 * (block + block.conj().T)),
-        reliable=p_suc >= RELIABLE_P_SUC,
+        rho_pt=errors.state(DensityMatrix2, 0.5 * (block + dagger(block))),
+        reliable=reliable if getattr(reliable, "ndim", 0) else bool(reliable),
     )
 
 

@@ -22,6 +22,16 @@ differentiating the metric inside the initial state breaks both properties.
 The post-selected branch QFIs themselves are identical under either
 convention (the metric only rescales the branch blocks, which renormalization
 removes).
+
+Row evaluation
+--------------
+The QFI evaluators, the susceptibilities and the QFI forms they use are
+row-batched: given errors=states.PointErrors(n) and an array of n times, each
+evaluates one (gamma, omega, probe) row in one call.  Every family of states
+is then a stack of matrices, every check runs on the whole stack, and a point
+whose check fails gets the error it would have raised on its own.  Called
+with one time (errors=RAISE, the default), the same code is the scalar API,
+and a failed check raises.
 """
 
 from __future__ import annotations
@@ -34,15 +44,17 @@ import numpy as np
 
 from .dilation import dilate_initial, evolve_enlarged, postselect, propagator_4d
 from .errors import (
+    EmptyBranch,
     InvalidDerivative,
     InvalidScheme,
     StepCrossesEp,
     UndefinedResourceMetrics,
 )
 from .lindblad import analytic_rho_3l, effective_evolve
+from .linalg import dagger, per_element, vector_norm
 from .params import PtParams
 from .pt_system import evolve_density, evolve_state
-from .states import plus_y, pure_density
+from .states import RAISE, DensityMatrix2, plus_y, pure_density
 
 __all__ = [
     "FdConfig",
@@ -61,6 +73,7 @@ __all__ = [
     "qfi_pure",
     "weighted_qfi_scheme1",
     "weighted_qfi_scheme2",
+    "qfi_pt",
     "resource_metrics",
     "resource_report",
 ]
@@ -121,37 +134,81 @@ def _derivative(values_fn, omega: float, h: float, richardson: bool):
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def population_shift(scheme: str, p: PtParams, delta: float, t: float) -> float:
+def _d_omega(family, p: PtParams, t, h: float, richardson: bool, errors):
+    """d family/d omega at fixed t, with the EP-safe step h.
+
+    At omega = gamma there is no room for a step (h = 0).  At t = 0 the
+    derivative is still exactly 0, since U(0) = I for every omega; at t > 0 it
+    is a StepCrossesEp error.  Either way the family is evaluated once at
+    omega, so its own checks run as for any step.
+    """
+    if h == 0.0:
+        values = family(p.omega)
+        errors.flag(np.asarray(t) > 0.0, StepCrossesEp,
+                    f"omega = gamma = {p.gamma:.9g} leaves no room for a finite-difference step")
+        return np.zeros_like(values)
+    return _derivative(family, p.omega, h, richardson)
+
+
+def _matrix(state) -> np.ndarray:
+    """The matrix of a validated state, or the stack a row evaluation returned."""
+    if state is None:  # postselect found no failure branch
+        raise EmptyBranch("failure branch has vanishing probability")
+    return state.matrix if hasattr(state, "matrix") else np.asarray(state, dtype=complex)
+
+
+def _value(x):
+    """A Python float for one point; the array itself for a row."""
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
+def _square(x: float) -> float:
+    return x ** 2
+
+
+def _probe(probe) -> np.ndarray:
+    if probe is None:
+        return plus_y()
+    if hasattr(probe, "amplitudes"):
+        return probe.amplitudes
+    return np.asarray(probe, dtype=complex)
+
+
+def population_shift(scheme: str, p: PtParams, delta: float, t, errors=RAISE) -> float:
     """P1(omega + delta, t) - P1(omega, t) at fixed physical time.
 
     P1 is the level-1 population of the post-selected PT state ("pt"), of the
     enlarged Hermitian state ("enlarged"), or of the renormalized dissipative
     state ("eff"; identical to "pt" after renormalization and kept for
-    interface parity across the two construction schemes).
+    interface parity across the two construction schemes).  Takes a row like
+    the susceptibilities below.
     """
     if abs(delta) > 0.1 * p.omega:
         raise InvalidScheme(f"perturbation delta = {delta:g} exceeds 0.1 * omega")
 
-    def level1(omega: float) -> float:
+    def level1(omega: float):
         q = p.with_omega(omega)
         if scheme in ("pt", "eff"):
-            return evolve_state(plus_y(), q, t).population
+            state = evolve_state(plus_y(), q, t, errors)
+            a = (state.amplitudes if hasattr(state, "amplitudes") else state)[..., 0]
+            return per_element(_square, np.hypot(a.real, a.imag))  # rounds as abs(a) ** 2
         if scheme == "enlarged":
-            return float(evolve_enlarged(plus_y(), q, t).populations[0])
+            return _matrix(evolve_enlarged(plus_y(), q, t, errors))[..., 0, 0].real
         raise InvalidScheme(f"unknown scheme {scheme!r}")
 
     if delta == 0.0:
-        level1(p.omega)  # still validates the scheme name
-        return 0.0
-    return level1(p.omega + delta) - level1(p.omega)
+        return _value(np.zeros_like(level1(p.omega)))  # still validates the scheme name
+    return _value(level1(p.omega + delta) - level1(p.omega))
 
 
-def susceptibility(state_fn, p: PtParams, t: float, index: int, fd: FdConfig) -> float:
+def susceptibility(state_fn, p: PtParams, t, index, fd: FdConfig):
     """Central-difference derivative of a population with respect to omega.
 
-    state_fn(omega, t) must return the parameterized matrix; index selects
-    the diagonal element.  Raises StepCrossesEp when omega - h would leave
-    the unbroken phase for the requested step.
+    state_fn(omega, t) must return the parameterized matrix (for an array of
+    times, the stack of matrices); index selects the diagonal element, and a
+    tuple of indices gives one derivative per index along a last axis.
+    Raises StepCrossesEp when omega - h would leave the unbroken phase for
+    the requested step.
     """
     fd.validate_for(p.omega)
     if p.gamma > 0.0 and p.omega - fd.h <= p.gamma:
@@ -159,60 +216,67 @@ def susceptibility(state_fn, p: PtParams, t: float, index: int, fd: FdConfig) ->
             f"omega - h = {p.omega - fd.h:.9g} crosses gamma = {p.gamma:.9g}"
         )
 
-    def pop(omega: float) -> float:
-        return float(np.asarray(state_fn(omega, t))[index, index].real)
+    def pop(omega: float):
+        return np.asarray(state_fn(omega, t))[..., index, index].real
 
-    return float(_derivative(pop, p.omega, fd.h, fd.richardson))
+    return _value(_derivative(pop, p.omega, fd.h, fd.richardson))
 
 
-def susceptibility_pt(p: PtParams, t: float, fd: FdConfig) -> float:
+# The susceptibility_* functions take errors=PointErrors(n) for a row: t is
+# then an array of n times and the result an array (states.PointErrors).
+
+
+def susceptibility_pt(p: PtParams, t, fd: FdConfig, errors=RAISE):
     """d(rho_pt^11)/d(omega) for the probe |+>_y."""
+    rho0 = pure_density(plus_y())
     return susceptibility(
-        lambda w, tt: evolve_density(pure_density(plus_y()), p.with_omega(w), tt).matrix,
-        p, t, 0, fd,
+        lambda w, tt: _matrix(evolve_density(rho0, p.with_omega(w), tt, errors)), p, t, 0, fd
     )
 
 
-def susceptibility_a(p: PtParams, t: float, fd: FdConfig) -> float:
+def susceptibility_a(p: PtParams, t, fd: FdConfig, errors=RAISE):
     """d(rho_A^11)/d(omega): failure-branch population derivative."""
 
-    def state(w: float, tt: float) -> np.ndarray:
-        out = postselect(evolve_enlarged(plus_y(), p.with_omega(w), tt))
-        return out.rho_a.matrix
+    def state(w: float, tt):
+        return _matrix(postselect(evolve_enlarged(plus_y(), p.with_omega(w), tt, errors), errors).rho_a)
 
     return susceptibility(state, p, t, 0, fd)
 
 
-def susceptibility_enlarged(p: PtParams, t: float, fd: FdConfig, index: int = 0) -> float:
-    """d(rho_4d^{ii})/d(omega); index 0 is the PT subsystem, 2 the auxiliary."""
+def susceptibility_enlarged(p: PtParams, t, fd: FdConfig, index=0, errors=RAISE):
+    """d(rho_4d^{ii})/d(omega); index 0 is the PT subsystem, 2 the auxiliary
+    ((0, 2) gives both from one evaluation of the state family)."""
     return susceptibility(
-        lambda w, tt: evolve_enlarged(plus_y(), p.with_omega(w), tt).matrix,
-        p, t, index, fd,
+        lambda w, tt: _matrix(evolve_enlarged(plus_y(), p.with_omega(w), tt, errors)), p, t, index, fd
     )
 
 
-def susceptibility_eff(p: PtParams, t: float, fd: FdConfig) -> float:
+def susceptibility_eff(p: PtParams, t, fd: FdConfig, errors=RAISE):
     """d(varrho_eff^11)/d(omega) of the NON-normalized dissipative state.
 
     The decaying norm is part of the signal here; renormalizing first would
     reduce this to susceptibility_pt.
     """
     return susceptibility(
-        lambda w, tt: effective_evolve(plus_y(), p.with_omega(w), tt).matrix,
-        p, t, 0, fd,
+        lambda w, tt: _matrix(effective_evolve(plus_y(), p.with_omega(w), tt, errors)), p, t, 0, fd
     )
 
 
-def _check_drho(drho: np.ndarray) -> np.ndarray:
+def _check_drho(drho, errors=RAISE) -> np.ndarray:
     # finite differencing amplifies the ~1e-16 Hermiticity slack of validated
     # states by 1/(2h), so the guard is scale-aware rather than absolute
     d = np.asarray(drho, dtype=complex)
-    if np.max(np.abs(d - d.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(d))):
-        raise InvalidDerivative("density-matrix derivative is not Hermitian")
-    return 0.5 * (d + d.conj().T)
+    scale = np.maximum(1.0, np.abs(d).max(axis=(-2, -1)))
+    errors.flag(np.abs(d - dagger(d)).max(axis=(-2, -1)) > 1e-8 * scale, InvalidDerivative,
+                "density-matrix derivative is not Hermitian")
+    return 0.5 * (d + dagger(d))
 
 
-def sld(rho, drho) -> np.ndarray:
+# sld, qfi_sld, qfi_two_level and qfi_pure also take a row: errors=PointErrors(n)
+# with stacks of n states and derivatives, returning n values.
+
+
+def sld(rho, drho, errors=RAISE) -> np.ndarray:
     """Symmetric logarithmic derivative solving drho = (L rho + rho L)/2.
 
     Solved in the eigenbasis of rho as L_mn = 2 drho_mn / (eps_m + eps_n),
@@ -220,35 +284,34 @@ def sld(rho, drho) -> np.ndarray:
     reconstruction is exact on the support subspace and the kernel-kernel
     block of L is set to zero.
     """
-    mat = np.asarray(rho.matrix if hasattr(rho, "matrix") else rho, dtype=complex)
-    d = _check_drho(drho)
+    mat = _matrix(rho)
+    d = _check_drho(drho, errors)
     eps, basis = np.linalg.eigh(mat)
-    d_eig = basis.conj().T @ d @ basis
-    dim = mat.shape[0]
-    l_eig = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            s = eps[i] + eps[j]
-            if s > SLD_SUPPORT_EPS:
-                l_eig[i, j] = 2.0 * d_eig[i, j] / s
-    return basis @ l_eig @ basis.conj().T
+    d_eig = dagger(basis) @ d @ basis
+    s = eps[..., :, None] + eps[..., None, :]
+    support = s > SLD_SUPPORT_EPS
+    l_eig = np.where(support, 2.0 * d_eig / np.where(support, s, 1.0), 0.0)
+    return basis @ l_eig @ dagger(basis)
 
 
-def _clip_qfi(value: float) -> float:
-    if value < 0.0:
-        if value < -1e-9:
-            logger.warning("QFI %.3e more negative than roundoff allowance; clipping", value)
+def _clip_qfi(value, errors=RAISE):
+    value = np.asarray(value, dtype=float)
+    negative = value < 0.0
+    if not negative.any():
+        return _value(value)
+    for i in errors.points(negative):
+        if value[i] < -1e-9:
+            logger.warning("QFI %.3e more negative than roundoff allowance; clipping", value[i])
         else:
-            logger.debug("clipping roundoff-negative QFI %.3e to 0", value)
-        return 0.0
-    return float(value)
+            logger.debug("clipping roundoff-negative QFI %.3e to 0", value[i])
+    return _value(np.where(negative, 0.0, value))
 
 
-def qfi_sld(rho, drho) -> float:
+def qfi_sld(rho, drho, errors=RAISE) -> float:
     """QFI as Tr(rho L^2) with the SLD operator."""
-    mat = np.asarray(rho.matrix if hasattr(rho, "matrix") else rho, dtype=complex)
-    l_op = sld(mat, drho)
-    return _clip_qfi(float(np.trace(mat @ l_op @ l_op).real))
+    mat = _matrix(rho)
+    l_op = sld(mat, drho, errors)
+    return _clip_qfi((mat @ l_op @ l_op).trace(axis1=-2, axis2=-1).real, errors)
 
 
 def qfi_spectral(rho, drho, gap_tol: float = 1e-8) -> float:
@@ -287,31 +350,37 @@ def qfi_spectral(rho, drho, gap_tol: float = 1e-8) -> float:
     return _clip_qfi(total)
 
 
-def qfi_two_level(rho, drho) -> float:
+def qfi_two_level(rho, drho, errors=RAISE) -> float:
     """Two-level QFI: Tr[(drho)^2] + Tr[(rho drho)^2]/det(rho).
 
     For det(rho) below PURITY_EPS the 1/det term is numerically explosive
     although its limit is finite, so the pure-state reduction
     2 Tr[(drho)^2] is used instead.
     """
-    mat = np.asarray(rho.matrix if hasattr(rho, "matrix") else rho, dtype=complex)
-    if mat.shape != (2, 2):
+    mat = _matrix(rho)
+    if mat.shape[-2:] != (2, 2):
         raise InvalidScheme("qfi_two_level expects a 2x2 density matrix")
-    d = _check_drho(drho)
-    det = float(np.linalg.det(mat).real)
-    if det < PURITY_EPS:
-        return _clip_qfi(2.0 * float(np.trace(d @ d).real))
+    d = _check_drho(drho, errors)
+    det = np.linalg.det(mat).real
+    pure = det < PURITY_EPS
+    dd = (d @ d).trace(axis1=-2, axis2=-1).real
+    if pure.all():  # branch states of a pure probe are pure
+        return _clip_qfi(2.0 * dd, errors)
     rd = mat @ d
-    return _clip_qfi(float(np.trace(d @ d).real) + float(np.trace(rd @ rd).real) / det)
+    mixed = dd + (rd @ rd).trace(axis1=-2, axis2=-1).real / np.where(pure, 1.0, det)
+    return _clip_qfi(np.where(pure, 2.0 * dd, mixed), errors)
 
 
-def qfi_pure(psi, dpsi) -> float:
+def qfi_pure(psi, dpsi, errors=RAISE) -> float:
     """Pure-state QFI 4(<dpsi|dpsi> - |<psi|dpsi>|^2); projectively invariant."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    dv = np.asarray(dpsi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise InvalidDerivative("psi must be normalized to 1e-10")
-    return _clip_qfi(4.0 * (float(np.vdot(dv, dv).real) - abs(np.vdot(v, dv)) ** 2))
+    shape = (-1,) if errors is RAISE else (len(errors.errors), -1)
+    v = np.asarray(psi, dtype=complex).reshape(shape)
+    dv = np.asarray(dpsi, dtype=complex).reshape(shape)
+    errors.flag(abs(vector_norm(v) - 1.0) > 1e-10, InvalidDerivative, "psi must be normalized to 1e-10")
+    overlap = np.vecdot(v, dv)
+    # np.hypot rounds |overlap| as abs() of one complex does; np.abs of an array may not
+    return _clip_qfi(4.0 * (np.vecdot(dv, dv).real - per_element(_square, np.hypot(overlap.real, overlap.imag))),
+                     errors)
 
 
 @dataclass(frozen=True)
@@ -324,7 +393,8 @@ class QfiReport:
     renormalized (post-selected) state, f_total the QFI of the full
     three-level state, i_total = f_total * p_suc, and the failure fields are
     None.  delta_omega_* are the Cramer-Rao bounds 1/sqrt(N * I); infinite
-    when the information vanishes.
+    when the information vanishes.  The report of a row holds one array of
+    values per field, and sld_suc stacks one SLD per point.
     """
 
     scheme: str
@@ -355,22 +425,17 @@ class ResourceReport:
     i_total: float
 
 
-def _bound(information: float, n: int) -> float:
-    return 1.0 / math.sqrt(n * information) if information > 0.0 else math.inf
+def _bound(information, n: int):
+    return per_element(lambda info: 1.0 / math.sqrt(n * info) if info > 0.0 else math.inf, information)
 
 
-def _branch_family(probe: np.ndarray, p: PtParams, t: float, which: str):
-    """omega -> post-selected branch density matrix, at fixed t."""
-
-    def family(omega: float) -> np.ndarray:
-        out = postselect(evolve_enlarged(probe, p.with_omega(omega), t))
-        return out.rho_pt.matrix if which == "suc" else out.rho_a.matrix
-
-    return family
+# The QFI evaluators and resource_metrics take errors=PointErrors(n) for a row:
+# t is then an array of n times, every report field an array of n values, and
+# each family of states is evaluated once for the whole row (states.PointErrors).
 
 
 def weighted_qfi_scheme1(
-    p: PtParams, t: float, fd: FdConfig, probe=None, n_repetitions: int = 1
+    p: PtParams, t, fd: FdConfig, probe=None, n_repetitions: int = 1, errors=RAISE
 ) -> QfiReport:
     """Post-selected and total QFI for the dilation scheme.
 
@@ -379,21 +444,19 @@ def weighted_qfi_scheme1(
     module docstring).  The finite-difference step is clamped so omega - h
     stays inside the unbroken phase.
     """
-    if probe is None:
-        probe = plus_y()
-    elif hasattr(probe, "amplitudes"):
-        probe = probe.amplitudes
-    else:
-        probe = np.asarray(probe, dtype=complex)
+    probe = _probe(probe)
     h = _ep_safe_step(p, fd)
 
-    base = postselect(evolve_enlarged(probe, p, t))
-    suc_family = _branch_family(probe, p, t, "suc")
-    fail_family = _branch_family(probe, p, t, "fail")
-    d_suc = _derivative(suc_family, p.omega, h, fd.richardson)
-    d_fail = _derivative(fail_family, p.omega, h, fd.richardson)
-    f_suc = qfi_two_level(base.rho_pt, d_suc)
-    f_fail = qfi_two_level(base.rho_a, d_fail)
+    base = postselect(evolve_enlarged(probe, p, t, errors), errors)
+
+    def branches(omega: float) -> np.ndarray:
+        """Both post-selected branch states at omega, from one enlarged state."""
+        out = postselect(evolve_enlarged(probe, p.with_omega(omega), t, errors), errors)
+        return np.stack([_matrix(out.rho_pt), _matrix(out.rho_a)])
+
+    d_suc, d_fail = _d_omega(branches, p, t, h, fd.richardson, errors)
+    f_suc = qfi_two_level(base.rho_pt, d_suc, errors)
+    f_fail = qfi_two_level(base.rho_a, d_fail, errors)
 
     psi0 = dilate_initial(probe, p).amplitudes  # frozen at the base omega
     psi_base = propagator_4d(p, t) @ psi0
@@ -401,8 +464,8 @@ def weighted_qfi_scheme1(
     def channel_family(omega: float) -> np.ndarray:
         return propagator_4d(p.with_omega(omega), t) @ psi0
 
-    d_psi = _derivative(channel_family, p.omega, h, fd.richardson)
-    f_total = qfi_pure(psi_base, d_psi)
+    d_psi = _d_omega(channel_family, p, t, h, fd.richardson, errors)
+    f_total = qfi_pure(psi_base, d_psi, errors)
 
     i_suc = f_suc * base.p_suc
     i_fail = f_fail * base.p_fail
@@ -421,11 +484,18 @@ def weighted_qfi_scheme1(
         i_total=f_total,
         delta_omega_weighted=_bound(i_subs, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=sld(base.rho_pt, d_suc),
+        sld_suc=sld(base.rho_pt, d_suc, errors),
     )
 
 
-def weighted_qfi_scheme2(p: PtParams, t: float, fd: FdConfig, n_repetitions: int = 1) -> QfiReport:
+def _normalized(rho_eff, errors) -> DensityMatrix2:
+    """rho_eff / Tr(rho_eff), the post-selected state of the dissipative scheme."""
+    m = _matrix(rho_eff)
+    tr = m.trace(axis1=-2, axis2=-1).real
+    return errors.state(DensityMatrix2, m / errors.guard(tr, tr <= 0.0)[..., None, None])
+
+
+def weighted_qfi_scheme2(p: PtParams, t, fd: FdConfig, n_repetitions: int = 1, errors=RAISE) -> QfiReport:
     """Post-selected and total QFI for the dissipative three-level scheme.
 
     f_total is the QFI of the normalized three-level state, which decomposes
@@ -435,26 +505,26 @@ def weighted_qfi_scheme2(p: PtParams, t: float, fd: FdConfig, n_repetitions: int
     the repeated-averaged information.
     """
     h = _ep_safe_step(p, fd)
-    base3 = analytic_rho_3l(p, t)
-    p_suc = float(base3.matrix[0, 0].real + base3.matrix[1, 1].real)
+    base3 = _matrix(analytic_rho_3l(p, t, errors))
+    p_suc = base3[..., 0, 0].real + base3[..., 1, 1].real
 
     def family3(omega: float) -> np.ndarray:
-        return analytic_rho_3l(p.with_omega(omega), t).matrix
+        return _matrix(analytic_rho_3l(p.with_omega(omega), t, errors))
 
-    d3 = _derivative(family3, p.omega, h, fd.richardson)
-    f_total = qfi_sld(base3.matrix, d3)
+    d3 = _d_omega(family3, p, t, h, fd.richardson, errors)
+    f_total = qfi_sld(base3, d3, errors)
 
     def conditioned(omega: float) -> np.ndarray:
-        return effective_evolve(plus_y(), p.with_omega(omega), t).normalized().matrix
+        return _matrix(_normalized(effective_evolve(plus_y(), p.with_omega(omega), t, errors), errors))
 
-    rho_cond = effective_evolve(plus_y(), p, t).normalized()
-    d_cond = _derivative(conditioned, p.omega, h, fd.richardson)
-    f_suc = qfi_two_level(rho_cond, d_cond)
+    rho_cond = _normalized(effective_evolve(plus_y(), p, t, errors), errors)
+    d_cond = _d_omega(conditioned, p, t, h, fd.richardson, errors)
+    f_suc = qfi_two_level(rho_cond, d_cond, errors)
 
     i_total = f_total * p_suc
     reliable = p_suc >= 1e-12
-    if not reliable:
-        logger.warning("success rate %.3e below 1e-12; scheme-2 report unreliable", p_suc)
+    for i in errors.points(~reliable):
+        logger.warning("success rate %.3e below 1e-12; scheme-2 report unreliable", p_suc[i])
     return QfiReport(
         scheme="lindblad",
         n_repetitions=n_repetitions,
@@ -469,12 +539,24 @@ def weighted_qfi_scheme2(p: PtParams, t: float, fd: FdConfig, n_repetitions: int
         i_total=i_total,
         delta_omega_weighted=_bound(i_total, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=sld(rho_cond, d_cond),
-        reliable=reliable,
+        sld_suc=sld(rho_cond, d_cond, errors),
+        reliable=bool(reliable) if np.ndim(reliable) == 0 else reliable,
     )
 
 
-def resource_metrics(p: PtParams, t: float, fd: FdConfig, probe=None) -> ResourceReport:
+def qfi_pt(p: PtParams, t, fd: FdConfig, probe=None, errors=RAISE) -> float:
+    """QFI in omega of the normalized PT state, at fixed t."""
+    rho0 = pure_density(_probe(probe))
+    h = _ep_safe_step(p, fd)
+
+    def family(omega: float) -> np.ndarray:
+        return _matrix(evolve_density(rho0, p.with_omega(omega), t, errors))
+
+    d_rho = _d_omega(family, p, t, h, fd.richardson, errors)
+    return qfi_two_level(evolve_density(rho0, p, t, errors), d_rho, errors)
+
+
+def resource_metrics(p: PtParams, t, fd: FdConfig, probe=None, errors=RAISE) -> ResourceReport:
     """Information cost xi = 1 - i_subs/i_total and loss zeta = sqrt(i_subs/i_total).
 
     zeta^2 + xi = 1 holds exactly by construction.  The branch information is
@@ -484,26 +566,24 @@ def resource_metrics(p: PtParams, t: float, fd: FdConfig, probe=None) -> Resourc
     such values are reported as-is rather than clipped, to keep the identity
     exact.
     """
-    return resource_report(weighted_qfi_scheme1(p, t, fd, probe=probe))
+    return resource_report(weighted_qfi_scheme1(p, t, fd, probe=probe, errors=errors), errors)
 
 
-def resource_report(report: QfiReport) -> ResourceReport:
-    """xi and zeta of a scheme-1 QfiReport; see resource_metrics.
+def resource_report(report: QfiReport, errors=RAISE) -> ResourceReport:
+    """xi and zeta of a scheme-1 QfiReport (of a row: errors=PointErrors(n));
+    see resource_metrics.
 
     Raises UndefinedResourceMetrics when the enlarged-system information
     vanishes, since the ratio then has no reference to normalize by.
     """
-    if report.i_total <= 1e-12:
-        raise UndefinedResourceMetrics(
-            f"enlarged-system information {report.i_total:.3e} too small to normalize"
-        )
-    ratio = report.i_subs / report.i_total
-    if ratio < 0.0:  # i_subs is a sum of clipped-nonnegative terms
-        ratio = 0.0
-    if abs(1.0 - ratio) < 1e-8:
-        ratio = 1.0  # roundoff at gamma = 0, where the split is lossless
+    i_total = np.asarray(report.i_total, dtype=float)
+    vanishing = i_total <= 1e-12
+    errors.flag(vanishing, UndefinedResourceMetrics,
+                lambda i: f"enlarged-system information {i_total[i]:.3e} too small to normalize")
+    ratio = report.i_subs / errors.guard(i_total, vanishing)
+    ratio = np.where(ratio < 0.0, 0.0, ratio)  # i_subs is a sum of clipped-nonnegative terms
+    ratio = np.where(abs(1.0 - ratio) < 1e-8, 1.0, ratio)  # roundoff at gamma = 0, where the split is lossless
     xi = 1.0 - ratio
-    if xi < 0.0:
-        logger.debug("information cost %.3e below zero (convention mismatch window)", xi)
-    zeta = math.sqrt(ratio)
-    return ResourceReport(xi=xi, zeta=zeta, i_subs=report.i_subs, i_total=report.i_total)
+    for i in errors.points(xi < 0.0):
+        logger.debug("information cost %.3e below zero (convention mismatch window)", xi[i])
+    return ResourceReport(xi=_value(xi), zeta=_value(np.sqrt(ratio)), i_subs=report.i_subs, i_total=report.i_total)

@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from .errors import InvalidStep, MetricSingular, NormUnderflow
-from .linalg import PAULI_X, PAULI_Z, su2_like_propagator
+from .linalg import PAULI_X, PAULI_Z, dagger, su2_like_propagator, vector_norm
 from .params import PtParams
-from .states import DensityMatrix2, PureState2
+from .states import RAISE, DensityMatrix2, PureState2
 
 __all__ = [
     "hamiltonian_pt",
@@ -47,30 +47,37 @@ def propagator_pt(p: PtParams, t: float) -> np.ndarray:
     return su2_like_propagator(hamiltonian_pt(p), (0.5 * p.kappa) ** 2, t)
 
 
-def evolve_state(psi0, p: PtParams, t: float) -> PureState2:
+def evolve_state(psi0, p: PtParams, t, errors=RAISE) -> PureState2:
     """Normalized non-unitary evolution of a pure probe.
 
     Returns the renormalized state together with the norm factor
-    c_n = 1/||U psi0||.
+    c_n = 1/||U psi0||.  With errors=PointErrors(n), t is an array of n
+    times and the result is the (n, 2) stack of amplitudes (see
+    states.PointErrors).
     """
     amps = psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
     raw = propagator_pt(p, t) @ amps
-    norm = np.linalg.norm(raw)
-    if norm < 1e-150:
-        raise NormUnderflow("propagated state norm underflowed")
-    return PureState2(amplitudes=raw / norm, norm_factor=1.0 / norm)
+    norm = vector_norm(raw)
+    underflow = norm < 1e-150
+    errors.flag(underflow, NormUnderflow, "propagated state norm underflowed")
+    norm = errors.guard(norm, underflow)
+    return errors.state(PureState2, raw / norm[..., None], 1.0 / norm)
 
 
-def evolve_density(rho0, p: PtParams, t: float) -> DensityMatrix2:
-    """U rho0 U^dag renormalized to unit trace."""
+def evolve_density(rho0, p: PtParams, t, errors=RAISE) -> DensityMatrix2:
+    """U rho0 U^dag renormalized to unit trace.
+
+    With errors=PointErrors(n), t is an array of n times and the result is the
+    (n, 2, 2) stack of matrices (see states.PointErrors).
+    """
     mat = rho0.matrix if isinstance(rho0, DensityMatrix2) else np.asarray(rho0, dtype=complex)
     u = propagator_pt(p, t)
-    raw = u @ mat @ u.conj().T
-    tr = np.trace(raw).real
-    if tr < 1e-300:
-        raise NormUnderflow("Tr(U rho U^dag) underflowed")
-    out = raw / tr
-    return DensityMatrix2(0.5 * (out + out.conj().T))  # scrub roundoff asymmetry
+    raw = u @ mat @ dagger(u)
+    tr = raw.trace(axis1=-2, axis2=-1).real
+    underflow = tr < 1e-300
+    errors.flag(underflow, NormUnderflow, "Tr(U rho U^dag) underflowed")
+    out = raw / errors.guard(tr, underflow)[..., None, None]
+    return errors.state(DensityMatrix2, 0.5 * (out + dagger(out)))  # scrub roundoff asymmetry
 
 
 def _require_unbroken_interior(p: PtParams) -> None:

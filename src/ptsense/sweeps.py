@@ -1,10 +1,13 @@
 """Parameter sweeps over (gamma/omega, tau, delta) producing flat datasets.
 
 Which (quantity, scheme) pairs exist, the rows each writes per grid point and
-how they are evaluated is one table, `_PAIRS`.  Points are evaluated serially:
-the work is Python-level arithmetic on 2x2-4x4 matrices that holds the
-interpreter lock, so a thread pool was no faster than one thread on any figure
-preset (README).  Rows are sorted before writing, so reruns are byte-identical.
+how they are evaluated is one table, `_PAIRS`.  Evaluation is row-batched: each
+pair evaluates a whole (scheme, gamma/omega, delta/omega) row of the tau grid
+in one call of the layer functions, on stacked 2x2-4x4 states, and gets back
+one value per point plus the typed error of each point that failed
+(states.PointErrors).  The values equal, bit for bit, those of the scalar API
+called point by point.  Rows are sorted before writing, so reruns are
+byte-identical.
 Floats are serialized with repr() (shortest round-trip, at most 17 significant
 digits); non-finite or failed entries are the literal strings
 "inf"/"undefined"; complex spectra are serialized like "-0.6+0.8j".
@@ -21,12 +24,12 @@ import numpy as np
 
 from . import metrology
 from .dilation import evolve_enlarged, postselect
-from .errors import ConfigError, PtsenseError, WriteError
+from .errors import ConfigError, WriteError
 from .lindblad import analytic_rho_3l, artificial_pt, effective_evolve, liouvillian_matrix, postselect_3l
-from .metrology import FdConfig, qfi_two_level
+from .metrology import FdConfig
 from .params import PtParams
 from .pt_system import evolve_density
-from .states import bloch_probe, minus_y, plus_y, pure_density
+from .states import PointErrors, bloch_probe, minus_y, plus_y, pure_density
 
 __all__ = ["SweepConfig", "RecordRow", "run", "figure_preset", "QUANTITIES", "SCHEMES", "FIGURE_NAMES"]
 
@@ -181,103 +184,99 @@ def _fmt(value) -> str:
     return repr(v)
 
 
-class _Point:
-    """One (scheme, gamma/omega, delta/omega, tau) grid point.
+class _Row:
+    """One (scheme, gamma/omega, delta/omega) row of the tau grid.
 
-    The scheme's QFI report is evaluated at most once and shared by every
-    quantity that reads it; a PtsenseError it raised is shared the same way,
-    so each of those quantities still becomes its own undefined row.
+    Only reachable points are evaluated: kappa = 0 at the exceptional point
+    leaves tau = 0 alone, so `t` (the physical times, an array) can be
+    shorter than the tau grid; its points are the first ones of the grid.
+    The scheme's QFI report is evaluated at most once per row and shared,
+    with the error of each point it failed at, by every quantity that reads
+    it, so each of those quantities still writes its own undefined rows.
     """
 
     def __init__(self, config: SweepConfig, scheme: str, gamma_ratio: float,
-                 delta_ratio: float, tau: float) -> None:
+                 delta_ratio: float, taus: list[float]) -> None:
         omega = config.omega
         self.scheme = scheme
         self.base = PtParams(omega=omega, gamma=gamma_ratio * omega)
         self.delta = delta_ratio * omega
         self.op = PtParams(omega=omega + self.delta, gamma=self.base.gamma)  # operating point
         kappa = self.base.kappa
-        self.t = tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf)
+        self.times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
+        self.t = np.array([t for tau, t in zip(taus, self.times) if kappa > 0.0 or tau == 0.0])
         self.probe = config.probe_vector()
         self.fd = FdConfig(h=config.fd_h * omega)
         self.n_rep = config.repetitions
         self._report = None
 
+    def errors(self) -> PointErrors:
+        return PointErrors(len(self.t))
+
     def report(self):
-        """The pt-scheme QFI, or the QfiReport of the dilation or lindblad scheme."""
+        """(the pt-scheme QFI or the QfiReport of the row's scheme, its PointErrors)."""
         if self._report is None:
-            try:
-                if self.scheme == "dilation":
-                    self._report = metrology.weighted_qfi_scheme1(
-                        self.op, self.t, self.fd, probe=self.probe, n_repetitions=self.n_rep)
-                elif self.scheme == "lindblad":
-                    self._report = metrology.weighted_qfi_scheme2(
-                        self.op, self.t, self.fd, n_repetitions=self.n_rep)
-                else:
-                    self._report = _qfi_pt(self)
-            except PtsenseError as exc:
-                self._report = exc
-        if isinstance(self._report, PtsenseError):
-            raise self._report
+            errors = self.errors()
+            if self.scheme == "dilation":
+                value = errors.run(metrology.weighted_qfi_scheme1, self.op, self.t, self.fd,
+                                   probe=self.probe, n_repetitions=self.n_rep)
+            elif self.scheme == "lindblad":
+                value = errors.run(metrology.weighted_qfi_scheme2, self.op, self.t, self.fd,
+                                   n_repetitions=self.n_rep)
+            else:
+                value = errors.run(metrology.qfi_pt, self.op, self.t, self.fd, probe=self.probe)
+            self._report = value, errors
         return self._report
 
 
-def _qfi_pt(pt: _Point) -> float:
-    """QFI of the normalized PT state in omega, at fixed t."""
-    rho0 = pure_density(pt.probe)
-    h = metrology._ep_safe_step(pt.op, pt.fd)
-    d_rho = metrology._derivative(lambda omega: evolve_density(rho0, pt.op.with_omega(omega), pt.t).matrix,
-                                  pt.op.omega, h, pt.fd.richardson)
-    return qfi_two_level(evolve_density(rho0, pt.op, pt.t), d_rho)
+def _diagonal(m: np.ndarray, n: int) -> list[np.ndarray]:
+    return [m[:, i, i].real for i in range(n)]
 
 
-def _population_pt(pt: _Point):
-    m = evolve_density(pure_density(pt.probe), pt.op, pt.t).matrix
-    return m[0, 0].real, m[1, 1].real
+def _population_lindblad(row: _Row, errors: PointErrors):
+    pops = _diagonal(analytic_rho_3l(row.op, row.t, errors), 3)
+    eff = effective_evolve(row.probe, row.op, row.t, errors)
+    # e^{gamma t} overflows beyond gamma t = 700: no artificial population there
+    amplified = np.flatnonzero(row.op.gamma * row.t <= 700.0)
+    artificial = np.full(len(row.t), None, dtype=object)
+    if len(amplified):
+        part = PointErrors(len(amplified))
+        m = artificial_pt(row.op, row.t[amplified], eff[amplified], part)
+        artificial[amplified] = [float(v) for v in m[:, 0, 0].real]
+        errors.merge(amplified, part)
+    return pops + [eff[:, 0, 0].real, artificial]
 
 
-def _population_lindblad(pt: _Point):
-    pops = analytic_rho_3l(pt.op, pt.t).populations
-    eff = effective_evolve(pt.probe, pt.op, pt.t)
-    artificial = None
-    if pt.op.gamma * pt.t <= 700.0:
-        artificial = float(artificial_pt(pt.op, pt.t, eff).matrix[0, 0].real)
-    return float(pops[0]), float(pops[1]), float(pops[2]), float(eff.matrix[0, 0].real), artificial
+def _postselect_rates_dilation(row: _Row, errors: PointErrors):
+    out = postselect(evolve_enlarged(row.probe, row.op, row.t, errors), errors)
+    return [out.p_suc, out.p_fail, out.rho_pt[:, 0, 0].real, out.rho_a[:, 0, 0].real]
 
 
-def _postselect_rates_dilation(pt: _Point):
-    out = postselect(evolve_enlarged(pt.probe, pt.op, pt.t))
-    rho_a_11 = out.rho_a.matrix[0, 0].real if out.rho_a else None
-    return out.p_suc, out.p_fail, out.rho_pt.matrix[0, 0].real, rho_a_11
+def _postselect_rates_lindblad(row: _Row, errors: PointErrors):
+    out = postselect_3l(analytic_rho_3l(row.op, row.t, errors), errors)
+    return [out.p_suc, out.p_fail, out.rho_pt[:, 0, 0].real]
 
 
-def _postselect_rates_lindblad(pt: _Point):
-    out = postselect_3l(analytic_rho_3l(pt.op, pt.t))
-    return out.p_suc, out.p_fail, out.rho_pt.matrix[0, 0].real
+def _population_shift(row: _Row, errors: PointErrors):
+    kind = {"pt": "pt", "dilation": "enlarged", "lindblad": "eff"}[row.scheme]
+    return [metrology.population_shift(kind, row.base, row.delta, row.t, errors)]
 
 
-def _population_shift(pt: _Point):
-    kind = {"pt": "pt", "dilation": "enlarged", "lindblad": "eff"}[pt.scheme]
-    return (metrology.population_shift(kind, pt.base, pt.delta, pt.t),)
-
-
-def _resources(pt: _Point):
-    metrics = metrology.resource_report(pt.report())
-    return metrics.xi, metrics.zeta
-
-
-def _liouvillian_spectrum(pt: _Point):
-    _, values = liouvillian_matrix(pt.op)
+def _liouvillian_spectrum(row: _Row, errors: PointErrors):
+    """The four eigenvalues, which do not depend on time (only tau = 0 is written)."""
+    _, values = liouvillian_matrix(row.op)
     ordered = sorted(values, key=lambda z: (round(z.imag, 12), round(z.real, 12)))
-    return [complex(z) for z in ordered]
+    return [[complex(z)] * len(row.t) for z in ordered]
 
 
 @dataclass(frozen=True)
 class _Pair:
     """What one (quantity, scheme) pair writes at each grid point.
 
-    `evaluate(point)` returns one value per row name (None for an undefined
-    entry).  A time-independent pair is written once, at tau = 0.
+    `evaluate(row)` returns (columns, errors): one sequence of values per row
+    name over the row's points (None for an undefined entry; no columns at
+    all when every point failed) and the PointErrors of those points.  A
+    time-independent pair is written once, at tau = 0.
     """
 
     rows: tuple[str, ...]
@@ -286,14 +285,36 @@ class _Pair:
     time_independent: bool = False
 
 
+def _batched(rows: tuple[str, ...], columns, plus_y_only: bool = False, time_independent: bool = False) -> _Pair:
+    """Pair evaluated for a whole row in one call: columns(row, errors) returns its columns."""
+
+    def evaluate(row: _Row):
+        errors = row.errors()
+        return errors.run(columns, row), errors
+
+    return _Pair(rows, evaluate, plus_y_only, time_independent)
+
+
+def _from_report(rows: tuple[str, ...], read, plus_y_only: bool = False) -> _Pair:
+    """Pair whose columns read(report, row, errors) takes from the row's shared report."""
+
+    def evaluate(row: _Row):
+        report, shared = row.report()
+        errors = shared.copy()
+        return (None if report is None else errors.run(read, report, row)), errors
+
+    return _Pair(rows, evaluate, plus_y_only)
+
+
 def _reported(fields: dict[str, str], plus_y_only: bool = False) -> _Pair:
-    """Pair whose rows, keyed by row name, are fields of the point's shared report."""
+    """Pair whose rows, keyed by row name, are fields of the row's shared report."""
+    return _from_report(tuple(fields), lambda report, row, errors: [getattr(report, f) for f in fields.values()],
+                        plus_y_only)
 
-    def evaluate(pt: _Point):
-        report = pt.report()
-        return [getattr(report, name) for name in fields.values()]
 
-    return _Pair(tuple(fields), evaluate, plus_y_only)
+def _resources(report, row: _Row, errors: PointErrors):
+    metrics = metrology.resource_report(report, errors)
+    return [metrics.xi, metrics.zeta]
 
 
 _POP = ("population_1", "population_2", "population_3", "population_4")
@@ -301,38 +322,41 @@ _POP = ("population_1", "population_2", "population_3", "population_4")
 #: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs
 #: the plus_y probe.  A pair missing here is rejected.  Evaluators look ptsense functions up when they run.
 _PAIRS = {
-    ("population", "pt"): _Pair(_POP[:2], _population_pt),
-    ("population", "dilation"): _Pair(
-        _POP, lambda pt: [float(v) for v in evolve_enlarged(pt.probe, pt.op, pt.t).populations]),
-    ("population", "lindblad"): _Pair(
+    ("population", "pt"): _batched(_POP[:2], lambda row, errors: _diagonal(
+        evolve_density(pure_density(row.probe), row.op, row.t, errors), 2)),
+    ("population", "dilation"): _batched(_POP, lambda row, errors: _diagonal(
+        evolve_enlarged(row.probe, row.op, row.t, errors), 4)),
+    ("population", "lindblad"): _batched(
         _POP[:3] + ("population_eff_1", "population_artificial_1"), _population_lindblad, True),
-    ("postselect_rates", "dilation"): _Pair(
+    ("postselect_rates", "dilation"): _batched(
         ("p_suc", "p_fail", "rho_pt_11", "rho_a_11"), _postselect_rates_dilation),
-    ("postselect_rates", "lindblad"): _Pair(
+    ("postselect_rates", "lindblad"): _batched(
         ("p_suc", "p_fail", "rho_pt_11"), _postselect_rates_lindblad, True),
-    ("population_shift", "pt"): _Pair(("population_shift_1",), _population_shift, True),
-    ("population_shift", "dilation"): _Pair(("population_shift_1",), _population_shift, True),
-    ("population_shift", "lindblad"): _Pair(("population_shift_1",), _population_shift, True),
-    ("susceptibility", "pt"): _Pair(("susceptibility_pt", "susceptibility_a"), lambda pt: [
-        f(pt.op, pt.t, pt.fd) for f in (metrology.susceptibility_pt, metrology.susceptibility_a)], True),
-    ("susceptibility", "dilation"): _Pair(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda pt: [
-        metrology.susceptibility_enlarged(pt.op, pt.t, pt.fd, index=i) for i in (0, 2)], True),
-    ("susceptibility", "lindblad"): _Pair(
-        ("susceptibility_eff",), lambda pt: (metrology.susceptibility_eff(pt.op, pt.t, pt.fd),), True),
-    ("qfi_single", "pt"): _Pair(("qfi_pt",), lambda pt: (pt.report(),)),
+    ("population_shift", "pt"): _batched(("population_shift_1",), _population_shift, True),
+    ("population_shift", "dilation"): _batched(("population_shift_1",), _population_shift, True),
+    ("population_shift", "lindblad"): _batched(("population_shift_1",), _population_shift, True),
+    ("susceptibility", "pt"): _batched(("susceptibility_pt", "susceptibility_a"), lambda row, errors: [
+        f(row.op, row.t, row.fd, errors=errors) for f in (metrology.susceptibility_pt, metrology.susceptibility_a)],
+        True),
+    ("susceptibility", "dilation"): _batched(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda row, errors: list(
+        np.moveaxis(metrology.susceptibility_enlarged(row.op, row.t, row.fd, index=(0, 2), errors=errors), -1, 0)),
+        True),
+    ("susceptibility", "lindblad"): _batched(("susceptibility_eff",), lambda row, errors: [
+        metrology.susceptibility_eff(row.op, row.t, row.fd, errors=errors)], True),
+    ("qfi_single", "pt"): _from_report(("qfi_pt",), lambda qfi, row, errors: [qfi]),
     ("qfi_single", "dilation"): _reported({"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
     ("qfi_single", "lindblad"): _reported({"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}, True),
     ("qfi_weighted", "dilation"): _reported(
         {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
     ("qfi_weighted", "lindblad"): _reported({"i_eff": "i_total"}, True),
-    ("sensitivity_bound", "pt"): _Pair(
-        ("delta_omega_pt",), lambda pt: (metrology._bound(pt.report(), pt.n_rep),)),
+    ("sensitivity_bound", "pt"): _from_report(
+        ("delta_omega_pt",), lambda qfi, row, errors: [metrology._bound(qfi, row.n_rep)]),
     ("sensitivity_bound", "dilation"): _reported(
         {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
     ("sensitivity_bound", "lindblad"): _reported(
         {"delta_omega_eff": "delta_omega_weighted", "delta_omega_eff_single": "delta_omega_total"}, True),
-    ("resources", "dilation"): _Pair(("xi", "zeta"), _resources),
-    ("liouvillian_spectrum", "lindblad"): _Pair(
+    ("resources", "dilation"): _from_report(("xi", "zeta"), _resources),
+    ("liouvillian_spectrum", "lindblad"): _batched(
         tuple(f"liouvillian_eig_{i}" for i in range(1, 5)), _liouvillian_spectrum, time_independent=True),
 }
 
@@ -351,28 +375,26 @@ def _check_pairs(config: SweepConfig) -> None:
                 raise ConfigError(f"probe: quantity {quantity!r} is defined for the plus_y probe only")
 
 
-def _evaluate_point(config: SweepConfig, scheme: str, gamma_ratio: float,
-                    delta_ratio: float, tau: float) -> list[RecordRow]:
-    """All rows of one grid point; a quantity that fails becomes one undefined row."""
-    pt = _Point(config, scheme, gamma_ratio, delta_ratio, tau)
+def _evaluate_row(config: SweepConfig, scheme: str, gamma_ratio: float,
+                  delta_ratio: float, taus: list[float]) -> list[RecordRow]:
+    """All rows of one (scheme, gamma, delta) row of the tau grid; a quantity
+    that fails at a point becomes one undefined row there."""
+    row = _Row(config, scheme, gamma_ratio, delta_ratio, taus)
     probe = config.probe_label()
-    reachable = pt.base.kappa > 0.0 or tau == 0.0  # kappa = 0 at the exceptional point
-    rows: list[RecordRow] = []
+    records: list[RecordRow] = []
     for quantity in config.quantities:
         pair = _PAIRS[quantity, scheme]
-        if pair.time_independent and tau != 0.0:
-            continue
-        values = None
-        if reachable:
-            try:
-                values = pair.evaluate(pt)
-            except PtsenseError:
-                pass
-        named = (zip(pair.rows, values, strict=True) if values is not None
-                 else [(f"{quantity}_undefined", None)])
-        for name, value in named:
-            rows.append(RecordRow(tau, pt.t, gamma_ratio, delta_ratio, name, value, scheme, probe))
-    return rows
+        columns, errors = pair.evaluate(row)
+        for i, (tau, t) in enumerate(zip(taus, row.times)):
+            if pair.time_independent and tau != 0.0:
+                continue
+            if i < len(row.t) and errors.errors[i] is None:
+                named = [(name, column[i]) for name, column in zip(pair.rows, columns, strict=True)]
+            else:
+                named = [(f"{quantity}_undefined", None)]
+            for name, value in named:
+                records.append(RecordRow(tau, t, gamma_ratio, delta_ratio, name, value, scheme, probe))
+    return records
 
 
 def run(config: SweepConfig, output_path: str | None = None) -> Path:
@@ -387,12 +409,11 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
 
     taus = [config.tau_max * i / (config.tau_steps - 1) for i in range(config.tau_steps)]
     rows = [
-        row
+        record
         for g in config.gamma_ratios
         for d in config.delta_ratios
-        for tau in taus
         for scheme in config.schemes
-        for row in _evaluate_point(config, scheme, g, d, tau)
+        for record in _evaluate_row(config, scheme, g, d, taus)
     ]
     rows.sort(key=RecordRow.sort_key)
 

@@ -193,6 +193,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_unknown_flag_returns_usage_exit_code(capsys):
+    # argparse's SystemExit stays inside main, so in-process callers get the code
+    assert main(["figure", "fig2", "--threads", "4"]) == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_figure_runs_small(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     code = main(["figure", "fig3", "--output", str(out), "--tau-steps", "9",
