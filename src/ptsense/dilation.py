@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, MetricSingular
-from .linalg import PAULI_X, PAULI_Y, su2_like_propagator, vector_norm
+from .linalg import PAULI_X, PAULI_Y, per_point, su2_like_propagator, vector_norm
 from .params import PtParams
 from .pt_system import hamiltonian_pt, propagator_pt
 from .states import RAISE, DensityMatrix2, DensityMatrix4, PureState2, PureState4
@@ -142,10 +142,10 @@ def _enlarged(psi0, p: PtParams, t):
     amps = psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
     eta = metric_operator(p).eta
     psi_raw = propagator_pt(p, t) @ amps
-    psi_t = psi_raw / vector_norm(psi_raw)[..., None]
+    psi_t = psi_raw / per_point(vector_norm(psi_raw), 1)
     chi_t = (eta @ psi_t[..., None])[..., 0]
     c_n = 1.0 / np.sqrt(1.0 + np.vecdot(chi_t, chi_t).real)
-    return c_n[..., None] * np.concatenate([psi_t, chi_t], axis=-1), c_n
+    return per_point(c_n, 1) * np.concatenate([psi_t, chi_t], axis=-1), c_n
 
 
 def evolve_enlarged_state(psi0, p: PtParams, t, errors=RAISE) -> PureState4:
@@ -186,9 +186,9 @@ def postselect(rho4, errors=RAISE) -> PostSelectionOutcome:
                 lambda i: f"branch probabilities do not sum to 1: {total[i]:.15g}")
     empty = p_suc < 1e-14
     errors.flag(empty, EmptyBranch, "success branch has vanishing probability")
-    rho_pt = errors.state(DensityMatrix2, m[..., :2, :2] / errors.guard(p_suc, empty)[..., None, None])
+    rho_pt = errors.state(DensityMatrix2, m[..., :2, :2] / per_point(errors.guard(p_suc, empty), 2))
     has_a = p_fail >= 1e-14
-    block = m[..., 2:, 2:] / np.where(has_a, p_fail, 1.0)[..., None, None]
+    block = m[..., 2:, 2:] / per_point(np.where(has_a, p_fail, 1.0), 2)
     if errors is RAISE:
         rho_a = DensityMatrix2(block) if has_a else None
     else:

@@ -20,6 +20,7 @@ __all__ = [
     "dagger",
     "vector_norm",
     "per_element",
+    "per_point",
     "expm",
     "expm_su2_analytic",
     "su2_like_propagator",
@@ -66,6 +67,12 @@ def per_element(fn, x):
     if not getattr(x, "ndim", 0):
         return fn(x)
     return np.array([fn(v) for v in x.tolist()])
+
+
+def per_point(x, trailing: int):
+    """A scalar as it is; one value per point of a row shaped to broadcast
+    over the row's vectors (trailing=1) or matrices (trailing=2)."""
+    return x[(...,) + (None,) * trailing] if getattr(x, "ndim", 0) else x
 
 
 def expm(m, scale: complex = 1.0) -> np.ndarray:

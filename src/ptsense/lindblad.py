@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, GainOverflow, InvalidMatrix, InvalidStep
-from .linalg import PAULI_X, dagger, eig, per_element
+from .linalg import PAULI_X, dagger, eig, per_element, per_point
 from .params import PtParams
 from .pt_system import hamiltonian_pt, propagator_pt
 from .states import RAISE, DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, plus_y
@@ -131,9 +131,9 @@ def analytic_rho_3l(p: PtParams, t, errors=RAISE) -> DensityMatrix3:
     errors=PointErrors(n), t is an array of n times and the result is the
     (n, 3, 3) stack.
     """
-    scaled = np.asarray(per_element(math.exp, -0.5 * p.gamma * t))[..., None] * (propagator_pt(p, t) @ plus_y())
+    scaled = per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * (propagator_pt(p, t) @ plus_y())
     block = scaled[..., :, None] * scaled.conj()[..., None, :]
-    out = np.zeros(np.shape(t) + (3, 3), dtype=complex)
+    out = np.zeros(getattr(t, "shape", ()) + (3, 3), dtype=complex)
     out[..., :2, :2] = 0.5 * (block + dagger(block))
     out[..., 2, 2] = 1.0 - block.trace(axis1=-2, axis2=-1).real
     return errors.state(DensityMatrix3, out)
@@ -151,7 +151,7 @@ def effective_evolve(rho0, p: PtParams, t, errors=RAISE) -> UnnormalizedMatrix2:
     mat = np.asarray(rho0.matrix if isinstance(rho0, DensityMatrix2) else rho0, dtype=complex)
     if mat.shape == (2,):
         mat = np.outer(mat, mat.conj())
-    u_eff = np.asarray(per_element(math.exp, -0.5 * p.gamma * t))[..., None, None] * propagator_pt(p, t)
+    u_eff = per_point(per_element(math.exp, -0.5 * p.gamma * t), 2) * propagator_pt(p, t)
     raw = u_eff @ mat @ dagger(u_eff)
     raw = 0.5 * (raw + dagger(raw))
     out = errors.state(UnnormalizedMatrix2, raw)
@@ -187,8 +187,8 @@ def artificial_pt(p: PtParams, t, rho_eff: UnnormalizedMatrix2, errors=RAISE) ->
     overflow = gt > 700.0
     errors.flag(overflow, GainOverflow, lambda i: f"exp(gamma*t) overflows for gamma*t = {gt[i]:.6g}")
     mat = rho_eff.matrix if isinstance(rho_eff, UnnormalizedMatrix2) else np.asarray(rho_eff, dtype=complex)
-    gain = np.asarray(per_element(math.exp, errors.guard(gt, overflow)))
-    return errors.state(UnnormalizedMatrix2, gain[..., None, None] * mat)
+    gain = per_element(math.exp, errors.guard(gt, overflow))
+    return errors.state(UnnormalizedMatrix2, per_point(gain, 2) * mat)
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def postselect_3l(rho3, errors=RAISE) -> Postselected3L:
     p_fail = m[..., 2, 2].real
     empty = p_suc < 1e-14
     errors.flag(empty, EmptyBranch, "success rate vanished; no post-selected state exists")
-    block = m[..., :2, :2] / errors.guard(p_suc, empty)[..., None, None]
+    block = m[..., :2, :2] / per_point(errors.guard(p_suc, empty), 2)
     reliable = p_suc >= RELIABLE_P_SUC
     return Postselected3L(
         p_suc=p_suc,

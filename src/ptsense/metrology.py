@@ -51,10 +51,10 @@ from .errors import (
     UndefinedResourceMetrics,
 )
 from .lindblad import analytic_rho_3l, effective_evolve
-from .linalg import dagger, per_element, vector_norm
+from .linalg import dagger, per_element, per_point, vector_norm
 from .params import PtParams
 from .pt_system import evolve_density, evolve_state
-from .states import RAISE, DensityMatrix2, plus_y, pure_density
+from .states import RAISE, DensityMatrix2, checked_together, plus_y, pure_density
 
 __all__ = [
     "FdConfig",
@@ -135,19 +135,26 @@ def _derivative(values_fn, omega: float, h: float, richardson: bool):
 
 
 def _d_omega(family, p: PtParams, t, h: float, richardson: bool, errors):
-    """d family/d omega at fixed t, with the EP-safe step h.
+    """d family/d omega at fixed t, with the EP-safe step h; family(omega, errors).
 
+    For one point (errors=RAISE) the members omega +- h (and +- h/2) run
+    through states.checked_together, so their state checks run as one stack.
     At omega = gamma there is no room for a step (h = 0).  At t = 0 the
     derivative is still exactly 0, since U(0) = I for every omega; at t > 0 it
     is a StepCrossesEp error.  Either way the family is evaluated once at
     omega, so its own checks run as for any step.
     """
     if h == 0.0:
-        values = family(p.omega)
+        values = family(p.omega, errors)
         errors.flag(np.asarray(t) > 0.0, StepCrossesEp,
                     f"omega = gamma = {p.gamma:.9g} leaves no room for a finite-difference step")
         return np.zeros_like(values)
-    return _derivative(family, p.omega, h, richardson)
+    omegas = [p.omega + h, p.omega - h] + ([p.omega + 0.5 * h, p.omega - 0.5 * h] if richardson else [])
+    if errors is RAISE:
+        members = checked_together(family, omegas)
+    else:
+        members = [family(omega, errors) for omega in omegas]
+    return _derivative(dict(zip(omegas, members)).__getitem__, p.omega, h, richardson)
 
 
 def _matrix(state) -> np.ndarray:
@@ -266,10 +273,11 @@ def _check_drho(drho, errors=RAISE) -> np.ndarray:
     # finite differencing amplifies the ~1e-16 Hermiticity slack of validated
     # states by 1/(2h), so the guard is scale-aware rather than absolute
     d = np.asarray(drho, dtype=complex)
+    d_h = dagger(d)
     scale = np.maximum(1.0, np.abs(d).max(axis=(-2, -1)))
-    errors.flag(np.abs(d - dagger(d)).max(axis=(-2, -1)) > 1e-8 * scale, InvalidDerivative,
+    errors.flag(np.abs(d - d_h).max(axis=(-2, -1)) > 1e-8 * scale, InvalidDerivative,
                 "density-matrix derivative is not Hermitian")
-    return 0.5 * (d + dagger(d))
+    return 0.5 * (d + d_h)
 
 
 # sld, qfi_sld, qfi_two_level and qfi_pure also take a row: errors=PointErrors(n)
@@ -287,11 +295,12 @@ def sld(rho, drho, errors=RAISE) -> np.ndarray:
     mat = _matrix(rho)
     d = _check_drho(drho, errors)
     eps, basis = np.linalg.eigh(mat)
-    d_eig = dagger(basis) @ d @ basis
+    basis_h = dagger(basis)
+    d_eig = basis_h @ d @ basis
     s = eps[..., :, None] + eps[..., None, :]
     support = s > SLD_SUPPORT_EPS
     l_eig = np.where(support, 2.0 * d_eig / np.where(support, s, 1.0), 0.0)
-    return basis @ l_eig @ dagger(basis)
+    return basis @ l_eig @ basis_h
 
 
 def _clip_qfi(value, errors=RAISE):
@@ -449,7 +458,7 @@ def weighted_qfi_scheme1(
 
     base = postselect(evolve_enlarged(probe, p, t, errors), errors)
 
-    def branches(omega: float) -> np.ndarray:
+    def branches(omega: float, errors) -> np.ndarray:
         """Both post-selected branch states at omega, from one enlarged state."""
         out = postselect(evolve_enlarged(probe, p.with_omega(omega), t, errors), errors)
         return np.stack([_matrix(out.rho_pt), _matrix(out.rho_a)])
@@ -461,7 +470,7 @@ def weighted_qfi_scheme1(
     psi0 = dilate_initial(probe, p).amplitudes  # frozen at the base omega
     psi_base = propagator_4d(p, t) @ psi0
 
-    def channel_family(omega: float) -> np.ndarray:
+    def channel_family(omega: float, errors) -> np.ndarray:
         return propagator_4d(p.with_omega(omega), t) @ psi0
 
     d_psi = _d_omega(channel_family, p, t, h, fd.richardson, errors)
@@ -492,7 +501,7 @@ def _normalized(rho_eff, errors) -> DensityMatrix2:
     """rho_eff / Tr(rho_eff), the post-selected state of the dissipative scheme."""
     m = _matrix(rho_eff)
     tr = m.trace(axis1=-2, axis2=-1).real
-    return errors.state(DensityMatrix2, m / errors.guard(tr, tr <= 0.0)[..., None, None])
+    return errors.state(DensityMatrix2, m / per_point(errors.guard(tr, tr <= 0.0), 2))
 
 
 def weighted_qfi_scheme2(p: PtParams, t, fd: FdConfig, n_repetitions: int = 1, errors=RAISE) -> QfiReport:
@@ -508,13 +517,13 @@ def weighted_qfi_scheme2(p: PtParams, t, fd: FdConfig, n_repetitions: int = 1, e
     base3 = _matrix(analytic_rho_3l(p, t, errors))
     p_suc = base3[..., 0, 0].real + base3[..., 1, 1].real
 
-    def family3(omega: float) -> np.ndarray:
+    def family3(omega: float, errors) -> np.ndarray:
         return _matrix(analytic_rho_3l(p.with_omega(omega), t, errors))
 
     d3 = _d_omega(family3, p, t, h, fd.richardson, errors)
     f_total = qfi_sld(base3, d3, errors)
 
-    def conditioned(omega: float) -> np.ndarray:
+    def conditioned(omega: float, errors) -> np.ndarray:
         return _matrix(_normalized(effective_evolve(plus_y(), p.with_omega(omega), t, errors), errors))
 
     rho_cond = _normalized(effective_evolve(plus_y(), p, t, errors), errors)
@@ -549,7 +558,7 @@ def qfi_pt(p: PtParams, t, fd: FdConfig, probe=None, errors=RAISE) -> float:
     rho0 = pure_density(_probe(probe))
     h = _ep_safe_step(p, fd)
 
-    def family(omega: float) -> np.ndarray:
+    def family(omega: float, errors) -> np.ndarray:
         return _matrix(evolve_density(rho0, p.with_omega(omega), t, errors))
 
     d_rho = _d_omega(family, p, t, h, fd.richardson, errors)

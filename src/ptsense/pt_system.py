@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import InvalidStep, MetricSingular, NormUnderflow
-from .linalg import PAULI_X, PAULI_Z, dagger, su2_like_propagator, vector_norm
+from .linalg import PAULI_X, PAULI_Z, dagger, per_point, su2_like_propagator, vector_norm
 from .params import PtParams
 from .states import RAISE, DensityMatrix2, PureState2
 
@@ -61,7 +61,7 @@ def evolve_state(psi0, p: PtParams, t, errors=RAISE) -> PureState2:
     underflow = norm < 1e-150
     errors.flag(underflow, NormUnderflow, "propagated state norm underflowed")
     norm = errors.guard(norm, underflow)
-    return errors.state(PureState2, raw / norm[..., None], 1.0 / norm)
+    return errors.state(PureState2, raw / per_point(norm, 1), 1.0 / norm)
 
 
 def evolve_density(rho0, p: PtParams, t, errors=RAISE) -> DensityMatrix2:
@@ -76,7 +76,7 @@ def evolve_density(rho0, p: PtParams, t, errors=RAISE) -> DensityMatrix2:
     tr = raw.trace(axis1=-2, axis2=-1).real
     underflow = tr < 1e-300
     errors.flag(underflow, NormUnderflow, "Tr(U rho U^dag) underflowed")
-    out = raw / errors.guard(tr, underflow)[..., None, None]
+    out = raw / per_point(errors.guard(tr, underflow), 2)
     return errors.state(DensityMatrix2, 0.5 * (out + dagger(out)))  # scrub roundoff asymmetry
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "pure_density",
     "PointErrors",
     "RAISE",
+    "checked_together",
 ]
 
 HERM_TOL = 1e-12
@@ -148,6 +149,64 @@ class PointErrors:
         for bad, message in cls.checks(*args):
             self.flag(bad, InvalidMatrix, message)
         return args[0]
+
+
+class _Deferred:
+    """Recorder of checked_together: the failed flags and the states to check
+    of one call after another, each stamped (call, order)."""
+
+    def __init__(self) -> None:
+        self.call = self.order = 0
+        self.failures: list[tuple[tuple, Exception]] = []
+        self.states: list[tuple[int, int, type, tuple]] = []
+
+    def flag(self, bad, error, message=None) -> None:
+        self.order += 1
+        if bad:
+            error = error if isinstance(error, Exception) else error(
+                message if isinstance(message, str) else message(()))
+            self.failures.append(((self.call, self.order, 0), error))
+
+    def points(self, mask):
+        return [()] if mask else []
+
+    def guard(self, x, bad):
+        return np.where(bad, 1.0, x)  # later calls still run, so divide quietly
+
+    def state(self, cls, *args):
+        self.order += 1
+        self.states.append((self.call, self.order, cls, args))
+        return args[0]
+
+
+def checked_together(fn, inputs) -> list:
+    """[fn(x, errors) for x in inputs] for one point, with the state checks of
+    all the calls run together on stacks.
+
+    Raises the error that calling fn(x, RAISE) for each x in turn raises
+    first, and stops at a call that raises for the whole point.  The results
+    are those of the one-by-one calls: a check never changes a value.
+    """
+    rec = _Deferred()
+    results = []
+    for rec.call, x in enumerate(inputs):
+        try:
+            results.append(fn(x, rec))
+        except PtsenseError as exc:
+            rec.failures.append(((rec.call, rec.order + 1, 0), exc))
+            break
+    by_class: dict[type, list] = {}
+    for call, order, cls, args in rec.states:
+        by_class.setdefault(cls, []).append((call, order, args))
+    for cls, items in by_class.items():
+        stacked = [np.stack([args[j] for _, _, args in items]) for j in range(len(items[0][2]))]
+        for check, (bad, message) in enumerate(cls.checks(*stacked), start=1):
+            for i in np.flatnonzero(bad):
+                error = InvalidMatrix(message if isinstance(message, str) else message(i))
+                rec.failures.append(((items[i][0], items[i][1], check), error))
+    if rec.failures:
+        raise min(rec.failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def _finite(a: np.ndarray, axes) -> np.ndarray:

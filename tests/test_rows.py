@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from ptsense import FdConfig, PtParams, bloch_probe
 from ptsense import metrology
 from ptsense.cli import main
-from ptsense.errors import PtsenseError, StepCrossesEp
-from ptsense.states import PointErrors
+from ptsense.errors import EmptyBranch, InvalidMatrix, PtsenseError, StepCrossesEp
+from ptsense.states import DensityMatrix2, PointErrors, checked_together
 
 FD = FdConfig.for_omega(1.0)
 
@@ -101,6 +101,19 @@ def test_rows_equal_batch_of_one_with_undefined_points(gamma_ratio):
     # tau = 0 (no information: resources undefined) and deep decay (scheme 2 undefined)
     taus = [0.0, 0.7, 2.0 * math.pi, 4.0 * math.pi, 150.0, 600.0]
     assert_row_equals_points(gamma_ratio, taus, bloch_probe(1.1, 0.7))
+
+
+def test_checked_together_raises_what_one_by_one_calls_raise_first():
+    def fn(x, errors):
+        errors.state(DensityMatrix2, np.diag([x, 1.0 - x]).astype(complex))  # negative eigenvalue for x > 1
+        errors.flag(x > 0.6, EmptyBranch, "flagged after the state check")
+        return x
+
+    assert checked_together(fn, [0.2, 0.5]) == [0.2, 0.5]
+    with pytest.raises(EmptyBranch):  # the first call's flag precedes the second call's state check
+        checked_together(fn, [0.7, 2.0])
+    with pytest.raises(InvalidMatrix, match="eigenvalue"):  # within a call, the state check comes first
+        checked_together(fn, [2.0, 0.7])
 
 
 def test_row_level_error_is_every_points_error():
