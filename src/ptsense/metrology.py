@@ -25,9 +25,11 @@ removes).
 
 Row evaluation
 --------------
-The QFI evaluators, the susceptibilities and the QFI forms they use are
-row-batched: given errors=states.PointErrors(n) and an array of n times, each
-evaluates one (gamma, omega, probe) row in one call.  Every family of states
+The QFI evaluators, resource_metrics, population_shift, the
+susceptibilities and the QFI forms they use are row-batched: given
+errors=states.PointErrors(n) and an array of n times (stacks of n states and
+derivatives for the QFI forms), each evaluates one (gamma, omega, probe) row
+in one call and returns n values per field.  Every family of states
 is then a stack of matrices, every check runs on the whole stack, and a point
 whose check fails gets the error it would have raised on its own.  Called
 with one time (errors=RAISE, the default), the same code is the scalar API,
@@ -229,10 +231,6 @@ def susceptibility(state_fn, p: PtParams, t, index, fd: FdConfig):
     return _value(_derivative(pop, p.omega, fd.h, fd.richardson))
 
 
-# The susceptibility_* functions take errors=PointErrors(n) for a row: t is
-# then an array of n times and the result an array (states.PointErrors).
-
-
 def susceptibility_pt(p: PtParams, t, fd: FdConfig, errors=RAISE):
     """d(rho_pt^11)/d(omega) for the probe |+>_y."""
     rho0 = pure_density(plus_y())
@@ -278,10 +276,6 @@ def _check_drho(drho, errors=RAISE) -> np.ndarray:
     errors.flag(np.abs(d - d_h).max(axis=(-2, -1)) > 1e-8 * scale, InvalidDerivative,
                 "density-matrix derivative is not Hermitian")
     return 0.5 * (d + d_h)
-
-
-# sld, qfi_sld, qfi_two_level and qfi_pure also take a row: errors=PointErrors(n)
-# with stacks of n states and derivatives, returning n values.
 
 
 def sld(rho, drho, errors=RAISE) -> np.ndarray:
@@ -438,11 +432,6 @@ def _bound(information, n: int):
     return per_element(lambda info: 1.0 / math.sqrt(n * info) if info > 0.0 else math.inf, information)
 
 
-# The QFI evaluators and resource_metrics take errors=PointErrors(n) for a row:
-# t is then an array of n times, every report field an array of n values, and
-# each family of states is evaluated once for the whole row (states.PointErrors).
-
-
 def weighted_qfi_scheme1(
     p: PtParams, t, fd: FdConfig, probe=None, n_repetitions: int = 1, errors=RAISE
 ) -> QfiReport:
@@ -549,7 +538,7 @@ def weighted_qfi_scheme2(p: PtParams, t, fd: FdConfig, n_repetitions: int = 1, e
         delta_omega_weighted=_bound(i_total, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
         sld_suc=sld(rho_cond, d_cond, errors),
-        reliable=bool(reliable) if np.ndim(reliable) == 0 else reliable,
+        reliable=reliable if getattr(reliable, "ndim", 0) else bool(reliable),
     )
 
 

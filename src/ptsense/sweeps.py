@@ -187,9 +187,10 @@ def _fmt(value) -> str:
 class _Row:
     """One (scheme, gamma/omega, delta/omega) row of the tau grid.
 
-    Only reachable points are evaluated: kappa = 0 at the exceptional point
-    leaves tau = 0 alone, so `t` (the physical times, an array) can be
-    shorter than the tau grid; its points are the first ones of the grid.
+    `times` holds the physical time of every tau of the grid (inf where it is
+    unreachable) and `t` the array of the reachable ones, the only points
+    evaluated: kappa = 0 at the exceptional point leaves tau = 0 alone, so
+    `t` can be shorter than the grid; its points are the first ones.
     The scheme's QFI report is evaluated at most once per row and shared,
     with the error of each point it failed at, by every quantity that reads
     it, so each of those quantities still writes its own undefined rows.
