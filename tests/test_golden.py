@@ -21,11 +21,11 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import golden  # noqa: E402
 
 
-@pytest.mark.parametrize("name", sorted(golden.SNAPSHOTS))
-def test_dataset_matches_snapshot(tmp_path, name):
-    out = tmp_path / name
-    golden.write_snapshot(name, out)
-    assert out.read_bytes() == (golden.GOLDEN / name).read_bytes()
+@pytest.mark.parametrize("name", sorted(name.removesuffix(".csv") for name in golden.SNAPSHOTS))
+def test_preset_matches_snapshot(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    golden.write_snapshot(out.name, out)
+    assert out.read_bytes() == (golden.GOLDEN / out.name).read_bytes()
 
 
 def test_diff_reports_no_change_for_identical_datasets():
