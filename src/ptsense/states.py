@@ -189,7 +189,8 @@ def checked_together(fn, inputs) -> list:
     """
     rec = _Deferred()
     results = []
-    for rec.call, x in enumerate(inputs):
+    for call, x in enumerate(inputs):
+        rec.call = call
         try:
             results.append(fn(x, rec))
         except PtsenseError as exc:
