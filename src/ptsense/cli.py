@@ -28,7 +28,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--probe-theta", type=float)
     parser.add_argument("--probe-phi", type=float)
     parser.add_argument("-N", "--repetitions", type=int, dest="repetitions")
-    parser.add_argument("--fd-h", type=float, help="relative finite-difference step")
+    parser.add_argument("--fd-h", type=float, help="relative finite-difference step of the susceptibilities")
     parser.add_argument("--format", choices=["csv", "json"])
     parser.add_argument("--output", help="output path (overrides output_path)")
 

@@ -14,19 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, MetricSingular
-from .linalg import PAULI_X, PAULI_Y, per_point, su2_like_propagator, vector_norm
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, per_point, su2_like_propagator, su2_like_tangent, vector_norm
 from .params import PtParams
-from .pt_system import hamiltonian_pt, propagator_pt
+from .pt_system import propagator_pt
 from .states import RAISE, DensityMatrix2, DensityMatrix4, PureState2, PureState4
 
 __all__ = [
     "MetricOperator",
     "PostSelectionOutcome",
     "metric_operator",
+    "d_metric",
     "pt_inner",
     "dilate_initial",
     "hamiltonian_4d",
     "propagator_4d",
+    "d_propagator_4d",
     "evolve_enlarged_state",
     "evolve_enlarged",
     "postselect",
@@ -78,8 +80,10 @@ def metric_operator(p: PtParams) -> MetricOperator:
     return MetricOperator(eta=eta, f=1.0 / math.sqrt(2.0 * p.kappa / p.omega))
 
 
-def _eta_inverse(p: PtParams) -> np.ndarray:
-    return (p.omega * np.eye(2, dtype=complex) - p.gamma * PAULI_Y) / p.kappa
+def d_metric(p: PtParams) -> np.ndarray:
+    """d(eta)/d(omega) = I/kappa - omega (omega I + gamma sigma_y)/kappa^3, written as
+    -gamma (gamma I + omega sigma_y)/kappa^3, which has no cancellation near the EP."""
+    return -p.gamma * (p.gamma * np.eye(2, dtype=complex) + p.omega * PAULI_Y) / p.kappa ** 3
 
 
 def pt_inner(u, v) -> complex:
@@ -102,28 +106,30 @@ def dilate_initial(psi0, p: PtParams) -> PureState4:
     return PureState4(amplitudes=raw / norm, norm_factor=1.0 / norm)
 
 
+def _blocks_4d(diagonal: float, off: float) -> np.ndarray:
+    """[[d sigma_x, i o sigma_z], [-i o sigma_z, d sigma_x]], the form of H_4d and of its derivative."""
+    out = np.empty((4, 4), dtype=complex)
+    out[:2, :2] = out[2:, 2:] = diagonal * PAULI_X
+    out[:2, 2:] = 1j * off * PAULI_Z
+    out[2:, :2] = -1j * off * PAULI_Z
+    return out
+
+
 def hamiltonian_4d(p: PtParams) -> np.ndarray:
     """Hermitian generator of the enlarged system.
 
-    Built from the blocks X = H eta^{-1} + eta H (Hermitian) and
-    Y = H - H^dag (anti-Hermitian) as (kappa/2 omega) [[X, Y], [-Y, X]].
+    Built from the blocks X = H eta^{-1} + eta H = kappa sigma_x (Hermitian) and
+    Y = H - H^dag = i gamma sigma_z (anti-Hermitian) as (kappa/2 omega) [[X, Y], [-Y, X]].
     The prefactor kappa/(2 omega) is fixed by requiring the generator to act
     on the embedded subspace as (u, eta u) -> (H u, eta H u); its spectrum is
-    then +-kappa/2, degenerate twice, matching the PT eigenvalues.
+    then +-kappa/2, degenerate twice, matching the PT eigenvalues.  The
+    products are taken in closed form, which keeps full relative accuracy near
+    the EP where eta and eta^{-1} have entries of order omega/kappa.
     """
     if p.gamma / p.omega >= 1.0 - _EP_MARGIN:
         raise MetricSingular("enlarged Hamiltonian needs a non-singular metric")
-    h = hamiltonian_pt(p)
-    eta = metric_operator(p).eta
-    x = h @ _eta_inverse(p) + eta @ h
-    y = h - h.conj().T
-    f2 = p.kappa / (2.0 * p.omega)
-    out = np.empty((4, 4), dtype=complex)
-    out[:2, :2] = f2 * x
-    out[:2, 2:] = f2 * y
-    out[2:, :2] = -f2 * y
-    out[2:, 2:] = f2 * x
-    return 0.5 * (out + out.conj().T)  # scrub roundoff asymmetry
+    k, w = p.kappa, p.omega
+    return _blocks_4d(k * k / (2.0 * w), p.gamma * k / (2.0 * w))
 
 
 def propagator_4d(p: PtParams, t: float) -> np.ndarray:
@@ -135,6 +141,15 @@ def propagator_4d(p: PtParams, t: float) -> np.ndarray:
     """
     h4 = hamiltonian_4d(p)
     return su2_like_propagator(h4, (0.5 * p.kappa) ** 2, t)
+
+
+def d_propagator_4d(p: PtParams, t) -> np.ndarray:
+    """d/d(omega) of propagator_4d at fixed t, in closed form: d(kappa^2/4) = omega/2, and
+    dH_4d is the product rule on hamiltonian_4d's blocks, with d(kappa) = omega/kappa."""
+    h4 = hamiltonian_4d(p)  # raises MetricSingular next to the EP
+    w, g = p.omega, p.gamma
+    dh4 = _blocks_4d((w * w + g * g) / (2.0 * w * w), g ** 3 / (2.0 * p.kappa * w * w))
+    return su2_like_tangent(h4, dh4, (0.5 * p.kappa) ** 2, 0.5 * w, t)
 
 
 def _enlarged(psi0, p: PtParams, t):

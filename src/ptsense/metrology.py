@@ -9,6 +9,13 @@ clock), with the scaled time tau = kappa*t recomputed afterwards for
 reporting; kappa depends on omega, so fixing tau instead would change every
 curve.
 
+The QFIs take their derivatives in closed form: every propagator is
+cos(c t) I - i t sinc(c t) H with c^2 = kappa^2/4, whose omega-derivative
+(linalg.su2_like_tangent) is regular on the whole unbroken phase, the
+exceptional point included.  Each QFI is then the pure-state QFI of one
+vector family and its exact tangent.  Only the susceptibilities still use
+central differences (FdConfig).
+
 Populations and susceptibilities use the physical parameterized states: the
 state families exactly as an apparatus tuned to omega' would prepare them.
 
@@ -16,12 +23,15 @@ The enlarged-system QFI uses the channel picture: the probe and the metric
 (hence the initial enlarged state) are frozen at the base omega and only the
 unitary U_4d(omega) = exp(-i H_4d(omega) t) carries the parameter.  This is
 the convention under which the weighted information of the two post-selected
-branches exactly exhausts the enlarged-system information at the periodic
-points (zeta(tau = 2*pi*n) = 1) and under which the |+>_y probe is optimal;
+branches exhausts the enlarged-system information at the periodic points
+(zeta(tau = 2*pi*n) = 1) and under which the |+>_y probe is optimal;
 differentiating the metric inside the initial state breaks both properties.
-The post-selected branch QFIs themselves are identical under either
-convention (the metric only rescales the branch blocks, which renormalization
-removes).
+The post-selected branch QFIs, however, are taken on the physical branch
+families: the success branch U_pt(omega) psi0 and the failure branch
+eta(omega) U_pt(omega) psi0.  They differ from the channel-picture branch
+QFIs (by up to 99% for f_suc and 255x for f_fail on gamma/omega in
+{0.3, 0.6, 0.9}), so the information cost xi mixes two conventions and can
+fall below zero for some probes.
 
 Row evaluation
 --------------
@@ -44,10 +54,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import dilate_initial, evolve_enlarged, postselect, propagator_4d
+from .dilation import (
+    d_metric,
+    d_propagator_4d,
+    dilate_initial,
+    evolve_enlarged,
+    metric_operator,
+    postselect,
+    propagator_4d,
+)
 from .errors import (
     EmptyBranch,
     InvalidDerivative,
+    InvalidMatrix,
     InvalidScheme,
     StepCrossesEp,
     UndefinedResourceMetrics,
@@ -55,8 +74,8 @@ from .errors import (
 from .lindblad import analytic_rho_3l, effective_evolve
 from .linalg import dagger, per_element, per_point, vector_norm
 from .params import PtParams
-from .pt_system import evolve_density, evolve_state
-from .states import RAISE, DensityMatrix2, checked_together, plus_y, pure_density
+from .pt_system import d_propagator_pt, evolve_density, evolve_state, norm_growth, propagator_pt
+from .states import RAISE, DensityMatrix2, plus_y, pure_density
 
 __all__ = [
     "FdConfig",
@@ -88,10 +107,6 @@ PURITY_EPS = 1e-10
 #: Eigenvalue-sum support threshold for the SLD.
 SLD_SUPPORT_EPS = 1e-12
 
-#: Fraction of the distance to the exceptional point the FD step may use.
-_EP_STEP_FRACTION = 0.25
-
-
 @dataclass(frozen=True)
 class FdConfig:
     """Finite-difference policy for d/d(omega).
@@ -116,14 +131,6 @@ class FdConfig:
             raise ValueError(f"step {self.h:g} exceeds 1e-3 * omega")
 
 
-def _ep_safe_step(p: PtParams, fd: FdConfig) -> float:
-    """Largest usable step: never let omega - h reach gamma."""
-    fd.validate_for(p.omega)
-    if p.gamma <= 0.0:
-        return fd.h
-    return min(fd.h, _EP_STEP_FRACTION * (p.omega - p.gamma))
-
-
 def _central(values_fn, omega: float, h: float):
     return (values_fn(omega + h) - values_fn(omega - h)) / (2.0 * h)
 
@@ -134,29 +141,6 @@ def _derivative(values_fn, omega: float, h: float, richardson: bool):
         return d_h
     d_h2 = _central(values_fn, omega, 0.5 * h)
     return (4.0 * d_h2 - d_h) / 3.0
-
-
-def _d_omega(family, p: PtParams, t, h: float, richardson: bool, errors):
-    """d family/d omega at fixed t, with the EP-safe step h; family(omega, errors).
-
-    For one point (errors=RAISE) the members omega +- h (and +- h/2) run
-    through states.checked_together, so their state checks run as one stack.
-    At omega = gamma there is no room for a step (h = 0).  At t = 0 the
-    derivative is still exactly 0, since U(0) = I for every omega; at t > 0 it
-    is a StepCrossesEp error.  Either way the family is evaluated once at
-    omega, so its own checks run as for any step.
-    """
-    if h == 0.0:
-        values = family(p.omega, errors)
-        errors.flag(np.asarray(t) > 0.0, StepCrossesEp,
-                    f"omega = gamma = {p.gamma:.9g} leaves no room for a finite-difference step")
-        return np.zeros_like(values)
-    omegas = [p.omega + h, p.omega - h] + ([p.omega + 0.5 * h, p.omega - 0.5 * h] if richardson else [])
-    if errors is RAISE:
-        members = checked_together(family, omegas)
-    else:
-        members = [family(omega, errors) for omega in omegas]
-    return _derivative(dict(zip(omegas, members)).__getitem__, p.omega, h, richardson)
 
 
 def _matrix(state) -> np.ndarray:
@@ -375,15 +359,17 @@ def qfi_two_level(rho, drho, errors=RAISE) -> float:
 
 
 def qfi_pure(psi, dpsi, errors=RAISE) -> float:
-    """Pure-state QFI 4(<dpsi|dpsi> - |<psi|dpsi>|^2); projectively invariant."""
+    """Pure-state QFI 4(<dpsi|dpsi> - |<psi|dpsi>|^2); projectively invariant.
+
+    Evaluated as 4 |dpsi - <psi|dpsi> psi|^2, the squared norm of the part of
+    dpsi off psi, which does not cancel when dpsi is nearly parallel to psi.
+    """
     shape = (-1,) if errors is RAISE else (len(errors.errors), -1)
     v = np.asarray(psi, dtype=complex).reshape(shape)
     dv = np.asarray(dpsi, dtype=complex).reshape(shape)
     errors.flag(abs(vector_norm(v) - 1.0) > 1e-10, InvalidDerivative, "psi must be normalized to 1e-10")
-    overlap = np.vecdot(v, dv)
-    # np.hypot rounds |overlap| as abs() of one complex does; np.abs of an array may not
-    return _clip_qfi(4.0 * (np.vecdot(dv, dv).real - per_element(_square, np.hypot(overlap.real, overlap.imag))),
-                     errors)
+    u = dv - per_point(np.vecdot(v, dv), 1) * v
+    return _value(4.0 * (np.vecdot(u.real, u.real) + np.vecdot(u.imag, u.imag)))
 
 
 @dataclass(frozen=True)
@@ -432,38 +418,55 @@ def _bound(information, n: int):
     return per_element(lambda info: 1.0 / math.sqrt(n * info) if info > 0.0 else math.inf, information)
 
 
+def _direction(v, dv):
+    """(v/|v|, dv/|v|) of a vector family v(omega) and its derivative, or of stacks of them.
+
+    The pure-state QFI of the pair is that of the normalized family: dv/|v|
+    differs from the derivative of v/|v| only by a real multiple of v/|v|.
+    """
+    norm = per_point(vector_norm(v), 1)
+    return v / norm, dv / norm
+
+
+def _projector_tangent(psi, dpsi) -> np.ndarray:
+    """d(|psi><psi|)/d(omega) of a unit vector psi, from a tangent exact up to a multiple of psi."""
+    u = dpsi - per_point(np.vecdot(psi, dpsi).real, 1) * psi
+    return u[..., :, None] * psi.conj()[..., None, :] + psi[..., :, None] * u.conj()[..., None, :]
+
+
+def _pt_family(p: PtParams, t, probe):
+    """v = U_pt(omega, t) psi0 and its exact omega-derivative at fixed t."""
+    return propagator_pt(p, t) @ probe, d_propagator_pt(p, t) @ probe
+
+
+def _apply(m: np.ndarray, v) -> np.ndarray:
+    """m v for a vector, or for each vector of a stack."""
+    return (m @ v[..., None])[..., 0]
+
+
 def weighted_qfi_scheme1(
-    p: PtParams, t, fd: FdConfig, probe=None, n_repetitions: int = 1, errors=RAISE
+    p: PtParams, t, fd: FdConfig | None = None, probe=None, n_repetitions: int = 1, errors=RAISE
 ) -> QfiReport:
     """Post-selected and total QFI for the dilation scheme.
 
-    The branch QFIs are weighted by their branch probabilities at the base
-    omega; the enlarged-system QFI is evaluated in the channel picture (see
-    module docstring).  The finite-difference step is clamped so omega - h
-    stays inside the unbroken phase.
+    With v = U_pt psi0, f_suc is the pure-state QFI of (v, dv) and f_fail that
+    of (eta v, d(eta) v + eta dv), the physical branch families; f_total is the
+    enlarged-system QFI of (U_4d psi4_0, dU_4d psi4_0) in the channel picture
+    (module docstring).  The branch QFIs are weighted by their probabilities
+    at the base omega.  fd is accepted for compatibility and not used: every
+    derivative is exact.
     """
     probe = _probe(probe)
-    h = _ep_safe_step(p, fd)
-
     base = postselect(evolve_enlarged(probe, p, t, errors), errors)
 
-    def branches(omega: float, errors) -> np.ndarray:
-        """Both post-selected branch states at omega, from one enlarged state."""
-        out = postselect(evolve_enlarged(probe, p.with_omega(omega), t, errors), errors)
-        return np.stack([_matrix(out.rho_pt), _matrix(out.rho_a)])
-
-    d_suc, d_fail = _d_omega(branches, p, t, h, fd.richardson, errors)
-    f_suc = qfi_two_level(base.rho_pt, d_suc, errors)
-    f_fail = qfi_two_level(base.rho_a, d_fail, errors)
+    v, dv = _pt_family(p, t, probe)
+    eta = metric_operator(p).eta
+    psi, dpsi = _direction(v, dv)
+    f_suc = qfi_pure(psi, dpsi, errors)
+    f_fail = qfi_pure(*_direction(_apply(eta, v), _apply(d_metric(p), v) + _apply(eta, dv)), errors)
 
     psi0 = dilate_initial(probe, p).amplitudes  # frozen at the base omega
-    psi_base = propagator_4d(p, t) @ psi0
-
-    def channel_family(omega: float, errors) -> np.ndarray:
-        return propagator_4d(p.with_omega(omega), t) @ psi0
-
-    d_psi = _d_omega(channel_family, p, t, h, fd.richardson, errors)
-    f_total = qfi_pure(psi_base, d_psi, errors)
+    f_total = qfi_pure(propagator_4d(p, t) @ psi0, d_propagator_4d(p, t) @ psi0, errors)
 
     i_suc = f_suc * base.p_suc
     i_fail = f_fail * base.p_fail
@@ -482,42 +485,57 @@ def weighted_qfi_scheme1(
         i_total=f_total,
         delta_omega_weighted=_bound(i_subs, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=sld(base.rho_pt, d_suc, errors),
+        sld_suc=sld(base.rho_pt, _projector_tangent(psi, dpsi), errors),
     )
 
 
+#: 1/x overflows for a positive double x at or below 2^-1024 (a subnormal).
+_MIN_DIVISOR = 2.0 ** -1024
+
+
 def _normalized(rho_eff, errors) -> DensityMatrix2:
-    """rho_eff / Tr(rho_eff), the post-selected state of the dissipative scheme."""
+    """rho_eff / Tr(rho_eff), the post-selected state of the dissipative scheme.
+
+    numpy divides a complex matrix by x as a product with 1/x, so a trace at
+    or below _MIN_DIVISOR (deep decay) is rejected before the division.
+    """
     m = _matrix(rho_eff)
     tr = m.trace(axis1=-2, axis2=-1).real
-    return errors.state(DensityMatrix2, m / per_point(errors.guard(tr, tr <= 0.0), 2))
+    tiny = tr <= _MIN_DIVISOR
+    errors.flag(tiny, InvalidMatrix, lambda i: f"effective state trace {tr[i]:.3e} too small to normalize")
+    return errors.state(DensityMatrix2, m / per_point(errors.guard(tr, tiny), 2))
 
 
-def weighted_qfi_scheme2(p: PtParams, t, fd: FdConfig, n_repetitions: int = 1, errors=RAISE) -> QfiReport:
+def weighted_qfi_scheme2(
+    p: PtParams, t, fd: FdConfig | None = None, n_repetitions: int = 1, errors=RAISE
+) -> QfiReport:
     """Post-selected and total QFI for the dissipative three-level scheme.
 
-    f_total is the QFI of the normalized three-level state, which decomposes
-    as the classical information of the success rate plus the success-rate
-    weighted QFI of the conditioned state; it vanishes at the steady state,
-    which carries no parameter information.  i_total = f_total * p_suc is
-    the repeated-averaged information.
+    The three-level state is |phi><phi| + (1-p)|3><3| with
+    phi = e^{-gamma t/2} v, v = U_pt psi0 and p = |phi|^2.  At fixed t the
+    decay factor does not depend on omega, so f_suc is the pure-state QFI of
+    (v, dv) and f_total = p (d log|v|^2)^2/(1-p) + p f_suc: the classical
+    information of the success rate plus the success-weighted QFI of the
+    conditioned state.  log p = -gamma t + log|v|^2 and 1-p = -expm1(log p),
+    with |v|^2 - 1 and its derivative from pt_system.norm_growth, keep both
+    terms accurate in deep decay and for tiny gamma; at p = 1 the first term
+    is 0.  f_total vanishes at the steady state, which carries no parameter
+    information.  i_total = f_total * p_suc is the repeated-averaged
+    information.  fd is accepted for compatibility and not used.
     """
-    h = _ep_safe_step(p, fd)
     base3 = _matrix(analytic_rho_3l(p, t, errors))
     p_suc = base3[..., 0, 0].real + base3[..., 1, 1].real
-
-    def family3(omega: float, errors) -> np.ndarray:
-        return _matrix(analytic_rho_3l(p.with_omega(omega), t, errors))
-
-    d3 = _d_omega(family3, p, t, h, fd.richardson, errors)
-    f_total = qfi_sld(base3, d3, errors)
-
-    def conditioned(omega: float, errors) -> np.ndarray:
-        return _matrix(_normalized(effective_evolve(plus_y(), p.with_omega(omega), t, errors), errors))
-
     rho_cond = _normalized(effective_evolve(plus_y(), p, t, errors), errors)
-    d_cond = _d_omega(conditioned, p, t, h, fd.richardson, errors)
-    f_suc = qfi_two_level(rho_cond, d_cond, errors)
+
+    psi, dpsi = _direction(*_pt_family(p, t, plus_y()))
+    f_suc = qfi_pure(psi, dpsi, errors)
+    growth, d_growth = norm_growth(p, t, plus_y())  # |v|^2 = 1 + gamma growth
+    d_log = p.gamma * d_growth / (1.0 + p.gamma * growth)
+    log_p = -p.gamma * t + per_element(math.log1p, p.gamma * growth)
+    survival, decayed = per_element(math.exp, log_p), -per_element(math.expm1, log_p)
+    some_decay = decayed > 0.0
+    classical = np.where(some_decay, survival * d_log * d_log / np.where(some_decay, decayed, 1.0), 0.0)
+    f_total = _value(classical + survival * f_suc)
 
     i_total = f_total * p_suc
     reliable = p_suc >= 1e-12
@@ -537,24 +555,20 @@ def weighted_qfi_scheme2(p: PtParams, t, fd: FdConfig, n_repetitions: int = 1, e
         i_total=i_total,
         delta_omega_weighted=_bound(i_total, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=sld(rho_cond, d_cond, errors),
+        sld_suc=sld(rho_cond, _projector_tangent(psi, dpsi), errors),
         reliable=reliable if getattr(reliable, "ndim", 0) else bool(reliable),
     )
 
 
-def qfi_pt(p: PtParams, t, fd: FdConfig, probe=None, errors=RAISE) -> float:
-    """QFI in omega of the normalized PT state, at fixed t."""
-    rho0 = pure_density(_probe(probe))
-    h = _ep_safe_step(p, fd)
-
-    def family(omega: float, errors) -> np.ndarray:
-        return _matrix(evolve_density(rho0, p.with_omega(omega), t, errors))
-
-    d_rho = _d_omega(family, p, t, h, fd.richardson, errors)
-    return qfi_two_level(evolve_density(rho0, p, t, errors), d_rho, errors)
+def qfi_pt(p: PtParams, t, fd: FdConfig | None = None, probe=None, errors=RAISE) -> float:
+    """QFI in omega of the normalized PT state, at fixed t: the pure-state QFI of
+    (v, dv) with v = U_pt psi0.  fd is accepted for compatibility and not used."""
+    probe = _probe(probe)
+    evolve_density(pure_density(probe), p, t, errors)  # the state's own checks
+    return qfi_pure(*_direction(*_pt_family(p, t, probe)), errors)
 
 
-def resource_metrics(p: PtParams, t, fd: FdConfig, probe=None, errors=RAISE) -> ResourceReport:
+def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None, errors=RAISE) -> ResourceReport:
     """Information cost xi = 1 - i_subs/i_total and loss zeta = sqrt(i_subs/i_total).
 
     zeta^2 + xi = 1 holds exactly by construction.  The branch information is
@@ -564,7 +578,7 @@ def resource_metrics(p: PtParams, t, fd: FdConfig, probe=None, errors=RAISE) -> 
     such values are reported as-is rather than clipped, to keep the identity
     exact.
     """
-    return resource_report(weighted_qfi_scheme1(p, t, fd, probe=probe, errors=errors), errors)
+    return resource_report(weighted_qfi_scheme1(p, t, probe=probe, errors=errors), errors)
 
 
 def resource_report(report: QfiReport, errors=RAISE) -> ResourceReport:

@@ -15,13 +15,25 @@ import math
 import numpy as np
 
 from .errors import InvalidStep, MetricSingular, NormUnderflow
-from .linalg import PAULI_X, PAULI_Z, dagger, per_point, su2_like_propagator, vector_norm
+from .linalg import (
+    PAULI_X,
+    PAULI_Z,
+    dagger,
+    per_element,
+    per_point,
+    sinc_slope,
+    su2_like_propagator,
+    su2_like_tangent,
+    vector_norm,
+)
 from .params import PtParams
 from .states import RAISE, DensityMatrix2, PureState2
 
 __all__ = [
     "hamiltonian_pt",
     "propagator_pt",
+    "d_propagator_pt",
+    "norm_growth",
     "evolve_state",
     "evolve_density",
     "rho_pt_closed",
@@ -45,6 +57,34 @@ def propagator_pt(p: PtParams, t: float) -> np.ndarray:
     kappa*t >> 1.
     """
     return su2_like_propagator(hamiltonian_pt(p), (0.5 * p.kappa) ** 2, t)
+
+
+def d_propagator_pt(p: PtParams, t) -> np.ndarray:
+    """d/d(omega) of propagator_pt at fixed t, in closed form: dH = sigma_x/2 and
+    d(kappa^2/4) = omega/2; finite on the whole unbroken phase, the EP included."""
+    return su2_like_tangent(hamiltonian_pt(p), 0.5 * PAULI_X, (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)
+
+
+def norm_growth(p: PtParams, t, psi0):
+    """m = (|U psi0|^2 - 1)/gamma for a unit psi0, and dm/d(omega) at fixed t.
+
+    U^dag U = I + gamma [c s sigma_z + (omega s^2/2) sigma_y + (gamma s^2/2) I]
+    with c = cos x, s = t sinc x and x = kappa t/2, so the O(gamma) growth of
+    the norm comes without the cancellation in |U psi0|^2 - 1, also where
+    gamma is far below the roundoff of |U psi0|^2.  Per point for an array of t.
+    """
+    a = np.asarray(psi0, dtype=complex)
+    z = abs(a[0]) ** 2 - abs(a[1]) ** 2  # <sigma_z>
+    y = 2.0 * (a[0].conjugate() * a[1]).imag  # <sigma_y>
+    w, g = p.omega, p.gamma
+    x = 0.5 * p.kappa * t
+    c, sinc = np.cos(x), np.sinc(x / np.pi)
+    s = t * sinc
+    dc = -0.25 * w * t * t * sinc  # dx/d(omega) = omega t^2/(4x)
+    ds = 0.25 * w * t * t * t * per_element(sinc_slope, x)
+    m = c * s * z + 0.5 * w * s * s * y + 0.5 * g * s * s
+    dm = (dc * s + c * ds) * z + (0.5 * s * s + w * s * ds) * y + g * s * ds
+    return m, dm
 
 
 def evolve_state(psi0, p: PtParams, t, errors=RAISE) -> PureState2:

@@ -56,7 +56,7 @@ class SweepConfig:
     probe_theta: float | None = None
     probe_phi: float | None = None
     repetitions: int = 1
-    fd_h: float = 1e-6  # relative to omega
+    fd_h: float = 1e-6  # relative to omega; the susceptibilities only (QFI derivatives are exact)
     output_path: str = "sweep.csv"
     format: str = "csv"
 
@@ -207,7 +207,7 @@ class _Row:
         self.times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
         self.t = np.array([t for tau, t in zip(taus, self.times) if kappa > 0.0 or tau == 0.0])
         self.probe = config.probe_vector()
-        self.fd = FdConfig(h=config.fd_h * omega)
+        self.fd = FdConfig(h=config.fd_h * omega)  # for the susceptibilities
         self.n_rep = config.repetitions
         self._report = None
 
@@ -219,13 +219,12 @@ class _Row:
         if self._report is None:
             errors = self.errors()
             if self.scheme == "dilation":
-                value = errors.run(metrology.weighted_qfi_scheme1, self.op, self.t, self.fd,
+                value = errors.run(metrology.weighted_qfi_scheme1, self.op, self.t,
                                    probe=self.probe, n_repetitions=self.n_rep)
             elif self.scheme == "lindblad":
-                value = errors.run(metrology.weighted_qfi_scheme2, self.op, self.t, self.fd,
-                                   n_repetitions=self.n_rep)
+                value = errors.run(metrology.weighted_qfi_scheme2, self.op, self.t, n_repetitions=self.n_rep)
             else:
-                value = errors.run(metrology.qfi_pt, self.op, self.t, self.fd, probe=self.probe)
+                value = errors.run(metrology.qfi_pt, self.op, self.t, probe=self.probe)
             self._report = value, errors
         return self._report
 

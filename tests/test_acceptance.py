@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_p_suc_eff, random_mixed_pair
+from oracles import lindblad_superoperator, rk4_linear_power, rk4_su2_power
 from ptsense import (
     FdConfig,
     PtParams,
@@ -37,7 +38,6 @@ from ptsense import (
     weighted_qfi_scheme1,
     weighted_qfi_scheme2,
 )
-from ptsense.integrators import lindblad_superoperator, rk4_linear_power, rk4_su2_power
 from ptsense.lindblad import lindblad_model, plus_y_3l
 
 GRID_RATIOS = (0.0, 0.2, 0.6, 0.9, 1.0 - 1e-6)
@@ -212,10 +212,11 @@ def test_criterion_08_resource_limits():
     near = resource_metrics(p_ep, 5.0 / p_ep.kappa, FD)
     assert near.xi > 0.99 and near.zeta < 0.1
     zetas = {}
-    for ratio in (0.3, 0.6, 0.9):
+    for ratio in (0.3, 0.6, 0.9, 1.0 - 1e-6):
         p = PtParams(1.0, ratio)
-        zetas[ratio] = resource_metrics(p, 2 * np.pi / p.kappa, FD).zeta
-        assert abs(zetas[ratio] - 1.0) <= 1e-3
+        for n in (1, 2):
+            zetas[ratio, n] = resource_metrics(p, 2 * n * np.pi / p.kappa, FD).zeta
+            assert abs(zetas[ratio, n] - 1.0) <= 1e-12
     worst_identity = 0.0
     for ratio in GRID_RATIOS:
         p = PtParams(1.0, ratio)
@@ -224,7 +225,7 @@ def test_criterion_08_resource_limits():
             worst_identity = max(worst_identity, abs(out.zeta**2 + out.xi - 1.0))
     assert worst_identity <= 1e-10
     report(8, f"near-EP tau=5: xi = {near.xi:.6f} (> 0.99), zeta = {near.zeta:.4f} (< 0.1); "
-              f"zeta(2pi) = 1 within {max(abs(z - 1) for z in zetas.values()):.1e} (<= 1e-3); "
+              f"zeta(2pi), zeta(4pi) = 1 within {max(abs(z - 1) for z in zetas.values()):.1e} (<= 1e-12); "
               f"zeta^2 + xi - 1 <= {worst_identity:.1e}")
 
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from ptsense import FdConfig, PtParams, bloch_probe
 from ptsense import metrology
 from ptsense.cli import main
-from ptsense.errors import EmptyBranch, InvalidMatrix, PtsenseError, StepCrossesEp
-from ptsense.states import DensityMatrix2, PointErrors, checked_together
+from ptsense.errors import PtsenseError
+from ptsense.states import PointErrors
 
 FD = FdConfig.for_omega(1.0)
 
@@ -103,19 +103,6 @@ def test_rows_equal_batch_of_one_with_undefined_points(gamma_ratio):
     assert_row_equals_points(gamma_ratio, taus, bloch_probe(1.1, 0.7))
 
 
-def test_checked_together_raises_what_one_by_one_calls_raise_first():
-    def fn(x, errors):
-        errors.state(DensityMatrix2, np.diag([x, 1.0 - x]).astype(complex))  # negative eigenvalue for x > 1
-        errors.flag(x > 0.6, EmptyBranch, "flagged after the state check")
-        return x
-
-    assert checked_together(fn, [0.2, 0.5]) == [0.2, 0.5]
-    with pytest.raises(EmptyBranch):  # the first call's flag precedes the second call's state check
-        checked_together(fn, [0.7, 2.0])
-    with pytest.raises(InvalidMatrix, match="eigenvalue"):  # within a call, the state check comes first
-        checked_together(fn, [2.0, 0.7])
-
-
 def test_row_level_error_is_every_points_error():
     # the metric is singular for the whole row: each point gets the error alone
     p = PtParams(1.0, 1.0 - 1e-13)
@@ -124,16 +111,22 @@ def test_row_level_error_is_every_points_error():
     assert len({id(e) for e in errors.errors}) == 1 and not errors.ok.any()
 
 
-def test_exceptional_point_derivative_is_zero_at_t0_only():
-    p = PtParams(1.0, 1.0)
+def test_exceptional_point_qfi_is_the_limit():
+    # the exact tangent is regular at gamma = omega: the QFIs are 0 at t = 0 and,
+    # at t > 0, finite and equal to their gamma/omega -> 1 limit
+    p, near = PtParams(1.0, 1.0), PtParams(1.0, 1.0 - 1e-12)
     assert metrology.qfi_pt(p, 0.0, FD) == 0.0
     report = metrology.weighted_qfi_scheme2(p, 0.0, FD)
     assert report.f_total == 0.0 and report.f_suc == 0.0
-    with pytest.raises(StepCrossesEp):
-        metrology.qfi_pt(p, 0.5, FD)
+    for t in (0.5, 3.0):
+        assert metrology.qfi_pt(p, t, FD) == pytest.approx(metrology.qfi_pt(near, t, FD), rel=1e-6)
+        at_ep, limit = metrology.weighted_qfi_scheme2(p, t, FD), metrology.weighted_qfi_scheme2(near, t, FD)
+        assert at_ep.f_total == pytest.approx(limit.f_total, rel=1e-6)
+        assert at_ep.f_suc == pytest.approx(limit.f_suc, rel=1e-6)
     errors = PointErrors(2)
-    assert list(errors.run(metrology.qfi_pt, p, np.array([0.0, 0.5]), FD)) == [0.0, 0.0]
-    assert errors.errors[0] is None and isinstance(errors.errors[1], StepCrossesEp)
+    row = errors.run(metrology.qfi_pt, p, np.array([0.0, 0.5]), FD)
+    assert errors.errors == [None, None]
+    assert list(row) == [0.0, metrology.qfi_pt(p, 0.5, FD)]
 
 
 def test_exceptional_point_pt_qfi_sweep_writes_zero_at_tau0(tmp_path, capsys):
