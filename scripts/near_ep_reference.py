@@ -1,11 +1,14 @@
-"""Near-exceptional-point reference QFIs in 60-digit arithmetic.
+"""Near-exceptional-point reference QFIs and susceptibilities in 60-digit arithmetic.
 
     python scripts/near_ep_reference.py          # rewrite tests/near_ep_reference.json
 
 Evaluates, with mpmath and without ptsense, the QFIs that ptsense reports near
 the EP: scheme 1's f_suc, f_fail and f_total (for |+>_y and one custom Bloch
 probe), qfi_pt, and scheme 2's f_suc and f_total (|+>_y), on gamma/omega in
-{1-1e-4, 1-1e-6} x tau in {0.5, 2, 2pi, 4pi} at omega = 1.  Propagators are
+{1-1e-4, 1-1e-6} x tau in {0.5, 2, 2pi, 4pi} at omega = 1; and for |+>_y the
+four susceptibilities of fig5 (pt, a, the enlarged pair and eff).  fig5's
+near-EP column, gamma/omega = 1-1e-5 at tau in {2, 2pi, 4pi}, adds three
+|+>_y points with every quantity.  Propagators are
 mpmath matrix exponentials and omega-derivatives are fourth-order central
 differences with step 1e-20, so the route shares no formula with the closed
 forms it checks.  The inputs (gamma, t and the probe amplitudes) are the
@@ -28,6 +31,8 @@ GAMMA_RATIOS = (1.0 - 1e-4, 1.0 - 1e-6)
 TAUS = (0.5, 2.0, 2.0 * math.pi, 4.0 * math.pi)
 #: probe label -> (theta, phi) of cos(theta/2)|1> + e^{i phi} sin(theta/2)|2>; None is |+>_y.
 PROBES = {"plus_y": None, "custom(1.1,0.7)": (1.1, 0.7)}
+#: (gamma/omega, tau) of fig5's near-EP column, evaluated for |+>_y only.
+FIG5_NEAR_EP = tuple((1.0 - 1e-5, tau) for tau in (2.0, 2.0 * math.pi, 4.0 * math.pi))
 
 
 def probe_amplitudes(angles) -> list[complex]:
@@ -72,9 +77,19 @@ def h_4d(w, g):
 
 
 def derivative(family, w):
-    """Fourth-order central difference of a vector family at w."""
+    """Fourth-order central difference of a vector or scalar family at w."""
     f1, f2 = family(w + STEP) - family(w - STEP), family(w + 2 * STEP) - family(w - 2 * STEP)
     return (8 * f1 - f2) / (12 * STEP)
+
+
+def population(family, i):
+    """|u_i|^2/|u|^2 of a vector family u(w), as a family."""
+
+    def of(w):
+        u = family(w)
+        return abs(u[i]) ** 2 / (u.H * u)[0].real
+
+    return of
 
 
 def qfi(family, w):
@@ -112,12 +127,24 @@ def point(g: float, tau: float, label: str) -> dict:
         p, dp = p_suc(w0), (8 * (p_suc(w0 + STEP) - p_suc(w0 - STEP))
                              - (p_suc(w0 + 2 * STEP) - p_suc(w0 - 2 * STEP))) / (12 * STEP)
         out.update(scheme2_p_suc=p, scheme2_f_suc=f_suc, scheme2_f_total=dp * dp / (p * (1 - p)) + p * f_suc)
+
+        def enlarged(w):  # (v, eta v), the physical enlarged family that evolve_enlarged normalizes
+            return mp.matrix(list(pt(w)) + list(fail(w)))
+
+        out.update(
+            susceptibility_pt=derivative(population(pt, 0), w0),
+            susceptibility_a=derivative(population(fail, 0), w0),
+            susceptibility_4d_pt=derivative(population(enlarged, 0), w0),
+            susceptibility_4d_a=derivative(population(enlarged, 2), w0),
+            susceptibility_eff=derivative(lambda w: mp.exp(-gm * t) * abs(pt(w)[0]) ** 2, w0),
+        )
     return {k: (mp.nstr(v, 20) if isinstance(v, mp.mpf) else v) for k, v in out.items()}
 
 
 def main() -> None:
     mp.mp.dps = DPS
     points = [point(g, tau, label) for g in GAMMA_RATIOS for tau in TAUS for label in PROBES]
+    points += [point(g, tau, "plus_y") for g, tau in FIG5_NEAR_EP]
     OUTPUT.write_text(json.dumps({"dps": DPS, "points": points}, indent=1) + "\n")
     print(f"wrote {OUTPUT} ({len(points)} points)")
 

@@ -28,7 +28,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--probe-theta", type=float)
     parser.add_argument("--probe-phi", type=float)
     parser.add_argument("-N", "--repetitions", type=int, dest="repetitions")
-    parser.add_argument("--fd-h", type=float, help="relative finite-difference step of the susceptibilities")
     parser.add_argument("--format", choices=["csv", "json"])
     parser.add_argument("--output", help="output path (overrides output_path)")
 
@@ -64,8 +63,6 @@ def _apply_overrides(config: SweepConfig, args: argparse.Namespace) -> SweepConf
         updates["probe_phi"] = args.probe_phi
     if args.repetitions is not None:
         updates["repetitions"] = args.repetitions
-    if args.fd_h is not None:
-        updates["fd_h"] = args.fd_h
     if args.format is not None:
         updates["format"] = args.format
     if args.output is not None:

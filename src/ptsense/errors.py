@@ -43,10 +43,6 @@ class InvalidScheme(PtsenseError):
     """Unknown scheme name or scheme/parameter mismatch."""
 
 
-class StepCrossesEp(PtsenseError):
-    """Finite-difference step in omega would cross the exceptional point."""
-
-
 class InvalidDerivative(PtsenseError):
     """Density-matrix derivative is not Hermitian (or not traceless where required)."""
 

@@ -9,12 +9,12 @@ clock), with the scaled time tau = kappa*t recomputed afterwards for
 reporting; kappa depends on omega, so fixing tau instead would change every
 curve.
 
-The QFIs take their derivatives in closed form: every propagator is
+They are taken in closed form.  Every propagator is
 cos(c t) I - i t sinc(c t) H with c^2 = kappa^2/4, whose omega-derivative
 (linalg.su2_like_tangent) is regular on the whole unbroken phase, the
 exceptional point included.  Each QFI is then the pure-state QFI of one
-vector family and its exact tangent.  Only the susceptibilities still use
-central differences (FdConfig).
+vector family and its exact tangent, and each susceptibility the slope of a
+population of such a family.  No derivative depends on a step size.
 
 Populations and susceptibilities use the physical parameterized states: the
 state families exactly as an apparatus tuned to omega' would prepare them.
@@ -68,7 +68,6 @@ from .errors import (
     InvalidDerivative,
     InvalidMatrix,
     InvalidScheme,
-    StepCrossesEp,
     UndefinedResourceMetrics,
 )
 from .lindblad import analytic_rho_3l, effective_evolve
@@ -82,7 +81,6 @@ __all__ = [
     "QfiReport",
     "ResourceReport",
     "population_shift",
-    "susceptibility",
     "susceptibility_pt",
     "susceptibility_a",
     "susceptibility_enlarged",
@@ -109,10 +107,14 @@ SLD_SUPPORT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Finite-difference policy for d/d(omega).
+    """Finite-difference step policy for d/d(omega): h is the absolute step in
+    rad/s; richardson asked for fourth-order extrapolation from h and h/2.
 
-    h is the absolute step in rad/s; richardson extrapolates fourth order
-    from steps h and h/2.
+    Every omega-derivative of ptsense is exact, so nothing reads it.  It stays
+    only because perfbench/workloads.py builds FdConfig.for_omega and passes
+    it positionally to weighted_qfi_scheme1, weighted_qfi_scheme2 and
+    resource_metrics, which accept and ignore it; the benchmark refresh
+    (ROADMAP item 14) removes it.
     """
 
     h: float
@@ -125,22 +127,6 @@ class FdConfig:
     @staticmethod
     def for_omega(omega: float, rel: float = 1e-6, richardson: bool = True) -> "FdConfig":
         return FdConfig(h=rel * omega, richardson=richardson)
-
-    def validate_for(self, omega: float) -> None:
-        if self.h > 1e-3 * omega:
-            raise ValueError(f"step {self.h:g} exceeds 1e-3 * omega")
-
-
-def _central(values_fn, omega: float, h: float):
-    return (values_fn(omega + h) - values_fn(omega - h)) / (2.0 * h)
-
-
-def _derivative(values_fn, omega: float, h: float, richardson: bool):
-    d_h = _central(values_fn, omega, h)
-    if not richardson:
-        return d_h
-    d_h2 = _central(values_fn, omega, 0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0
 
 
 def _matrix(state) -> np.ndarray:
@@ -194,66 +180,10 @@ def population_shift(scheme: str, p: PtParams, delta: float, t, errors=RAISE) ->
     return _value(level1(p.omega + delta) - level1(p.omega))
 
 
-def susceptibility(state_fn, p: PtParams, t, index, fd: FdConfig):
-    """Central-difference derivative of a population with respect to omega.
-
-    state_fn(omega, t) must return the parameterized matrix (for an array of
-    times, the stack of matrices); index selects the diagonal element, and a
-    tuple of indices gives one derivative per index along a last axis.
-    Raises StepCrossesEp when omega - h would leave the unbroken phase for
-    the requested step.
-    """
-    fd.validate_for(p.omega)
-    if p.gamma > 0.0 and p.omega - fd.h <= p.gamma:
-        raise StepCrossesEp(
-            f"omega - h = {p.omega - fd.h:.9g} crosses gamma = {p.gamma:.9g}"
-        )
-
-    def pop(omega: float):
-        return np.asarray(state_fn(omega, t))[..., index, index].real
-
-    return _value(_derivative(pop, p.omega, fd.h, fd.richardson))
-
-
-def susceptibility_pt(p: PtParams, t, fd: FdConfig, errors=RAISE):
-    """d(rho_pt^11)/d(omega) for the probe |+>_y."""
-    rho0 = pure_density(plus_y())
-    return susceptibility(
-        lambda w, tt: _matrix(evolve_density(rho0, p.with_omega(w), tt, errors)), p, t, 0, fd
-    )
-
-
-def susceptibility_a(p: PtParams, t, fd: FdConfig, errors=RAISE):
-    """d(rho_A^11)/d(omega): failure-branch population derivative."""
-
-    def state(w: float, tt):
-        return _matrix(postselect(evolve_enlarged(plus_y(), p.with_omega(w), tt, errors), errors).rho_a)
-
-    return susceptibility(state, p, t, 0, fd)
-
-
-def susceptibility_enlarged(p: PtParams, t, fd: FdConfig, index=0, errors=RAISE):
-    """d(rho_4d^{ii})/d(omega); index 0 is the PT subsystem, 2 the auxiliary
-    ((0, 2) gives both from one evaluation of the state family)."""
-    return susceptibility(
-        lambda w, tt: _matrix(evolve_enlarged(plus_y(), p.with_omega(w), tt, errors)), p, t, index, fd
-    )
-
-
-def susceptibility_eff(p: PtParams, t, fd: FdConfig, errors=RAISE):
-    """d(varrho_eff^11)/d(omega) of the NON-normalized dissipative state.
-
-    The decaying norm is part of the signal here; renormalizing first would
-    reduce this to susceptibility_pt.
-    """
-    return susceptibility(
-        lambda w, tt: _matrix(effective_evolve(plus_y(), p.with_omega(w), tt, errors)), p, t, 0, fd
-    )
-
-
 def _check_drho(drho, errors=RAISE) -> np.ndarray:
-    # finite differencing amplifies the ~1e-16 Hermiticity slack of validated
-    # states by 1/(2h), so the guard is scale-aware rather than absolute
+    # a derivative taken by finite differences (the oracles in tests/oracles.py)
+    # carries the ~1e-16 Hermiticity slack of its states times 1/(2h), so the
+    # guard is scale-aware rather than absolute
     d = np.asarray(drho, dtype=complex)
     d_h = dagger(d)
     scale = np.maximum(1.0, np.abs(d).max(axis=(-2, -1)))
@@ -444,6 +374,58 @@ def _apply(m: np.ndarray, v) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
+def _fail_family(p: PtParams, v, dv):
+    """eta v and its exact omega-derivative: the failure branch of the PT family (v, dv),
+    with the metric eta(omega) inside it."""
+    eta = metric_operator(p).eta
+    return _apply(eta, v), _apply(d_metric(p), v) + _apply(eta, dv)
+
+
+def _population_slope(u, du, index):
+    """d(|u_i|^2/|u|^2)/d(omega) of a vector family u(omega) with tangent du, at i = index;
+    a tuple of indices gives one slope per index along a last axis."""
+    i = np.asarray(index)
+    ui, dui = u[..., i], du[..., i]
+    norm2 = per_point(np.vecdot(u.real, u.real) + np.vecdot(u.imag, u.imag), i.ndim)
+    drift = per_point(np.vecdot(u.real, du.real) + np.vecdot(u.imag, du.imag), i.ndim)  # Re<u|du>
+    pop = (ui.real * ui.real + ui.imag * ui.imag) / norm2
+    return _value(2.0 * (ui.real * dui.real + ui.imag * dui.imag - pop * drift) / norm2)
+
+
+def susceptibility_pt(p: PtParams, t, errors=RAISE):
+    """d(rho_pt^11)/d(omega) for the probe |+>_y: the slope of |v_1|^2/|v|^2, v = U_pt psi0.
+
+    The susceptibilities take a row like every evaluator here; none of them
+    has a check that depends on the point.
+    """
+    return _population_slope(*_pt_family(p, t, plus_y()), 0)
+
+
+def susceptibility_a(p: PtParams, t, errors=RAISE):
+    """d(rho_A^11)/d(omega): failure-branch population derivative, of the family eta v."""
+    return _population_slope(*_fail_family(p, *_pt_family(p, t, plus_y())), 0)
+
+
+def susceptibility_enlarged(p: PtParams, t, index=0, errors=RAISE):
+    """d(rho_4d^{ii})/d(omega) of the enlarged family (v, eta v), which evolve_enlarged
+    normalizes; index 0 is the PT subsystem, 2 the auxiliary ((0, 2) gives both)."""
+    v, dv = _pt_family(p, t, plus_y())
+    w, dw = _fail_family(p, v, dv)
+    return _population_slope(np.concatenate([v, w], axis=-1), np.concatenate([dv, dw], axis=-1), index)
+
+
+def susceptibility_eff(p: PtParams, t, errors=RAISE):
+    """d(varrho_eff^11)/d(omega) of the NON-normalized dissipative state e^{-gamma t} |v_1|^2.
+
+    The decaying norm is part of the signal here; renormalizing first would
+    reduce this to susceptibility_pt.  In deep decay e^{-gamma t} underflows
+    and the value is 0, its limit.
+    """
+    v, dv = _pt_family(p, t, plus_y())
+    v1, dv1 = v[..., 0], dv[..., 0]
+    return _value(2.0 * per_element(math.exp, -p.gamma * t) * (v1.real * dv1.real + v1.imag * dv1.imag))
+
+
 def weighted_qfi_scheme1(
     p: PtParams, t, fd: FdConfig | None = None, probe=None, n_repetitions: int = 1, errors=RAISE
 ) -> QfiReport:
@@ -460,10 +442,9 @@ def weighted_qfi_scheme1(
     base = postselect(evolve_enlarged(probe, p, t, errors), errors)
 
     v, dv = _pt_family(p, t, probe)
-    eta = metric_operator(p).eta
     psi, dpsi = _direction(v, dv)
     f_suc = qfi_pure(psi, dpsi, errors)
-    f_fail = qfi_pure(*_direction(_apply(eta, v), _apply(d_metric(p), v) + _apply(eta, dv)), errors)
+    f_fail = qfi_pure(*_direction(*_fail_family(p, v, dv)), errors)
 
     psi0 = dilate_initial(probe, p).amplitudes  # frozen at the base omega
     f_total = qfi_pure(propagator_4d(p, t) @ psi0, d_propagator_4d(p, t) @ psi0, errors)
@@ -560,9 +541,9 @@ def weighted_qfi_scheme2(
     )
 
 
-def qfi_pt(p: PtParams, t, fd: FdConfig | None = None, probe=None, errors=RAISE) -> float:
+def qfi_pt(p: PtParams, t, probe=None, errors=RAISE) -> float:
     """QFI in omega of the normalized PT state, at fixed t: the pure-state QFI of
-    (v, dv) with v = U_pt psi0.  fd is accepted for compatibility and not used."""
+    (v, dv) with v = U_pt psi0."""
     probe = _probe(probe)
     evolve_density(pure_density(probe), p, t, errors)  # the state's own checks
     return qfi_pure(*_direction(*_pt_family(p, t, probe)), errors)
@@ -571,12 +552,14 @@ def qfi_pt(p: PtParams, t, fd: FdConfig | None = None, probe=None, errors=RAISE)
 def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None, errors=RAISE) -> ResourceReport:
     """Information cost xi = 1 - i_subs/i_total and loss zeta = sqrt(i_subs/i_total).
 
-    zeta^2 + xi = 1 holds exactly by construction.  The branch information is
-    measured on the physical post-selected families while the reference is
-    the channel information (module docstring), so xi can undershoot zero by
-    a few 1e-3 just before the periodic points, where the true cost vanishes;
-    such values are reported as-is rather than clipped, to keep the identity
-    exact.
+    zeta^2 + xi = 1 holds exactly by construction.  Known defect: the branch
+    information is measured on the physical post-selected families while the
+    reference is the channel information (module docstring).  Two parameter
+    families do not bound each other, so i_subs can exceed i_total and xi
+    can be far below zero: over random Bloch probes it reaches -807
+    (gamma/omega = 0.6, tau = 0.05).  ROADMAP item 3 puts both on one family.
+    Values are reported as they are rather than clipped, to keep the
+    identity exact.
     """
     return resource_report(weighted_qfi_scheme1(p, t, probe=probe, errors=errors), errors)
 

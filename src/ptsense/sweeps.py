@@ -26,7 +26,6 @@ from . import metrology
 from .dilation import evolve_enlarged, postselect
 from .errors import ConfigError, WriteError
 from .lindblad import analytic_rho_3l, artificial_pt, effective_evolve, liouvillian_matrix, postselect_3l
-from .metrology import FdConfig
 from .params import PtParams
 from .pt_system import evolve_density
 from .states import PointErrors, bloch_probe, minus_y, plus_y, pure_density
@@ -56,7 +55,6 @@ class SweepConfig:
     probe_theta: float | None = None
     probe_phi: float | None = None
     repetitions: int = 1
-    fd_h: float = 1e-6  # relative to omega; the susceptibilities only (QFI derivatives are exact)
     output_path: str = "sweep.csv"
     format: str = "csv"
 
@@ -91,8 +89,6 @@ class SweepConfig:
             raise ConfigError("probe: custom probe requires probe_theta and probe_phi")
         if self.repetitions < 1:
             raise ConfigError("N: repetitions must be >= 1")
-        if not (0.0 < self.fd_h <= 1e-3):
-            raise ConfigError("fd_h: relative step must be in (0, 1e-3]")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: unknown value {self.format!r}")
 
@@ -101,8 +97,8 @@ class SweepConfig:
         """Build from a flat key-value document (the JSON config format)."""
         known = {
             "quantity", "scheme", "omega", "gamma_list", "delta_list", "tau_max",
-            "tau_steps", "probe", "probe_theta", "probe_phi", "N", "fd_h",
-            "output_path", "format",
+            "tau_steps", "probe", "probe_theta", "probe_phi", "N", "output_path",
+            "format",
         }
         for key in data:
             if key not in known:
@@ -131,7 +127,7 @@ class SweepConfig:
             ("omega", "omega", float), ("tau_max", "tau_max", float),
             ("tau_steps", "tau_steps", int), ("probe", "probe", str),
             ("probe_theta", "probe_theta", float), ("probe_phi", "probe_phi", float),
-            ("N", "repetitions", int), ("fd_h", "fd_h", float),
+            ("N", "repetitions", int),
             ("output_path", "output_path", str), ("format", "format", str),
         ):
             if src in data and data[src] is not None:
@@ -207,7 +203,6 @@ class _Row:
         self.times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
         self.t = np.array([t for tau, t in zip(taus, self.times) if kappa > 0.0 or tau == 0.0])
         self.probe = config.probe_vector()
-        self.fd = FdConfig(h=config.fd_h * omega)  # for the susceptibilities
         self.n_rep = config.repetitions
         self._report = None
 
@@ -336,13 +331,13 @@ _PAIRS = {
     ("population_shift", "dilation"): _batched(("population_shift_1",), _population_shift, True),
     ("population_shift", "lindblad"): _batched(("population_shift_1",), _population_shift, True),
     ("susceptibility", "pt"): _batched(("susceptibility_pt", "susceptibility_a"), lambda row, errors: [
-        f(row.op, row.t, row.fd, errors=errors) for f in (metrology.susceptibility_pt, metrology.susceptibility_a)],
+        f(row.op, row.t, errors=errors) for f in (metrology.susceptibility_pt, metrology.susceptibility_a)],
         True),
     ("susceptibility", "dilation"): _batched(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda row, errors: list(
-        np.moveaxis(metrology.susceptibility_enlarged(row.op, row.t, row.fd, index=(0, 2), errors=errors), -1, 0)),
+        np.moveaxis(metrology.susceptibility_enlarged(row.op, row.t, index=(0, 2), errors=errors), -1, 0)),
         True),
     ("susceptibility", "lindblad"): _batched(("susceptibility_eff",), lambda row, errors: [
-        metrology.susceptibility_eff(row.op, row.t, row.fd, errors=errors)], True),
+        metrology.susceptibility_eff(row.op, row.t, errors=errors)], True),
     ("qfi_single", "pt"): _from_report(("qfi_pt",), lambda qfi, row, errors: [qfi]),
     ("qfi_single", "dilation"): _reported({"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
     ("qfi_single", "lindblad"): _reported({"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}, True),

@@ -1,13 +1,15 @@
 """Independent reference evaluators for the tests.
 
-Finite-difference QFIs: the QFIs of ptsense take their omega-derivatives in
-closed form.  fd_scheme1, fd_scheme2 and fd_qfi_pt recompute them the way
-ptsense once did: each state family is evaluated at omega +- h and
-omega +- h/2 at fixed t, and the central differences are
-Richardson-extrapolated to fourth order.  The QFI of each family then comes
-from the density-matrix forms (qfi_two_level, qfi_sld) or from the textbook
-pure-state formula, so no closed-form tangent enters.  Reliable only where
-the step is small against the distance to the exceptional point.
+Finite-difference QFIs and susceptibilities: ptsense takes every
+omega-derivative in closed form.  fd_scheme1, fd_scheme2, fd_qfi_pt and
+fd_susceptibilities recompute them the way ptsense once did: each state
+family is evaluated at omega +- h and omega +- h/2 at fixed t, and the
+central differences are Richardson-extrapolated to fourth order.  The QFI of
+each family then comes from the density-matrix forms (qfi_two_level,
+qfi_sld) or from the textbook pure-state formula, and a susceptibility is
+the derivative of a diagonal element, so no closed-form tangent enters.
+Reliable only where the step is small against the distance to the
+exceptional point.
 
 Fixed-step RK4 for linear flows: for y' = A y, one RK4 step of size h is
 exactly the matrix P4(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 applied
@@ -97,6 +99,28 @@ def fd_qfi_pt(p: PtParams, t: float, probe, h: float = 1e-6) -> float:
         return evolve_density(rho0, p.with_omega(omega), t).matrix
 
     return qfi_two_level(family(p.omega), richardson(family, p.omega, h))
+
+
+def fd_susceptibilities(p: PtParams, t: float, h: float = 1e-6) -> dict[str, float]:
+    """The susceptibilities of the sweep rows for |+>_y, from the density matrices of the
+    post-selected PT state, the failure branch, the enlarged state and the
+    non-normalized effective state."""
+    rho0 = pure_density(plus_y())
+
+    def populations(omega: float) -> np.ndarray:
+        q = p.with_omega(omega)
+        enlarged = evolve_enlarged(plus_y(), q, t)
+        return np.array([
+            evolve_density(rho0, q, t).matrix[0, 0].real,
+            postselect(enlarged).rho_a.matrix[0, 0].real,
+            enlarged.matrix[0, 0].real,
+            enlarged.matrix[2, 2].real,
+            effective_evolve(plus_y(), q, t).matrix[0, 0].real,
+        ])
+
+    names = ("susceptibility_pt", "susceptibility_a", "susceptibility_4d_pt", "susceptibility_4d_a",
+             "susceptibility_eff")
+    return dict(zip(names, richardson(populations, p.omega, h).tolist()))
 
 
 def steps_for(t: float, dt: float) -> tuple[int, float]:

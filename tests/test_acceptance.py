@@ -236,8 +236,8 @@ def test_criterion_09_figure_trends():
     for ratio in (0.0, 0.3, 0.6, 0.9):
         p = PtParams(1.0, ratio)
         t = 2 * np.pi / p.kappa
-        s_pt.append(susceptibility_pt(p, t, FD))
-        s_eff.append(abs(susceptibility_eff(p, t, FD)))
+        s_pt.append(susceptibility_pt(p, t))
+        s_eff.append(abs(susceptibility_eff(p, t)))
     assert all(b > a for a, b in zip(s_pt, s_pt[1:]))
     assert all(b < a for a, b in zip(s_eff, s_eff[1:]))
     i_4d = []

@@ -1,6 +1,6 @@
-"""Closed-form omega-derivatives of the QFI evaluators.
+"""Closed-form omega-derivatives of the QFI evaluators and the susceptibilities.
 
-The exact QFIs agree with a Richardson finite-difference oracle wherever a
+The exact values agree with a Richardson finite-difference oracle wherever a
 finite difference is well conditioned (tests/oracles.py), with committed
 60-digit references next to the exceptional point, where it is not
 (scripts/near_ep_reference.py), and with the limit at the exceptional point.
@@ -17,13 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_drho_pt, oracle_rho_pt
-from oracles import fd_qfi_pt, fd_scheme1, fd_scheme2
+from oracles import fd_qfi_pt, fd_scheme1, fd_scheme2, fd_susceptibilities
 from ptsense import (
     PtParams,
     bloch_probe,
     propagator_pt,
     qfi_pt,
     sld,
+    susceptibility_a,
+    susceptibility_eff,
+    susceptibility_enlarged,
+    susceptibility_pt,
     weighted_qfi_scheme1,
     weighted_qfi_scheme2,
 )
@@ -60,6 +64,19 @@ def test_exact_qfis_equal_finite_difference_oracle(gamma_ratio, tau, theta, phi)
     assert _close(qfi_pt(p, t, probe=probe), fd_qfi_pt(p, t, probe))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 0.9), st.floats(0.0, 4.0 * math.pi))
+def test_exact_susceptibilities_equal_finite_difference_oracle(gamma_ratio, tau):
+    p = PtParams(1.0, gamma_ratio)
+    t = tau / p.kappa
+    four_d = susceptibility_enlarged(p, t, index=(0, 2))
+    exact = {"susceptibility_pt": susceptibility_pt(p, t), "susceptibility_a": susceptibility_a(p, t),
+             "susceptibility_4d_pt": four_d[0], "susceptibility_4d_a": four_d[1],
+             "susceptibility_eff": susceptibility_eff(p, t)}
+    for name, fd in fd_susceptibilities(p, t).items():
+        assert abs(exact[name] - fd) <= 1e-6 * abs(fd) + 1e-9, name
+
+
 @pytest.mark.parametrize("gamma_ratio", [1e-215, 1e-100, 1e-30, 1e-12])
 def test_scheme2_total_qfi_is_continuous_at_vanishing_gain_loss(gamma_ratio):
     # 1 - p_suc ~ gamma t lies far below the roundoff of |U psi0|^2 here
@@ -94,7 +111,7 @@ def test_tangent_is_continuous_across_the_series_switch(c_squared):
 
 def test_near_ep_reference_values():
     points = json.loads(REFERENCE.read_text())["points"]
-    assert len(points) == 16
+    assert len(points) == 19
     for point in points:
         p = PtParams(1.0, point["gamma_ratio"])
         t = point["t"]
@@ -112,6 +129,13 @@ def test_near_ep_reference_values():
                     weighted_qfi_scheme2(p, t)
         for key, value in got.items():
             assert value == pytest.approx(float(point[key]), rel=1e-8), f"{where}: {key}"
+        if "susceptibility_pt" in point:
+            four_d = susceptibility_enlarged(p, t, index=(0, 2))
+            got = {"susceptibility_pt": susceptibility_pt(p, t), "susceptibility_a": susceptibility_a(p, t),
+                   "susceptibility_4d_pt": four_d[0], "susceptibility_4d_a": four_d[1],
+                   "susceptibility_eff": susceptibility_eff(p, t)}
+            for key, value in got.items():
+                assert value == pytest.approx(float(point[key]), rel=1e-9), f"{where}: {key}"
 
 
 def test_tangent_at_the_exceptional_point():

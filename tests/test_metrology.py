@@ -17,7 +17,6 @@ from ptsense import (
     qfi_two_level,
     resource_metrics,
     sld,
-    susceptibility,
     susceptibility_a,
     susceptibility_eff,
     susceptibility_enlarged,
@@ -28,7 +27,6 @@ from ptsense import (
 from ptsense.errors import (
     InvalidDerivative,
     InvalidScheme,
-    StepCrossesEp,
     UndefinedResourceMetrics,
 )
 
@@ -77,7 +75,7 @@ def test_shift_eff_equals_pt_after_renormalization():
 def test_susceptibility_rabi_analytic():
     p = PtParams(1.0, 0.0)
     for t in (0.7, 2.0, 5.0):
-        got = susceptibility_pt(p, t, FD)
+        got = susceptibility_pt(p, t)
         assert got == pytest.approx((t / 2) * math.cos(t), abs=1e-7 * max(1.0, t))
 
 
@@ -86,7 +84,7 @@ def test_susceptibility_pt_increasing_in_gamma_at_tau_2pi():
     for ratio in (0.0, 0.3, 0.6, 0.9):
         p = PtParams(1.0, ratio)
         t = 2 * np.pi / p.kappa
-        s = susceptibility_pt(p, t, FD)
+        s = susceptibility_pt(p, t)
         # analytic oracle: pi*omega/(kappa*(omega-gamma)) at the period point
         assert s == pytest.approx(np.pi / (p.kappa * (1 - ratio)), rel=1e-6)
         values.append(s)
@@ -98,7 +96,7 @@ def test_susceptibility_eff_decreasing_in_gamma_at_tau_2pi():
     for ratio in (0.0, 0.3, 0.6, 0.9):
         p = PtParams(1.0, ratio)
         t = 2 * np.pi / p.kappa
-        s = abs(susceptibility_eff(p, t, FD))
+        s = abs(susceptibility_eff(p, t))
         expected = math.exp(-ratio * t) * np.pi / (p.kappa * (1 - ratio))
         assert s == pytest.approx(expected, rel=1e-5)
         values.append(s)
@@ -107,22 +105,14 @@ def test_susceptibility_eff_decreasing_in_gamma_at_tau_2pi():
 
 def test_susceptibility_other_families_finite():
     p = PtParams(1.0, 0.6)
-    assert math.isfinite(susceptibility_a(p, 2.0, FD))
-    assert math.isfinite(susceptibility_enlarged(p, 2.0, FD, index=0))
-    assert math.isfinite(susceptibility_enlarged(p, 2.0, FD, index=2))
-
-
-def test_susceptibility_step_crossing_ep_raises():
-    p = PtParams(1.0, 1.0 - 1e-7)
-    with pytest.raises(StepCrossesEp):
-        susceptibility_pt(p, 1.0, FdConfig(h=1e-6))
+    assert math.isfinite(susceptibility_a(p, 2.0))
+    assert math.isfinite(susceptibility_enlarged(p, 2.0, index=0))
+    assert math.isfinite(susceptibility_enlarged(p, 2.0, index=2))
 
 
 def test_fd_config_validation():
     with pytest.raises(ValueError):
         FdConfig(h=0.0)
-    with pytest.raises(ValueError):
-        FdConfig(h=1e-2).validate_for(1.0)
 
 
 # -- SLD and QFI forms --------------------------------------------------------
@@ -346,17 +336,6 @@ def test_resources_xi_monotone_in_gamma_at_tau5():
 def test_resources_undefined_when_no_information():
     with pytest.raises(UndefinedResourceMetrics):
         resource_metrics(PtParams(1.0, 0.6), 0.0, FD)
-
-
-def test_generic_susceptibility_wrapper():
-    # the low-level entry point accepts any parameterized family
-    p = PtParams(1.0, 0.0)
-
-    def family(omega, t):
-        return np.array([[np.sin(omega * t), 0.0], [0.0, 1 - np.sin(omega * t)]])
-
-    got = susceptibility(family, p, 1.3, 0, FdConfig(h=1e-6))
-    assert got == pytest.approx(1.3 * np.cos(1.3), rel=1e-8)
 
 
 def test_delta_omega_infinite_when_information_vanishes():

@@ -26,12 +26,12 @@ FD = FdConfig.for_omega(1.0)
 EVALUATORS = [
     ("scheme1", lambda p, t, probe, **kw: metrology.weighted_qfi_scheme1(p, t, FD, probe=probe, **kw)),
     ("scheme2", lambda p, t, probe, **kw: metrology.weighted_qfi_scheme2(p, t, FD, **kw)),
-    ("qfi_pt", lambda p, t, probe, **kw: metrology.qfi_pt(p, t, FD, probe=probe, **kw)),
+    ("qfi_pt", lambda p, t, probe, **kw: metrology.qfi_pt(p, t, probe=probe, **kw)),
     ("resources", lambda p, t, probe, **kw: metrology.resource_metrics(p, t, FD, probe=probe, **kw)),
-    ("susceptibility_pt", lambda p, t, probe, **kw: metrology.susceptibility_pt(p, t, FD, **kw)),
-    ("susceptibility_a", lambda p, t, probe, **kw: metrology.susceptibility_a(p, t, FD, **kw)),
-    ("susceptibility_4d", lambda p, t, probe, **kw: metrology.susceptibility_enlarged(p, t, FD, index=(0, 2), **kw)),
-    ("susceptibility_eff", lambda p, t, probe, **kw: metrology.susceptibility_eff(p, t, FD, **kw)),
+    ("susceptibility_pt", lambda p, t, probe, **kw: metrology.susceptibility_pt(p, t, **kw)),
+    ("susceptibility_a", lambda p, t, probe, **kw: metrology.susceptibility_a(p, t, **kw)),
+    ("susceptibility_4d", lambda p, t, probe, **kw: metrology.susceptibility_enlarged(p, t, index=(0, 2), **kw)),
+    ("susceptibility_eff", lambda p, t, probe, **kw: metrology.susceptibility_eff(p, t, **kw)),
     ("shift_pt", lambda p, t, probe, **kw: metrology.population_shift("pt", p, 0.004, t, **kw)),
     ("shift_enlarged", lambda p, t, probe, **kw: metrology.population_shift("enlarged", p, 0.004, t, **kw)),
 ]
@@ -115,18 +115,18 @@ def test_exceptional_point_qfi_is_the_limit():
     # the exact tangent is regular at gamma = omega: the QFIs are 0 at t = 0 and,
     # at t > 0, finite and equal to their gamma/omega -> 1 limit
     p, near = PtParams(1.0, 1.0), PtParams(1.0, 1.0 - 1e-12)
-    assert metrology.qfi_pt(p, 0.0, FD) == 0.0
+    assert metrology.qfi_pt(p, 0.0) == 0.0
     report = metrology.weighted_qfi_scheme2(p, 0.0, FD)
     assert report.f_total == 0.0 and report.f_suc == 0.0
     for t in (0.5, 3.0):
-        assert metrology.qfi_pt(p, t, FD) == pytest.approx(metrology.qfi_pt(near, t, FD), rel=1e-6)
+        assert metrology.qfi_pt(p, t) == pytest.approx(metrology.qfi_pt(near, t), rel=1e-6)
         at_ep, limit = metrology.weighted_qfi_scheme2(p, t, FD), metrology.weighted_qfi_scheme2(near, t, FD)
         assert at_ep.f_total == pytest.approx(limit.f_total, rel=1e-6)
         assert at_ep.f_suc == pytest.approx(limit.f_suc, rel=1e-6)
     errors = PointErrors(2)
-    row = errors.run(metrology.qfi_pt, p, np.array([0.0, 0.5]), FD)
+    row = errors.run(metrology.qfi_pt, p, np.array([0.0, 0.5]))
     assert errors.errors == [None, None]
-    assert list(row) == [0.0, metrology.qfi_pt(p, 0.5, FD)]
+    assert list(row) == [0.0, metrology.qfi_pt(p, 0.5)]
 
 
 def test_exceptional_point_pt_qfi_sweep_writes_zero_at_tau0(tmp_path, capsys):

@@ -156,6 +156,25 @@ def test_threads_config_field_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_fd_h_config_field_is_rejected(tmp_path, capsys):
+    # every omega-derivative is exact, so the finite-difference step is gone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "quantity": "susceptibility", "scheme": "pt", "gamma_list": [0.5], "tau_steps": 3,
+        "fd_h": 1e-6, "output_path": str(tmp_path / "out.csv"),
+    }))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "fd_h: unknown config field" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_fd_h_flag_is_rejected(tmp_path, capsys):
+    out = tmp_path / "fig5.csv"
+    assert main(["figure", "fig5", "--tau-steps", "3", "--fd-h", "1e-6", "--output", str(out)]) == 2
+    assert "unrecognized arguments: --fd-h 1e-6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_presets():
     fig2 = figure_preset("fig2")
     assert fig2.quantities == ("population", "postselect_rates")
