@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, MetricSingular
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, per_point, su2_like_propagator, su2_like_tangent, vector_norm
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, per_point, su2_like_pair, su2_like_propagator, vector_norm
 from .params import PtParams
 from .pt_system import propagator_pt
 from .states import RAISE, DensityMatrix2, DensityMatrix4, PureState2, PureState4
@@ -28,7 +28,7 @@ __all__ = [
     "dilate_initial",
     "hamiltonian_4d",
     "propagator_4d",
-    "d_propagator_4d",
+    "propagator_4d_pair",
     "evolve_enlarged_state",
     "evolve_enlarged",
     "postselect",
@@ -97,13 +97,20 @@ def pt_inner(u, v) -> complex:
     return complex((PAULI_X @ uu.conj()) @ vv)
 
 
-def dilate_initial(psi0, p: PtParams) -> PureState4:
-    """Normalized enlarged initial state (psi0, eta psi0)^T."""
-    amps = psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
-    eta = metric_operator(p).eta
+def _amplitudes(psi0) -> np.ndarray:
+    return psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
+
+
+def _dilated(amps: np.ndarray, eta: np.ndarray):
+    """(psi0, eta psi0)^T normalized, and its norm factor; unvalidated."""
     raw = np.concatenate([amps, eta @ amps])
     norm = np.linalg.norm(raw)
-    return PureState4(amplitudes=raw / norm, norm_factor=1.0 / norm)
+    return raw / norm, 1.0 / norm
+
+
+def dilate_initial(psi0, p: PtParams) -> PureState4:
+    """Normalized enlarged initial state (psi0, eta psi0)^T."""
+    return PureState4(*_dilated(_amplitudes(psi0), metric_operator(p).eta))
 
 
 def _blocks_4d(diagonal: float, off: float) -> np.ndarray:
@@ -143,20 +150,17 @@ def propagator_4d(p: PtParams, t: float) -> np.ndarray:
     return su2_like_propagator(h4, (0.5 * p.kappa) ** 2, t)
 
 
-def d_propagator_4d(p: PtParams, t) -> np.ndarray:
-    """d/d(omega) of propagator_4d at fixed t, in closed form: d(kappa^2/4) = omega/2, and
-    dH_4d is the product rule on hamiltonian_4d's blocks, with d(kappa) = omega/kappa."""
+def propagator_4d_pair(p: PtParams, t):
+    """(propagator_4d, its d/d(omega) at fixed t), in closed form: d(kappa^2/4) = omega/2,
+    and dH_4d is the product rule on hamiltonian_4d's blocks, with d(kappa) = omega/kappa."""
     h4 = hamiltonian_4d(p)  # raises MetricSingular next to the EP
     w, g = p.omega, p.gamma
     dh4 = _blocks_4d((w * w + g * g) / (2.0 * w * w), g ** 3 / (2.0 * p.kappa * w * w))
-    return su2_like_tangent(h4, dh4, (0.5 * p.kappa) ** 2, 0.5 * w, t)
+    return su2_like_pair(h4, dh4, (0.5 * p.kappa) ** 2, 0.5 * w, t)
 
 
-def _enlarged(psi0, p: PtParams, t):
-    """Amplitudes and norm factor C_n of the enlarged state at t (or at each t of an array)."""
-    amps = psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
-    eta = metric_operator(p).eta
-    psi_raw = propagator_pt(p, t) @ amps
+def _enlarged(psi_raw, eta: np.ndarray):
+    """Unvalidated amplitudes and norm factor C_n of the enlarged state from psi_raw = U_pt psi0."""
     psi_t = psi_raw / per_point(vector_norm(psi_raw), 1)
     chi_t = (eta @ psi_t[..., None])[..., 0]
     c_n = 1.0 / np.sqrt(1.0 + np.vecdot(chi_t, chi_t).real)
@@ -172,12 +176,12 @@ def evolve_enlarged_state(psi0, p: PtParams, t, errors=RAISE) -> PureState4:
     errors=PointErrors(n), t is an array of n times and the result is the
     (n, 4) stack of amplitudes.
     """
-    return errors.state(PureState4, *_enlarged(psi0, p, t))
+    return errors.state(PureState4, *_enlarged(propagator_pt(p, t) @ _amplitudes(psi0), metric_operator(p).eta))
 
 
 def evolve_enlarged(psi0, p: PtParams, t, errors=RAISE) -> DensityMatrix4:
     """Rank-one density matrix of the enlarged system (a stack of them for a row)."""
-    a, c_n = _enlarged(psi0, p, t)
+    a, c_n = _enlarged(propagator_pt(p, t) @ _amplitudes(psi0), metric_operator(p).eta)
     errors.state(PureState4, a, c_n)
     return errors.state(DensityMatrix4, a[..., :, None] * a.conj()[..., None, :])
 

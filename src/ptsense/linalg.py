@@ -25,7 +25,7 @@ __all__ = [
     "expm",
     "expm_su2_analytic",
     "su2_like_propagator",
-    "su2_like_tangent",
+    "su2_like_pair",
     "sinc_slope",
     "eig",
 ]
@@ -122,26 +122,26 @@ def sinc_slope(x: float) -> float:
     if abs(x) < 1e-2:
         x2 = x * x
         return -1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0
-    return (math.cos(x) - math.sin(x) / x) / (x * x)
+    return 0.0 if math.isinf(x) else (math.cos(x) - math.sin(x) / x) / (x * x)  # math.cos(inf) raises
 
 
-def su2_like_tangent(h, dh, c_squared: float, dc_squared: float, t) -> np.ndarray:
-    """d/d(omega) at fixed t of su2_like_propagator(h, c_squared, t), for H(omega) with dH = dh and
-    c^2(omega) with derivative dc_squared.
+def su2_like_pair(h, dh, c_squared: float, dc_squared: float, t):
+    """(U, dU): U = su2_like_propagator(h, c_squared, t), bit for bit, and dU = dU/d(omega) at
+    fixed t, for H(omega) with dH = dh and c^2(omega) with derivative dc_squared.
 
     With x = c t, S = sinc and g(x) = (cos x - S(x))/x^2 (so dx/d(omega) = t dc^2/(2c)),
     dU = -(t^2/2) dc^2 [S(x) I + i t g(x) H] - i t S(x) dH, which is regular at c = 0
     (Najfeld & Havel 1995).  Stacked like su2_like_propagator for an array of times; g is
     evaluated per element, so a row equals its one-point calls bit for bit.
     """
-    a = np.asarray(h, dtype=complex)
-    da = np.asarray(dh, dtype=complex)
+    a, da = np.asarray(h, dtype=complex), np.asarray(dh, dtype=complex)
     phase = float(np.sqrt(c_squared)) * t
-    sinc, slope = np.sinc(phase / np.pi), per_element(sinc_slope, phase)
+    cos, sinc, slope = np.cos(phase), np.sinc(phase / np.pi), per_element(sinc_slope, phase)
     if getattr(t, "ndim", 0):
-        sinc, slope, t = sinc[:, None, None], slope[:, None, None], t[:, None, None]
+        cos, sinc, slope, t = cos[:, None, None], sinc[:, None, None], slope[:, None, None], t[:, None, None]
     eye = np.eye(a.shape[0], dtype=complex)
-    return -0.5 * t * t * dc_squared * (sinc * eye + 1j * t * slope * a) - 1j * t * sinc * da
+    u = cos * eye - 1j * t * sinc * a
+    return u, -0.5 * t * t * dc_squared * (sinc * eye + 1j * t * slope * a) - 1j * t * sinc * da
 
 
 def expm_su2_analytic(h, t: float) -> np.ndarray:

@@ -10,11 +10,9 @@ reporting; kappa depends on omega, so fixing tau instead would change every
 curve.
 
 They are taken in closed form.  Every propagator is
-cos(c t) I - i t sinc(c t) H with c^2 = kappa^2/4, whose omega-derivative
-(linalg.su2_like_tangent) is regular on the whole unbroken phase, the
-exceptional point included.  Each QFI is then the pure-state QFI of one
-vector family and its exact tangent, and each susceptibility the slope of a
-population of such a family.  No derivative depends on a step size.
+cos(c t) I - i t sinc(c t) H with c^2 = kappa^2/4, and linalg.su2_like_pair
+returns it with its omega-derivative, which is regular on the whole unbroken
+phase, the exceptional point included.  No derivative depends on a step size.
 
 Populations and susceptibilities use the physical parameterized states: the
 state families exactly as an apparatus tuned to omega' would prepare them.
@@ -24,26 +22,29 @@ The enlarged-system QFI uses the channel picture: the probe and the metric
 unitary U_4d(omega) = exp(-i H_4d(omega) t) carries the parameter.  This is
 the convention under which the weighted information of the two post-selected
 branches exhausts the enlarged-system information at the periodic points
-(zeta(tau = 2*pi*n) = 1) and under which the |+>_y probe is optimal;
-differentiating the metric inside the initial state breaks both properties.
-The post-selected branch QFIs, however, are taken on the physical branch
-families: the success branch U_pt(omega) psi0 and the failure branch
-eta(omega) U_pt(omega) psi0.  They differ from the channel-picture branch
-QFIs (by up to 99% for f_suc and 255x for f_fail on gamma/omega in
-{0.3, 0.6, 0.9}), so the information cost xi mixes two conventions and can
-fall below zero for some probes.
+(zeta(tau = 2*pi*n) = 1) and under which the |+>_y probe is optimal.  The
+branch QFIs, however, are taken on the physical branch families U_pt(omega)
+psi0 and eta(omega) U_pt(omega) psi0, so the information cost xi mixes two
+conventions and can fall below zero for some probes (ROADMAP item 3).
+
+Pure states
+-----------
+weighted_qfi_scheme1/2 and resource_metrics read pure states only: each QFI
+is qfi_pure of a vector and its exact tangent, each branch rate a block sum
+of squared amplitudes, and sld_suc is 2 d|psi><psi|/d(omega), the SLD of the
+pure branch state under sld's support convention.  No intermediate density
+matrix is built and no eigensolver runs, except scheme 2's deep-decay gate.
 
 Row evaluation
 --------------
 The QFI evaluators, resource_metrics, population_shift, the
-susceptibilities and the QFI forms they use are row-batched: given
+susceptibilities, sld, qfi_sld and qfi_two_level are row-batched: given
 errors=states.PointErrors(n) and an array of n times (stacks of n states and
 derivatives for the QFI forms), each evaluates one (gamma, omega, probe) row
-in one call and returns n values per field.  Every family of states
-is then a stack of matrices, every check runs on the whole stack, and a point
-whose check fails gets the error it would have raised on its own.  Called
-with one time (errors=RAISE, the default), the same code is the scalar API,
-and a failed check raises.
+in one call and returns n values per field.  Every check runs on the whole
+stack, and a point whose check fails gets the error it would have raised on
+its own.  Called with one time (errors=RAISE, the default), the same code is
+the scalar API, and a failed check raises.
 """
 
 from __future__ import annotations
@@ -54,15 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import (
-    d_metric,
-    d_propagator_4d,
-    dilate_initial,
-    evolve_enlarged,
-    metric_operator,
-    postselect,
-    propagator_4d,
-)
+from .dilation import _dilated, _enlarged, d_metric, evolve_enlarged, metric_operator, propagator_4d_pair
 from .errors import (
     EmptyBranch,
     InvalidDerivative,
@@ -70,10 +63,10 @@ from .errors import (
     InvalidScheme,
     UndefinedResourceMetrics,
 )
-from .lindblad import analytic_rho_3l, effective_evolve
+from .lindblad import effective_evolve
 from .linalg import dagger, per_element, per_point, vector_norm
 from .params import PtParams
-from .pt_system import d_propagator_pt, evolve_density, evolve_state, norm_growth, propagator_pt
+from .pt_system import evolve_density, evolve_state, norm_growth, propagator_pt_pair
 from .states import RAISE, DensityMatrix2, plus_y, pure_density
 
 __all__ = [
@@ -107,15 +100,10 @@ SLD_SUPPORT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Finite-difference step policy for d/d(omega): h is the absolute step in
-    rad/s; richardson asked for fourth-order extrapolation from h and h/2.
-
-    Every omega-derivative of ptsense is exact, so nothing reads it.  It stays
-    only because perfbench/workloads.py builds FdConfig.for_omega and passes
-    it positionally to weighted_qfi_scheme1, weighted_qfi_scheme2 and
-    resource_metrics, which accept and ignore it; the benchmark refresh
-    (ROADMAP item 14) removes it.
-    """
+    """Finite-difference step policy (h in rad/s) that nothing reads: every omega-derivative
+    is exact.  It stays only because perfbench/workloads.py passes FdConfig.for_omega
+    positionally to weighted_qfi_scheme1/2 and resource_metrics, which ignore it; the
+    benchmark refresh (ROADMAP item 14) removes it."""
 
     h: float
     richardson: bool = True
@@ -312,8 +300,8 @@ class QfiReport:
     renormalized (post-selected) state, f_total the QFI of the full
     three-level state, i_total = f_total * p_suc, and the failure fields are
     None.  delta_omega_* are the Cramer-Rao bounds 1/sqrt(N * I); infinite
-    when the information vanishes.  The report of a row holds one array of
-    values per field, and sld_suc stacks one SLD per point.
+    when the information vanishes.  sld_suc = 2 d|psi><psi|/d(omega) is the SLD of
+    the pure success-branch state; a row's report holds arrays and one SLD per point.
     """
 
     scheme: str
@@ -366,7 +354,8 @@ def _projector_tangent(psi, dpsi) -> np.ndarray:
 
 def _pt_family(p: PtParams, t, probe):
     """v = U_pt(omega, t) psi0 and its exact omega-derivative at fixed t."""
-    return propagator_pt(p, t) @ probe, d_propagator_pt(p, t) @ probe
+    u, du = propagator_pt_pair(p, t)
+    return u @ probe, du @ probe
 
 
 def _apply(m: np.ndarray, v) -> np.ndarray:
@@ -374,10 +363,9 @@ def _apply(m: np.ndarray, v) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-def _fail_family(p: PtParams, v, dv):
+def _fail_family(p: PtParams, eta, v, dv):
     """eta v and its exact omega-derivative: the failure branch of the PT family (v, dv),
-    with the metric eta(omega) inside it."""
-    eta = metric_operator(p).eta
+    with the metric eta = eta(omega) of p inside it."""
     return _apply(eta, v), _apply(d_metric(p), v) + _apply(eta, dv)
 
 
@@ -403,14 +391,14 @@ def susceptibility_pt(p: PtParams, t, errors=RAISE):
 
 def susceptibility_a(p: PtParams, t, errors=RAISE):
     """d(rho_A^11)/d(omega): failure-branch population derivative, of the family eta v."""
-    return _population_slope(*_fail_family(p, *_pt_family(p, t, plus_y())), 0)
+    return _population_slope(*_fail_family(p, metric_operator(p).eta, *_pt_family(p, t, plus_y())), 0)
 
 
 def susceptibility_enlarged(p: PtParams, t, index=0, errors=RAISE):
     """d(rho_4d^{ii})/d(omega) of the enlarged family (v, eta v), which evolve_enlarged
     normalizes; index 0 is the PT subsystem, 2 the auxiliary ((0, 2) gives both)."""
     v, dv = _pt_family(p, t, plus_y())
-    w, dw = _fail_family(p, v, dv)
+    w, dw = _fail_family(p, metric_operator(p).eta, v, dv)
     return _population_slope(np.concatenate([v, w], axis=-1), np.concatenate([dv, dw], axis=-1), index)
 
 
@@ -434,29 +422,35 @@ def weighted_qfi_scheme1(
     With v = U_pt psi0, f_suc is the pure-state QFI of (v, dv) and f_fail that
     of (eta v, d(eta) v + eta dv), the physical branch families; f_total is the
     enlarged-system QFI of (U_4d psi4_0, dU_4d psi4_0) in the channel picture
-    (module docstring).  The branch QFIs are weighted by their probabilities
-    at the base omega.  fd is accepted for compatibility and not used: every
-    derivative is exact.
+    (module docstring).  The weights p_suc and p_fail are block sums of |a_i|^2 over
+    the amplitudes a that evolve_enlarged builds from the same v, so they equal
+    postselect's bit for bit.  fd is accepted for compatibility and not used.
     """
     probe = _probe(probe)
-    base = postselect(evolve_enlarged(probe, p, t, errors), errors)
-
+    eta = metric_operator(p).eta
     v, dv = _pt_family(p, t, probe)
+    a = _enlarged(v, eta)[0]
+    errors.flag(~np.isfinite(a).all(axis=-1), InvalidMatrix, "state vector has non-finite entries")
+    populations = (a * a.conj()).real  # the diagonal of evolve_enlarged's |a><a|
+    p_suc, p_fail = populations[..., :2].sum(axis=-1), populations[..., 2:].sum(axis=-1)
+    total = p_suc + p_fail
+    errors.flag(abs(total - 1.0) > 1e-12, EmptyBranch,
+                lambda i: f"branch probabilities do not sum to 1: {total[i]:.15g}")
     psi, dpsi = _direction(v, dv)
     f_suc = qfi_pure(psi, dpsi, errors)
-    f_fail = qfi_pure(*_direction(*_fail_family(p, v, dv)), errors)
+    f_fail = qfi_pure(*_direction(*_fail_family(p, eta, v, dv)), errors)
 
-    psi0 = dilate_initial(probe, p).amplitudes  # frozen at the base omega
-    f_total = qfi_pure(propagator_4d(p, t) @ psi0, d_propagator_4d(p, t) @ psi0, errors)
+    psi0 = _dilated(probe, eta)[0]  # frozen at the base omega
+    u4, du4 = propagator_4d_pair(p, t)
+    f_total = qfi_pure(u4 @ psi0, du4 @ psi0, errors)
 
-    i_suc = f_suc * base.p_suc
-    i_fail = f_fail * base.p_fail
+    i_suc, i_fail = f_suc * p_suc, f_fail * p_fail
     i_subs = i_suc + i_fail
     return QfiReport(
         scheme="dilation",
         n_repetitions=n_repetitions,
-        p_suc=base.p_suc,
-        p_fail=base.p_fail,
+        p_suc=p_suc,
+        p_fail=p_fail,
         f_suc=f_suc,
         f_fail=f_fail,
         f_total=f_total,
@@ -466,7 +460,7 @@ def weighted_qfi_scheme1(
         i_total=f_total,
         delta_omega_weighted=_bound(i_subs, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=sld(base.rho_pt, _projector_tangent(psi, dpsi), errors),
+        sld_suc=2.0 * _projector_tangent(psi, dpsi),
     )
 
 
@@ -504,11 +498,12 @@ def weighted_qfi_scheme2(
     information.  i_total = f_total * p_suc is the repeated-averaged
     information.  fd is accepted for compatibility and not used.
     """
-    base3 = _matrix(analytic_rho_3l(p, t, errors))
-    p_suc = base3[..., 0, 0].real + base3[..., 1, 1].real
-    rho_cond = _normalized(effective_evolve(plus_y(), p, t, errors), errors)
+    v, dv = _pt_family(p, t, plus_y())
+    phi = per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * v
+    p_suc = (phi * phi.conj()).real.sum(axis=-1)  # analytic_rho_3l's rho11 + rho22, bit for bit
+    _normalized(effective_evolve(plus_y(), p, t, errors), errors)  # deep-decay gate; ROADMAP item 4 deletes it
 
-    psi, dpsi = _direction(*_pt_family(p, t, plus_y()))
+    psi, dpsi = _direction(v, dv)
     f_suc = qfi_pure(psi, dpsi, errors)
     growth, d_growth = norm_growth(p, t, plus_y())  # |v|^2 = 1 + gamma growth
     d_log = p.gamma * d_growth / (1.0 + p.gamma * growth)
@@ -536,7 +531,7 @@ def weighted_qfi_scheme2(
         i_total=i_total,
         delta_omega_weighted=_bound(i_total, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=sld(rho_cond, _projector_tangent(psi, dpsi), errors),
+        sld_suc=2.0 * _projector_tangent(psi, dpsi),
         reliable=reliable if getattr(reliable, "ndim", 0) else bool(reliable),
     )
 
@@ -561,18 +556,19 @@ def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None, err
     Values are reported as they are rather than clipped, to keep the
     identity exact.
     """
-    return resource_report(weighted_qfi_scheme1(p, t, probe=probe, errors=errors), errors)
+    return resource_report(weighted_qfi_scheme1(p, t, probe=probe, errors=errors), t, errors)
 
 
-def resource_report(report: QfiReport, errors=RAISE) -> ResourceReport:
-    """xi and zeta of a scheme-1 QfiReport (of a row: errors=PointErrors(n));
-    see resource_metrics.
+def resource_report(report: QfiReport, t, errors=RAISE) -> ResourceReport:
+    """xi and zeta of a scheme-1 QfiReport at time t (of a row: an array of times and
+    errors=PointErrors(n)); see resource_metrics.
 
     Raises UndefinedResourceMetrics when the enlarged-system information
-    vanishes, since the ratio then has no reference to normalize by.
+    vanishes (below 1e-12 t^2, which scales with it in every unit of omega),
+    since the ratio then has no reference to normalize by.
     """
     i_total = np.asarray(report.i_total, dtype=float)
-    vanishing = i_total <= 1e-12
+    vanishing = i_total <= 1e-12 * t * t
     errors.flag(vanishing, UndefinedResourceMetrics,
                 lambda i: f"enlarged-system information {i_total[i]:.3e} too small to normalize")
     ratio = report.i_subs / errors.guard(i_total, vanishing)

@@ -22,8 +22,8 @@ from .linalg import (
     per_element,
     per_point,
     sinc_slope,
+    su2_like_pair,
     su2_like_propagator,
-    su2_like_tangent,
     vector_norm,
 )
 from .params import PtParams
@@ -32,7 +32,7 @@ from .states import RAISE, DensityMatrix2, PureState2
 __all__ = [
     "hamiltonian_pt",
     "propagator_pt",
-    "d_propagator_pt",
+    "propagator_pt_pair",
     "norm_growth",
     "evolve_state",
     "evolve_density",
@@ -59,10 +59,10 @@ def propagator_pt(p: PtParams, t: float) -> np.ndarray:
     return su2_like_propagator(hamiltonian_pt(p), (0.5 * p.kappa) ** 2, t)
 
 
-def d_propagator_pt(p: PtParams, t) -> np.ndarray:
-    """d/d(omega) of propagator_pt at fixed t, in closed form: dH = sigma_x/2 and
+def propagator_pt_pair(p: PtParams, t):
+    """(propagator_pt, its d/d(omega) at fixed t), in closed form: dH = sigma_x/2 and
     d(kappa^2/4) = omega/2; finite on the whole unbroken phase, the EP included."""
-    return su2_like_tangent(hamiltonian_pt(p), 0.5 * PAULI_X, (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)
+    return su2_like_pair(hamiltonian_pt(p), 0.5 * PAULI_X, (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)
 
 
 def norm_growth(p: PtParams, t, psi0):

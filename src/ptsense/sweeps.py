@@ -308,7 +308,7 @@ def _reported(fields: dict[str, str], plus_y_only: bool = False) -> _Pair:
 
 
 def _resources(report, row: _Row, errors: PointErrors):
-    metrics = metrology.resource_report(report, errors)
+    metrics = metrology.resource_report(report, row.t, errors)
     return [metrics.xi, metrics.zeta]
 
 

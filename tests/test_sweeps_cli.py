@@ -1,5 +1,6 @@
 """Sweep engine and command-line interface."""
 
+import dataclasses
 import json
 import math
 
@@ -89,6 +90,18 @@ def test_resources_zeta_at_2pi(tmp_path):
                 and abs(float(r["tau"]) - 2 * math.pi) < 1e-12]
     assert len(zeta_2pi) == 1
     assert float(zeta_2pi[0]["value"]) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_resources_undefined_rows_do_not_depend_on_the_unit_of_omega(tmp_path):
+    # i_total scales as 1/omega^2 at fixed tau; the cutoff scales with it, so only tau = 0 is undefined
+    def undefined(omega):
+        cfg = dataclasses.replace(figure_preset("fig7"), omega=omega, tau_steps=33)
+        rows = read_rows(run(cfg, str(tmp_path / f"fig7-{omega}.csv")))
+        return {(r["tau"], r["gamma_ratio"], r["quantity"]) for r in rows if r["value"] == "undefined"}
+
+    at_one = undefined(1.0)
+    assert at_one == {("0.0", g, "resources_undefined") for g in ("0.0", "0.3", "0.6", "0.9", "0.999999")}
+    assert undefined(2 * math.pi * 1e6) == at_one
 
 
 def test_liouvillian_spectrum_rows(tmp_path):
