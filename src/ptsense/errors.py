@@ -35,10 +35,6 @@ class EmptyBranch(PtsenseError):
     """Post-selection branch has vanishing probability; conditioned state undefined."""
 
 
-class GainOverflow(PtsenseError):
-    """Artificial gain factor exp(gamma*t) would overflow double precision."""
-
-
 class InvalidScheme(PtsenseError):
     """Unknown scheme name or scheme/parameter mismatch."""
 

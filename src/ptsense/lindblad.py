@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBranch, GainOverflow, InvalidMatrix, InvalidStep
-from .linalg import PAULI_X, dagger, eig, per_element, per_point
+from .errors import InvalidMatrix, InvalidStep
+from .linalg import PAULI_X, dagger, per_element, per_point, vector_norm
 from .params import PtParams
 from .pt_system import hamiltonian_pt, propagator_pt
 from .states import RAISE, DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, plus_y
@@ -37,11 +37,6 @@ __all__ = [
     "liouvillian_is_defective",
     "Postselected3L",
 ]
-
-#: Below this success rate the steady state dominates and post-selected
-#: states are flagged unreliable (vanishing-success-rate regime).
-RELIABLE_P_SUC = 1e-12
-
 
 @dataclass(frozen=True)
 class LindbladModel:
@@ -119,6 +114,23 @@ def integrate_lindblad(rho0, p: PtParams, t: float, dt: float) -> DensityMatrix3
     return DensityMatrix3(rho)
 
 
+def _decaying_amplitudes(p: PtParams, t):
+    """(v, phi): v = U_pt |+>_y and phi = e^{-gamma t/2} v, the {|1>,|2>} amplitudes
+    of the three-level state; stacked along a leading axis for an array of t."""
+    v = propagator_pt(p, t) @ plus_y()
+    return v, per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * v
+
+
+def _conjugated(u, rho0) -> np.ndarray:
+    """u rho0 u^dag, Hermitian to roundoff, for a propagator u or a stack of them; rho0
+    is a DensityMatrix2, a 2x2 matrix or a state vector."""
+    mat = np.asarray(rho0.matrix if isinstance(rho0, DensityMatrix2) else rho0, dtype=complex)
+    if mat.shape == (2,):
+        mat = np.outer(mat, mat.conj())
+    raw = u @ mat @ dagger(u)
+    return 0.5 * (raw + dagger(raw))
+
+
 def analytic_rho_3l(p: PtParams, t, errors=RAISE) -> DensityMatrix3:
     """Closed-form three-level state for the probe (|1> + i|2>)/sqrt(2).
 
@@ -126,12 +138,11 @@ def analytic_rho_3l(p: PtParams, t, errors=RAISE) -> DensityMatrix3:
     e^{-gamma t} U rho0 U^dag (regular on the whole unbroken phase including
     the exceptional point) and rho33 makes up the trace.  Once gamma*t is
     large enough that the decay underflows double precision the block is
-    exactly zero and the state is the sink, which is the correct limit, so
-    no positive-trace guard applies here (unlike effective_evolve).  With
-    errors=PointErrors(n), t is an array of n times and the result is the
-    (n, 3, 3) stack.
+    exactly zero and the state is the sink, which is the correct limit.
+    With errors=PointErrors(n), t is an array of n times and the result is
+    the (n, 3, 3) stack.
     """
-    scaled = per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * (propagator_pt(p, t) @ plus_y())
+    scaled = _decaying_amplitudes(p, t)[1]
     block = scaled[..., :, None] * scaled.conj()[..., None, :]
     out = np.zeros(getattr(t, "shape", ()) + (3, 3), dtype=complex)
     out[..., :2, :2] = 0.5 * (block + dagger(block))
@@ -144,16 +155,13 @@ def effective_evolve(rho0, p: PtParams, t, errors=RAISE) -> UnnormalizedMatrix2:
 
     U_eff = e^{-gamma t/2} U_pt elementwise, since the anti-Hermitian part of
     H_eff is a multiple of the identity.  The trace never exceeds one here
-    (it is the success probability of remaining outside the sink).  With
-    errors=PointErrors(n), t is an array of n times and the result is the
-    (n, 2, 2) stack of matrices.
+    (it is the success probability of remaining outside the sink), and it is
+    exactly zero once e^{-gamma t} underflows (deep decay), as in
+    analytic_rho_3l.  With errors=PointErrors(n), t is an array of n times
+    and the result is the (n, 2, 2) stack of matrices.
     """
-    mat = np.asarray(rho0.matrix if isinstance(rho0, DensityMatrix2) else rho0, dtype=complex)
-    if mat.shape == (2,):
-        mat = np.outer(mat, mat.conj())
     u_eff = per_point(per_element(math.exp, -0.5 * p.gamma * t), 2) * propagator_pt(p, t)
-    raw = u_eff @ mat @ dagger(u_eff)
-    raw = 0.5 * (raw + dagger(raw))
+    raw = _conjugated(u_eff, rho0)
     out = errors.state(UnnormalizedMatrix2, raw)
     tr = raw.trace(axis1=-2, axis2=-1).real
     # survival probability cannot exceed one
@@ -175,20 +183,17 @@ def effective_rhs(rho, p: PtParams) -> np.ndarray:
     return -1j * (h_eff @ mat - mat @ h_eff.conj().T)
 
 
-def artificial_pt(p: PtParams, t, rho_eff: UnnormalizedMatrix2, errors=RAISE) -> UnnormalizedMatrix2:
-    """Artificially amplified state e^{gamma t} rho_eff.
+def artificial_pt(rho0, p: PtParams, t, errors=RAISE) -> UnnormalizedMatrix2:
+    """Artificially amplified state e^{gamma t} rho_eff = U_pt rho0 U_pt^dag.
 
-    The exponential compensates the uniform decay so the result mimics a
-    balanced gain-loss system; its trace may exceed one.  With
-    errors=PointErrors(n), t is an array of n times, rho_eff their stack, and
-    the result is the stack of amplified matrices.
+    The gain e^{gamma t} compensates the uniform decay of effective_evolve's
+    rho_eff, so the result mimics a balanced gain-loss system; its trace may
+    exceed one.  It is computed from the initial state rather than as the
+    product, which would overflow (or divide an underflowed zero) in deep
+    decay.  With errors=PointErrors(n), t is an array of n times and the
+    result is the stack of amplified matrices.
     """
-    gt = np.asarray(p.gamma * t)
-    overflow = gt > 700.0
-    errors.flag(overflow, GainOverflow, lambda i: f"exp(gamma*t) overflows for gamma*t = {gt[i]:.6g}")
-    mat = rho_eff.matrix if isinstance(rho_eff, UnnormalizedMatrix2) else np.asarray(rho_eff, dtype=complex)
-    gain = per_element(math.exp, errors.guard(gt, overflow))
-    return errors.state(UnnormalizedMatrix2, per_point(gain, 2) * mat)
+    return errors.state(UnnormalizedMatrix2, _conjugated(propagator_pt(p, t), rho0))
 
 
 @dataclass(frozen=True)
@@ -199,67 +204,40 @@ class Postselected3L:
     p_suc: float
     p_fail: float
     rho_pt: DensityMatrix2
-    reliable: bool = True
 
 
-def postselect_3l(rho3, errors=RAISE) -> Postselected3L:
-    """Condition on not having decayed into the sink.
+def postselect_3l(p: PtParams, t, errors=RAISE) -> Postselected3L:
+    """Condition analytic_rho_3l(p, t) on not having decayed into the sink.
 
-    p_suc = rho11 + rho22 and the conditioned state is the renormalized
-    {|1>,|2>} block; p_fail = rho33.  When p_suc < 1e-12 the outcome is
-    flagged unreliable (steady-state regime); below 1e-14 it raises.  For a
-    row (errors=PointErrors(n), rho3 an (n, 3, 3) stack) every field is
-    stacked.
+    p_suc = rho11 + rho22 and p_fail = rho33 = 1 - p_suc are those of
+    analytic_rho_3l, bit for bit; in deep decay p_suc is the double it is,
+    subnormal or 0.  The conditioned state is the normalized PT state
+    v v^dag/|v|^2, v = U_pt |+>_y, which equals the {|1>,|2>} block over
+    p_suc without the division, so it is defined at every time.  For a row
+    (errors=PointErrors(n), t an array of n times) every field is stacked.
     """
-    m = rho3.matrix if isinstance(rho3, DensityMatrix3) else np.asarray(rho3, dtype=complex)
-    p_suc = m[..., 0, 0].real + m[..., 1, 1].real
-    p_fail = m[..., 2, 2].real
-    empty = p_suc < 1e-14
-    errors.flag(empty, EmptyBranch, "success rate vanished; no post-selected state exists")
-    block = m[..., :2, :2] / per_point(errors.guard(p_suc, empty), 2)
-    reliable = p_suc >= RELIABLE_P_SUC
-    return Postselected3L(
-        p_suc=p_suc,
-        p_fail=p_fail,
-        rho_pt=errors.state(DensityMatrix2, 0.5 * (block + dagger(block))),
-        reliable=reliable if getattr(reliable, "ndim", 0) else bool(reliable),
-    )
+    v, phi = _decaying_amplitudes(p, t)
+    p_suc = (phi * phi.conj()).real.sum(axis=-1)
+    psi = v / per_point(vector_norm(v), 1)
+    rho_pt = psi[..., :, None] * psi.conj()[..., None, :]
+    return Postselected3L(p_suc=p_suc, p_fail=1.0 - p_suc, rho_pt=errors.state(DensityMatrix2, rho_pt))
 
 
 def liouvillian_matrix(p: PtParams) -> tuple[np.ndarray, np.ndarray]:
     """The reduced-dynamics generator matrix and its eigenvalues.
 
-    Row order is the row-stacked [rho11, rho12, rho21, rho22].  Eigenvalues
-    are {-gamma +- i kappa, -gamma, -gamma}; all four coalesce at
-    gamma/omega = 1, where the matrix becomes defective.
+    Row order is the row-stacked [rho11, rho12, rho21, rho22].  The
+    eigenvalues {-gamma +- i kappa, -gamma, -gamma} are taken in closed form:
+    all four coalesce at gamma/omega = 1, where the matrix becomes defective
+    and a general eigensolver scatters them by about eps^(1/4).
     """
-    liou = lindblad_model(p).liouvillian
-    return liou, eig(liou).values
+    rate = -p.gamma + 0.0  # +0.0 rather than -0.0 at gamma = 0
+    values = np.array([complex(rate, p.kappa), complex(rate, -p.kappa), rate, rate], dtype=complex)
+    return lindblad_model(p).liouvillian, values
 
 
-def liouvillian_is_defective(p: PtParams, cluster_tol: float = 1e-3, null_tol: float = 1e-8) -> bool:
-    """True when some eigenvalue's geometric multiplicity is deficient.
-
-    A defective m-fold eigenvalue scatters like eps^(1/m) (~1e-4 for the
-    quadruple point here) under roundoff, so eigenvalues are clustered with a
-    loose relative tolerance and the kernel dimension is probed at the
-    cluster mean; exact kernels sit at ~1e-16 while the smallest spurious
-    singular value of a perturbed Jordan block stays orders above null_tol.
-    """
-    liou = lindblad_model(p).liouvillian
-    values = np.linalg.eigvals(liou)
-    scale = max(float(np.max(np.abs(values))), 1.0)
-    remaining = list(values)
-    while remaining:
-        seed = remaining[0]
-        cluster = [z for z in remaining if abs(z - seed) <= cluster_tol * scale]
-        remaining = [z for z in remaining if abs(z - seed) > cluster_tol * scale]
-        algebraic = len(cluster)
-        if algebraic == 1:
-            continue
-        center = sum(cluster) / algebraic
-        s = np.linalg.svd(liou - center * np.eye(4), compute_uv=False)
-        geometric = int(np.sum(s <= null_tol * max(s[0], 1e-300)))
-        if geometric < algebraic:
-            return True
-    return False
+def liouvillian_is_defective(p: PtParams) -> bool:
+    """True when some eigenvalue's geometric multiplicity is deficient: at the
+    exceptional point only (kappa = 0), where the four eigenvalues coalesce.
+    The double eigenvalue -gamma off the EP keeps two eigenvectors."""
+    return p.kappa == 0.0

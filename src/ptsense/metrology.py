@@ -33,7 +33,9 @@ weighted_qfi_scheme1/2 and resource_metrics read pure states only: each QFI
 is qfi_pure of a vector and its exact tangent, each branch rate a block sum
 of squared amplitudes, and sld_suc is 2 d|psi><psi|/d(omega), the SLD of the
 pure branch state under sld's support convention.  No intermediate density
-matrix is built and no eigensolver runs, except scheme 2's deep-decay gate.
+matrix is built and no eigensolver runs.  Every point of the unbroken phase
+runs the same code, deep decay included: there scheme 2's success rate is the
+double it is (subnormal, or 0) and its QFIs stay finite.
 
 Row evaluation
 --------------
@@ -63,11 +65,10 @@ from .errors import (
     InvalidScheme,
     UndefinedResourceMetrics,
 )
-from .lindblad import effective_evolve
 from .linalg import dagger, per_element, per_point, vector_norm
 from .params import PtParams
 from .pt_system import evolve_density, evolve_state, norm_growth, propagator_pt_pair
-from .states import RAISE, DensityMatrix2, plus_y, pure_density
+from .states import RAISE, plus_y, pure_density
 
 __all__ = [
     "FdConfig",
@@ -318,7 +319,6 @@ class QfiReport:
     delta_omega_weighted: float
     delta_omega_total: float
     sld_suc: np.ndarray
-    reliable: bool = True
 
 
 @dataclass(frozen=True)
@@ -464,23 +464,6 @@ def weighted_qfi_scheme1(
     )
 
 
-#: 1/x overflows for a positive double x at or below 2^-1024 (a subnormal).
-_MIN_DIVISOR = 2.0 ** -1024
-
-
-def _normalized(rho_eff, errors) -> DensityMatrix2:
-    """rho_eff / Tr(rho_eff), the post-selected state of the dissipative scheme.
-
-    numpy divides a complex matrix by x as a product with 1/x, so a trace at
-    or below _MIN_DIVISOR (deep decay) is rejected before the division.
-    """
-    m = _matrix(rho_eff)
-    tr = m.trace(axis1=-2, axis2=-1).real
-    tiny = tr <= _MIN_DIVISOR
-    errors.flag(tiny, InvalidMatrix, lambda i: f"effective state trace {tr[i]:.3e} too small to normalize")
-    return errors.state(DensityMatrix2, m / per_point(errors.guard(tr, tiny), 2))
-
-
 def weighted_qfi_scheme2(
     p: PtParams, t, fd: FdConfig | None = None, n_repetitions: int = 1, errors=RAISE
 ) -> QfiReport:
@@ -495,13 +478,15 @@ def weighted_qfi_scheme2(
     with |v|^2 - 1 and its derivative from pt_system.norm_growth, keep both
     terms accurate in deep decay and for tiny gamma; at p = 1 the first term
     is 0.  f_total vanishes at the steady state, which carries no parameter
-    information.  i_total = f_total * p_suc is the repeated-averaged
+    information.  In deep decay, where e^{-gamma t} underflows, p_suc is the
+    double it is (subnormal, or 0) and f_suc is still the QFI of the
+    conditioned state.  i_total = f_total * p_suc is the repeated-averaged
     information.  fd is accepted for compatibility and not used.
     """
     v, dv = _pt_family(p, t, plus_y())
+    errors.flag(~np.isfinite(v).all(axis=-1), InvalidMatrix, "state vector has non-finite entries")
     phi = per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * v
     p_suc = (phi * phi.conj()).real.sum(axis=-1)  # analytic_rho_3l's rho11 + rho22, bit for bit
-    _normalized(effective_evolve(plus_y(), p, t, errors), errors)  # deep-decay gate; ROADMAP item 4 deletes it
 
     psi, dpsi = _direction(v, dv)
     f_suc = qfi_pure(psi, dpsi, errors)
@@ -514,9 +499,6 @@ def weighted_qfi_scheme2(
     f_total = _value(classical + survival * f_suc)
 
     i_total = f_total * p_suc
-    reliable = p_suc >= 1e-12
-    for i in errors.points(~reliable):
-        logger.warning("success rate %.3e below 1e-12; scheme-2 report unreliable", p_suc[i])
     return QfiReport(
         scheme="lindblad",
         n_repetitions=n_repetitions,
@@ -532,7 +514,6 @@ def weighted_qfi_scheme2(
         delta_omega_weighted=_bound(i_total, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
         sld_suc=2.0 * _projector_tangent(psi, dpsi),
-        reliable=reliable if getattr(reliable, "ndim", 0) else bool(reliable),
     )
 
 

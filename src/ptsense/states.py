@@ -103,12 +103,6 @@ class PointErrors:
         out.errors = list(self.errors)
         return out
 
-    def merge(self, points, part: "PointErrors") -> None:
-        """Record the errors of `part`, a row over the given points of this one."""
-        for i, error in zip(points, part.errors):
-            if error is not None and self.errors[i] is None:
-                self.errors[i] = error
-
     def run(self, fn, *args, **kwargs):
         """fn(*args, errors=self, **kwargs), or None if it raised.
 
@@ -187,7 +181,7 @@ def _unnormalized_checks(a: np.ndarray):
         a = np.where(finite[..., None, None], a, 0.0)
     yield np.abs(a - dagger(a)).max(axis=(-2, -1)) > HERM_TOL, "matrix not Hermitian to 1e-12"
     yield np.linalg.eigvalsh(a).min(axis=-1) < -EIG_TOL, "matrix not positive semidefinite to 1e-10"
-    yield a.trace(axis1=-2, axis2=-1).real <= 0.0, "trace must be positive"
+    yield a.trace(axis1=-2, axis2=-1).real < 0.0, "trace must be non-negative"
 
 
 def _raise_first(checks) -> None:
@@ -302,11 +296,12 @@ class DensityMatrix4:
 
 @dataclass(frozen=True)
 class UnnormalizedMatrix2:
-    """Hermitian positive-semidefinite 2x2 with positive trace.
+    """Hermitian positive-semidefinite 2x2 with non-negative trace.
 
-    Holds the non-normalized dissipative state and its artificially amplified
-    variant; the latter can have trace above one, so no upper trace bound is
-    enforced here.
+    Holds the non-normalized dissipative state, whose trace is exactly zero
+    once its decay underflows (deep decay), and its artificially amplified
+    variant, whose trace can exceed one; so neither bound is enforced here.
+    normalized() needs a positive trace.
     """
 
     matrix: np.ndarray

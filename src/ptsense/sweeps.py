@@ -231,15 +231,8 @@ def _diagonal(m: np.ndarray, n: int) -> list[np.ndarray]:
 def _population_lindblad(row: _Row, errors: PointErrors):
     pops = _diagonal(analytic_rho_3l(row.op, row.t, errors), 3)
     eff = effective_evolve(row.probe, row.op, row.t, errors)
-    # e^{gamma t} overflows beyond gamma t = 700: no artificial population there
-    amplified = np.flatnonzero(row.op.gamma * row.t <= 700.0)
-    artificial = np.full(len(row.t), None, dtype=object)
-    if len(amplified):
-        part = PointErrors(len(amplified))
-        m = artificial_pt(row.op, row.t[amplified], eff[amplified], part)
-        artificial[amplified] = [float(v) for v in m[:, 0, 0].real]
-        errors.merge(amplified, part)
-    return pops + [eff[:, 0, 0].real, artificial]
+    artificial = artificial_pt(row.probe, row.op, row.t, errors)
+    return pops + [eff[:, 0, 0].real, artificial[:, 0, 0].real]
 
 
 def _postselect_rates_dilation(row: _Row, errors: PointErrors):
@@ -248,7 +241,7 @@ def _postselect_rates_dilation(row: _Row, errors: PointErrors):
 
 
 def _postselect_rates_lindblad(row: _Row, errors: PointErrors):
-    out = postselect_3l(analytic_rho_3l(row.op, row.t, errors), errors)
+    out = postselect_3l(row.op, row.t, errors)
     return [out.p_suc, out.p_fail, out.rho_pt[:, 0, 0].real]
 
 

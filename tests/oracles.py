@@ -20,6 +20,9 @@ arbitrarily close to the exceptional point where the generator is nearly
 defective.  Each requested time is integrated single-shot from t = 0:
 chaining segment products amplifies the involutory defect of H/c and loses
 accuracy near the EP.
+
+Defectiveness of the reduced Liouvillian: liouvillian_defective_svd counts
+eigenvectors numerically, where ptsense reads the answer off kappa = 0.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from ptsense import (
     effective_evolve,
     evolve_density,
     evolve_enlarged,
+    lindblad_model,
     plus_y,
     postselect,
     propagator_4d,
@@ -203,3 +207,31 @@ def lindblad_superoperator(h0: np.ndarray, jump: np.ndarray) -> np.ndarray:
         + left(jump) @ right(jump.conj().T)
         - 0.5 * (left(jdj) + right(jdj))
     )
+
+
+def liouvillian_defective_svd(p: PtParams, cluster_tol: float = 1e-3, null_tol: float = 1e-8) -> bool:
+    """True when some eigenvalue of the reduced Liouvillian has a deficient geometric multiplicity.
+
+    A defective m-fold eigenvalue scatters like eps^(1/m) (~1e-4 for the
+    quadruple point here) under roundoff, so eigenvalues are clustered with a
+    loose relative tolerance and the kernel dimension is probed at the
+    cluster mean; exact kernels sit at ~1e-16 while the smallest spurious
+    singular value of a perturbed Jordan block stays orders above null_tol.
+    """
+    liou = lindblad_model(p).liouvillian
+    values = np.linalg.eigvals(liou)
+    scale = max(float(np.max(np.abs(values))), 1.0)
+    remaining = list(values)
+    while remaining:
+        seed = remaining[0]
+        cluster = [z for z in remaining if abs(z - seed) <= cluster_tol * scale]
+        remaining = [z for z in remaining if abs(z - seed) > cluster_tol * scale]
+        algebraic = len(cluster)
+        if algebraic == 1:
+            continue
+        center = sum(cluster) / algebraic
+        s = np.linalg.svd(liou - center * np.eye(4), compute_uv=False)
+        geometric = int(np.sum(s <= null_tol * max(s[0], 1e-300)))
+        if geometric < algebraic:
+            return True
+    return False

@@ -31,7 +31,6 @@ from ptsense import (
     weighted_qfi_scheme1,
     weighted_qfi_scheme2,
 )
-from ptsense.errors import InvalidMatrix, PtsenseError
 from ptsense.linalg import su2_like_pair, su2_like_propagator
 from ptsense.pt_system import propagator_pt_pair
 from ptsense.states import PointErrors
@@ -121,13 +120,9 @@ def test_near_ep_reference_values():
         report = weighted_qfi_scheme1(p, t, probe=probe)
         got = {"f_suc": report.f_suc, "f_fail": report.f_fail, "f_total": report.f_total,
                "qfi_pt": qfi_pt(p, t, probe=probe)}
-        if "scheme2_p_suc" in point:
-            if float(point["scheme2_p_suc"]) > 1e-300:
-                s2 = weighted_qfi_scheme2(p, t)
-                got.update(scheme2_f_suc=s2.f_suc, scheme2_f_total=s2.f_total)
-            else:  # the decayed state cannot be normalized in double precision
-                with pytest.raises(PtsenseError):
-                    weighted_qfi_scheme2(p, t)
+        if "scheme2_p_suc" in point:  # 6 of the 11 have p_suc <= 1e-300, and their values are exact too
+            s2 = weighted_qfi_scheme2(p, t)
+            got.update(scheme2_f_suc=s2.f_suc, scheme2_f_total=s2.f_total)
         for key, value in got.items():
             assert value == pytest.approx(float(point[key]), rel=1e-8), f"{where}: {key}"
         if "susceptibility_pt" in point:
@@ -148,15 +143,18 @@ def test_tangent_at_the_exceptional_point():
 
 
 @pytest.mark.parametrize("row", [False, True])
-def test_deep_decay_normalization_is_rejected_without_overflow(row):
-    # the effective trace at (0.9, 793.5) is subnormal; 1/trace would overflow
+def test_deep_decay_values_are_finite_without_overflow(row):
+    # the success rate at (0.9, 793.5) is subnormal, and 1/p_suc would overflow; nothing divides by it
     p, t = PtParams(1.0, 0.9), 793.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if row:
             errors = PointErrors(2)
-            errors.run(weighted_qfi_scheme2, p, np.array([1.0, t]))
-            assert errors.errors[0] is None and isinstance(errors.errors[1], InvalidMatrix)
+            report = errors.run(weighted_qfi_scheme2, p, np.array([1.0, t]))
+            assert errors.errors == [None, None]
         else:
-            with pytest.raises(InvalidMatrix):
-                weighted_qfi_scheme2(p, t)
+            report = weighted_qfi_scheme2(p, t)
+    p_suc, f_suc, f_total, i_total = (np.ravel(x)[-1] for x in (
+        report.p_suc, report.f_suc, report.f_total, report.i_total))
+    assert 0.0 < p_suc < 1e-300
+    assert 0.0 < f_suc < math.inf and 0.0 <= f_total < math.inf and 0.0 <= i_total < math.inf

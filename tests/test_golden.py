@@ -25,7 +25,10 @@ import golden  # noqa: E402
 def test_preset_matches_snapshot(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     golden.write_snapshot(out.name, out)
-    assert out.read_bytes() == (golden.GOLDEN / out.name).read_bytes()
+    snapshot = golden.GOLDEN / out.name
+    same = out.read_bytes() == snapshot.read_bytes()
+    # on failure, the per-column report of scripts/golden.py diff rather than a bytes diff
+    assert same, "\n".join([f"{name} differs from its snapshot:"] + golden.diff_datasets(snapshot, out))
 
 
 def test_diff_reports_no_change_for_identical_datasets():

@@ -347,12 +347,6 @@ def test_delta_omega_infinite_when_information_vanishes():
     assert report.i_subs <= 1e-18
 
 
-def test_scheme2_unreliable_flag_near_steady_state():
-    report = weighted_qfi_scheme2(PtParams(1.0, 0.6), 50.0, FD)
-    assert not report.reliable
-    assert report.p_suc < 1e-12
-
-
 def test_report_sld_reconstructs_branch_derivative():
     # the report's SLD solves the defining equation for the conditioned state
     p = PtParams(1.0, 0.6)

@@ -9,6 +9,9 @@ and their SLD must be the one sld() solves for on the post-selected state.
 Bounds: when omega enters only through H(omega) acting for a time t, the QFI
 of the evolved pure state is at most t^2 sn(dH/domega)^2, with
 sn(A) = lambda_max - lambda_min (Boixo et al. 2007, PRL 98:090401).
+
+Deep decay, where e^{-gamma t} underflows, is an ordinary point: the scalar
+calls return finite values there.
 """
 
 import math
@@ -22,11 +25,13 @@ from hypothesis import strategies as st
 from ptsense import (
     PtParams,
     analytic_rho_3l,
+    artificial_pt,
     bloch_probe,
     evolve_density,
     evolve_enlarged,
     plus_y,
     postselect,
+    postselect_3l,
     propagator_pt,
     pure_density,
     resource_metrics,
@@ -34,9 +39,8 @@ from ptsense import (
     weighted_qfi_scheme1,
     weighted_qfi_scheme2,
 )
-from ptsense.errors import InvalidMatrix, PtsenseError
+from ptsense.errors import InvalidMatrix
 from ptsense.pt_system import propagator_pt_pair
-from ptsense.states import PointErrors
 
 RATIOS = st.floats(0.0, 1.0 - 1e-6)
 #: a subnormal t^2 keeps no relative precision, so a bound is not checked finer than this
@@ -88,11 +92,7 @@ def test_scheme2_rate_is_three_level_rate_bit_for_bit(gamma_ratio, tau):
     p = PtParams(1.0, gamma_ratio)
     t = tau / p.kappa
     rho = analytic_rho_3l(p, t).matrix
-    try:
-        p_suc = weighted_qfi_scheme2(p, t).p_suc
-    except PtsenseError:  # deep decay: the one-point call raises, and a row still reports p_suc
-        p_suc = weighted_qfi_scheme2(p, np.array([t]), errors=PointErrors(1)).p_suc[0]
-    assert p_suc == rho[0, 0].real + rho[1, 1].real
+    assert weighted_qfi_scheme2(p, t).p_suc == rho[0, 0].real + rho[1, 1].real
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,12 +109,11 @@ def test_scheme1_sld_is_sld_of_the_postselected_state(gamma_ratio, tau, theta, p
 @settings(max_examples=60, deadline=None)
 @given(RATIOS, TAUS)
 def test_scheme2_sld_is_sld_of_the_conditioned_state(gamma_ratio, tau):
-    # the conditioned state is the PT state; a row of one point reports it in deep decay too
+    # the conditioned state is the PT state, in deep decay too
     p = PtParams(1.0, gamma_ratio)
     t = tau / p.kappa
-    report = weighted_qfi_scheme2(p, np.array([t]), errors=PointErrors(1))
     rho = evolve_density(pure_density(plus_y()), p, t)
-    _assert_sld_close(report.sld_suc[0], sld(rho, _pt_projector_tangent(p, t, plus_y())))
+    _assert_sld_close(weighted_qfi_scheme2(p, t).sld_suc, sld(rho, _pt_projector_tangent(p, t, plus_y())))
 
 
 @settings(max_examples=80, deadline=None)
@@ -130,9 +129,26 @@ def test_scheme1_total_qfi_obeys_the_speed_limit(gamma_ratio, tau, theta, phi):
 @given(RATIOS, TAUS)
 def test_scheme2_total_qfi_obeys_the_speed_limit(gamma_ratio, tau):
     p = PtParams(1.0, gamma_ratio)
-    t = np.array([tau / p.kappa])
-    f_total = weighted_qfi_scheme2(p, t, errors=PointErrors(1)).f_total[0]
-    assert f_total <= t[0] * t[0] * (1.0 + 1e-12) + TINY
+    t = tau / p.kappa
+    f_total = weighted_qfi_scheme2(p, t).f_total
+    assert f_total <= t * t * (1.0 + 1e-12) + TINY
+
+
+@settings(max_examples=80, deadline=None)
+@given(RATIOS, st.floats(0.0, 2000.0))
+def test_deep_decay_is_ordinary(gamma_ratio, decay):
+    # gamma t up to 2000, far past the underflow of e^{-gamma t} at about 745; t is capped
+    # at 2e6 where gamma is tiny
+    p = PtParams(1.0, gamma_ratio)
+    t = decay / max(p.gamma, 1e-3)
+    report = weighted_qfi_scheme2(p, t)
+    assert math.isfinite(report.f_suc) and report.f_suc >= 0.0
+    assert math.isfinite(report.f_total) and 0.0 <= report.f_total <= t * t * (1.0 + 1e-12) + TINY
+    branches = postselect_3l(p, t)
+    assert abs(branches.p_suc + branches.p_fail - 1.0) <= 1e-12
+    rho = branches.rho_pt.matrix
+    assert np.isfinite(rho).all() and abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.isfinite(artificial_pt(plus_y(), p, t).matrix).all()
 
 
 def test_speed_limit_spread_grows_towards_the_exceptional_point():

@@ -98,7 +98,7 @@ def test_rows_equal_batch_of_one(gamma_ratio, taus, angles):
 
 @pytest.mark.parametrize("gamma_ratio", [0.3, 0.9, 1.0 - 1e-6])
 def test_rows_equal_batch_of_one_with_undefined_points(gamma_ratio):
-    # tau = 0 (no information: resources undefined) and deep decay (scheme 2 undefined)
+    # tau = 0 (no information: resources undefined) and deep decay (scheme 2's e^{-gamma t} underflows)
     taus = [0.0, 0.7, 2.0 * math.pi, 4.0 * math.pi, 150.0, 600.0]
     assert_row_equals_points(gamma_ratio, taus, bloch_probe(1.1, 0.7))
 
