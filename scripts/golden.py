@@ -1,7 +1,7 @@
 """Golden dataset snapshots and a per-column diff of two datasets.
 
     python scripts/golden.py snapshot            # rewrite every file in tests/golden/
-    python scripts/golden.py diff OLD NEW        # two CSV datasets, or two directories of them
+    python scripts/golden.py diff OLD NEW        # two datasets (CSV or JSON), or two directories of them
 
 `snapshot` runs each command line of SNAPSHOTS through `ptsense.cli.main` from
 the sources under src/.  `diff` prints, per (quantity, scheme, gamma_ratio),
@@ -13,6 +13,7 @@ prints "no change" when the datasets hold the same rows and values.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from collections import defaultdict
@@ -24,7 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 #: Snapshot file name -> ptsense command line (without --output).  The figure
-#: presets run on a 33-step tau grid, which keeps tau = 2*pi and 4*pi.
+#: presets run on a 33-step tau grid, which keeps tau = 2*pi and 4*pi.  The JSON
+#: snapshots hold gamma/omega = 1, where t = inf and the rows beyond tau = 0 are
+#: undefined, and (spectrum.json) complex values.
 SNAPSHOTS = {
     **{f"{name}.csv": ("figure", name, "--tau-steps", "33")
        for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")},
@@ -32,6 +35,12 @@ SNAPSHOTS = {
                          "--quantity", "resources", "--scheme", "dilation", "--gamma-list", "0.37,0.99999",
                          "--probe", "custom", "--probe-theta", "1.1", "--probe-phi", "0.7",
                          "--tau-steps", "33"),
+    "dynamics.json": ("sweep", "--quantity", "population", "--quantity", "postselect_rates",
+                      "--scheme", "dilation", "--scheme", "lindblad", "--gamma-list", "0.6,1.0",
+                      "--delta-list", "0.0,0.005", "--tau-steps", "33", "--format", "json"),
+    "spectrum.json": ("sweep", "--quantity", "liouvillian_spectrum", "--scheme", "lindblad",
+                      "--gamma-list", "0.6,1.0,0.0", "--delta-list", "0.0,0.005", "--tau-steps", "33",
+                      "--format", "json"),
 }
 
 
@@ -48,10 +57,14 @@ def write_snapshot(name: str, output: Path) -> None:
 
 
 def _parse(path: Path) -> dict[tuple, str]:
-    """(gamma_ratio, delta_ratio, tau, quantity, scheme, probe) -> value text of a CSV dataset."""
-    lines = path.read_text().splitlines()
+    """(gamma_ratio, delta_ratio, tau, quantity, scheme, probe) -> value text of a CSV or JSON dataset."""
+    if path.suffix == ".json":
+        return {(float(r["gamma_ratio"]), float(r["delta_ratio"]), float(r["tau"]), r["quantity"], r["scheme"],
+                 r["probe"]):
+                r["value"] if isinstance(r["value"], str) else repr(float(r["value"]))
+                for r in json.loads(path.read_text())}
     rows = {}
-    for line in lines[1:]:
+    for line in path.read_text().splitlines()[1:]:
         tau, _, gamma, delta, quantity, value, scheme, probe = line.split(",", 7)
         rows[(float(gamma), float(delta), float(tau), quantity, scheme, probe)] = value
     return rows
@@ -127,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.dir / name}")
         return 0
     if args.old.is_dir():
-        names = sorted({p.name for p in args.old.glob("*.csv")} | {p.name for p in args.new.glob("*.csv")})
+        names = sorted({p.name for d in (args.old, args.new) for p in d.iterdir() if p.suffix in (".csv", ".json")})
         pairs = [(args.old / n, args.new / n) for n in names]
     else:
         pairs = [(args.old, args.new)]

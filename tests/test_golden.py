@@ -1,8 +1,9 @@
 """Golden datasets match their committed snapshots byte for byte.
 
 The snapshots in tests/golden/ are the six figure presets on a 33-step tau
-grid (tau = 2*pi and 4*pi stay on it) and a custom-probe scheme-1 sweep; the
-command line of each is `SNAPSHOTS` in scripts/golden.py.  A change that
+grid (tau = 2*pi and 4*pi stay on it), a custom-probe scheme-1 sweep and two
+JSON datasets (dynamics and Liouvillian spectrum, gamma/omega = 1 included);
+the command line of each is `SNAPSHOTS` in scripts/golden.py.  A change that
 moves values on purpose regenerates them from the repository root with
 
     python scripts/golden.py snapshot
@@ -21,9 +22,9 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import golden  # noqa: E402
 
 
-@pytest.mark.parametrize("name", sorted(name.removesuffix(".csv") for name in golden.SNAPSHOTS))
+@pytest.mark.parametrize("name", sorted(golden.SNAPSHOTS), ids=lambda name: Path(name).stem)
 def test_preset_matches_snapshot(tmp_path, name):
-    out = tmp_path / f"{name}.csv"
+    out = tmp_path / name
     golden.write_snapshot(out.name, out)
     snapshot = golden.GOLDEN / out.name
     same = out.read_bytes() == snapshot.read_bytes()
@@ -34,6 +35,17 @@ def test_preset_matches_snapshot(tmp_path, name):
 def test_diff_reports_no_change_for_identical_datasets():
     path = golden.GOLDEN / "fig7.csv"
     assert golden.diff_datasets(path, path) == ["no change"]
+
+
+def test_diff_reads_json_and_csv_datasets_alike(tmp_path, capsys):
+    # the CSV run of the dynamics.json command line holds the same rows and values
+    from ptsense.cli import main
+
+    out = tmp_path / "dynamics.csv"
+    argv = [arg for arg in golden.SNAPSHOTS["dynamics.json"] if arg not in ("--format", "json")]
+    assert main([*argv, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert golden.diff_datasets(golden.GOLDEN / "dynamics.json", out) == ["no change"]
 
 
 def test_diff_reports_moved_and_undefined_values(tmp_path):
