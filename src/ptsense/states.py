@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidMatrix, PtsenseError
+from .errors import EmptyBranch, InvalidMatrix, PtsenseError
 from .linalg import dagger, vector_norm
 
 __all__ = [
@@ -301,7 +301,7 @@ class UnnormalizedMatrix2:
     Holds the non-normalized dissipative state, whose trace is exactly zero
     once its decay underflows (deep decay), and its artificially amplified
     variant, whose trace can exceed one; so neither bound is enforced here.
-    normalized() needs a positive trace.
+    normalized() raises EmptyBranch on a zero or subnormal trace.
     """
 
     matrix: np.ndarray
@@ -317,6 +317,8 @@ class UnnormalizedMatrix2:
         object.__setattr__(self, "trace", float(np.trace(a).real))
 
     def normalized(self) -> DensityMatrix2:
+        if not self.trace >= np.finfo(float).tiny:  # zero or subnormal: nothing left to normalize
+            raise EmptyBranch("state has vanishing trace; normalized state undefined")
         return DensityMatrix2(self.matrix / self.trace)
 
 

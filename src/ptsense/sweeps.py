@@ -6,17 +6,24 @@ pair evaluates a whole (scheme, gamma/omega, delta/omega) row of the tau grid
 in one call of the layer functions, on stacked 2x2-4x4 states, and gets back
 one value per point plus the typed error of each point that failed
 (states.PointErrors).  The values equal, bit for bit, those of the scalar API
-called point by point.  Rows are sorted before writing, so reruns are
-byte-identical.
-Floats are serialized with repr() (shortest round-trip, at most 17 significant
-digits); non-finite or failed entries are the literal strings
-"inf"/"undefined"; complex spectra are serialized like "-0.6+0.8j".
+called point by point.
+
+The writer is text-first: while it walks a row it formats each point's
+tau, t, gamma/omega and delta/omega once, and each value once, into the
+finished CSV line or JSON object.  The lines are then sorted by (gamma/omega,
+delta/omega, tau, quantity, scheme), stably, so reruns are byte-identical, and
+joined.  Floats are written as float repr() (shortest round-trip, at most 17
+significant digits); non-finite or failed entries are the sentinels
+"inf"/"undefined", and complex spectra are written like "-0.6+0.8j".  A JSON
+dataset is an array of objects with the CSV's keys, in compact separators,
+where finite floats are numbers and sentinels strings.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +37,7 @@ from .params import PtParams
 from .pt_system import evolve_density
 from .states import PointErrors, bloch_probe, minus_y, plus_y, pure_density
 
-__all__ = ["SweepConfig", "RecordRow", "run", "figure_preset", "QUANTITIES", "SCHEMES", "FIGURE_NAMES"]
+__all__ = ["SweepConfig", "run", "figure_preset", "QUANTITIES", "SCHEMES", "FIGURE_NAMES"]
 
 SCHEMES = ("pt", "dilation", "lindblad")
 CSV_HEADER = "tau,t,gamma_ratio,delta_ratio,quantity,value,scheme,probe"
@@ -55,8 +62,9 @@ class SweepConfig:
     probe_theta: float | None = None
     probe_phi: float | None = None
     repetitions: int = 1
-    output_path: str = "sweep.csv"
+    output_path: str | None = None  # None: <name>.<format>
     format: str = "csv"
+    name: str = "sweep"
 
     def __post_init__(self) -> None:
         for q in self.quantities:
@@ -150,24 +158,9 @@ class SweepConfig:
         return self.probe
 
 
-@dataclass(frozen=True)
-class RecordRow:
-    tau: float
-    t: float
-    gamma_ratio: float
-    delta_ratio: float
-    quantity: str
-    value: object  # float, complex, or None for "undefined"
-    scheme: str
-    probe: str
-
-    def sort_key(self):
-        return (self.gamma_ratio, self.delta_ratio, self.tau, self.quantity, self.scheme, self.probe)
-
-
 def _fmt(value) -> str:
-    if value is None:
-        return "undefined"
+    if value.__class__ is float and value - value == 0.0:  # finite
+        return repr(value)
     if isinstance(value, complex):
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             return "undefined"
@@ -363,26 +356,51 @@ def _check_pairs(config: SweepConfig) -> None:
                 raise ConfigError(f"probe: quantity {quantity!r} is defined for the plus_y probe only")
 
 
-def _evaluate_row(config: SweepConfig, scheme: str, gamma_ratio: float,
-                  delta_ratio: float, taus: list[float]) -> list[RecordRow]:
-    """All rows of one (scheme, gamma, delta) row of the tau grid; a quantity
-    that fails at a point becomes one undefined row there."""
+def _evaluate_row(config: SweepConfig, scheme: str, gamma_ratio: float, delta_ratio: float,
+                  taus: list[float]) -> list[tuple]:
+    """The dataset lines of one (scheme, gamma, delta) row of the tau grid, as
+    (gamma, delta, tau, quantity, scheme, text, value), where value is None
+    unless it is a finite float; a quantity that fails at a point becomes one
+    undefined line there.  The fields of a point are formatted once for all
+    its values.
+    """
     row = _Row(config, scheme, gamma_ratio, delta_ratio, taus)
-    probe = config.probe_label()
-    records: list[RecordRow] = []
+    points = [(_fmt(tau), _fmt(t)) for tau, t in zip(taus, row.times)]
+    if config.format == "json":
+        quote = json.dumps  # renders numbers as the JSON writer always has: an int gamma stays an int
+        grid = f'"gamma_ratio":{quote(gamma_ratio)},"delta_ratio":{quote(delta_ratio)},"quantity":'
+        prefixes = [f'{{"tau":{tau},"t":{quote(t) if t == "inf" else t},{grid}' for tau, t in points]
+        middle, suffix = ',"value":', f',"scheme":{quote(scheme)},"probe":{quote(config.probe_label())}}}'
+    else:
+        quote = str
+        grid = f"{_fmt(gamma_ratio)},{_fmt(delta_ratio)},"
+        prefixes = [f"{tau},{t},{grid}" for tau, t in points]
+        middle, suffix = ",", f",{scheme},{config.probe_label()}"
+    lines: list[tuple] = []
     for quantity in config.quantities:
         pair = _PAIRS[quantity, scheme]
         columns, errors = pair.evaluate(row)
-        for i, (tau, t) in enumerate(zip(taus, row.times)):
-            if pair.time_independent and tau != 0.0:
-                continue
-            if i < len(row.t) and errors.errors[i] is None:
-                named = [(name, column[i]) for name, column in zip(pair.rows, columns, strict=True)]
-            else:
-                named = [(f"{quantity}_undefined", None)]
-            for name, value in named:
-                records.append(RecordRow(tau, t, gamma_ratio, delta_ratio, name, value, scheme, probe))
-    return records
+        defined, failed = [], []
+        for i, tau in enumerate(taus):
+            if not (pair.time_independent and tau != 0.0):
+                (defined if i < len(row.t) and errors.errors[i] is None else failed).append(i)
+        for name, column in (zip(pair.rows, columns, strict=True) if defined else ()):
+            head = quote(name) + middle
+            values = np.asarray(column).tolist()  # python floats, or complex
+            for i in defined:
+                v = values[i]
+                if v.__class__ is float and v - v == 0.0:  # finite
+                    text = repr(v)
+                else:
+                    text, v = quote(_fmt(v)), None
+                lines.append((gamma_ratio, delta_ratio, taus[i], name, scheme, prefixes[i] + head + text + suffix, v))
+        undefined = f"{quantity}_undefined"
+        text = quote(undefined) + middle + quote("undefined") + suffix
+        lines.extend((gamma_ratio, delta_ratio, taus[i], undefined, scheme, prefixes[i] + text, None) for i in failed)
+    return lines
+
+
+_ORDER = operator.itemgetter(0, 1, 2, 3, 4)
 
 
 def run(config: SweepConfig, output_path: str | None = None) -> Path:
@@ -390,53 +408,34 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
 
     Prints a one-line summary (row count and min/max of the finite values)
     plus the grid parameters, so preset choices are recorded alongside the
-    dataset without touching the byte-stable CSV itself.
+    dataset without touching the byte-stable dataset itself.
     """
     _check_pairs(config)
-    path = Path(output_path if output_path is not None else config.output_path)
+    path = Path(output_path or config.output_path or f"{config.name}.{config.format}")
 
     taus = [config.tau_max * i / (config.tau_steps - 1) for i in range(config.tau_steps)]
-    rows = [
-        record
+    lines = [
+        line
         for g in config.gamma_ratios
         for d in config.delta_ratios
         for scheme in config.schemes
-        for record in _evaluate_row(config, scheme, g, d, taus)
+        for line in _evaluate_row(config, scheme, g, d, taus)
     ]
-    rows.sort(key=RecordRow.sort_key)
-
+    lines.sort(key=_ORDER)  # stable: equal keys (repeated gamma or delta) keep the order of the config
+    texts = [line[5] for line in lines]
+    if config.format == "csv":
+        data = CSV_HEADER + "\n" + "\n".join(texts) + "\n"
+    else:
+        data = "[" + ",".join(texts) + "]\n"
     try:
-        if config.format == "csv":
-            lines = [CSV_HEADER]
-            for r in rows:
-                lines.append(",".join([
-                    _fmt(r.tau), _fmt(r.t), _fmt(r.gamma_ratio), _fmt(r.delta_ratio),
-                    r.quantity, _fmt(r.value), r.scheme, r.probe,
-                ]))
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            payload = []
-            for r in rows:
-                value = r.value
-                if isinstance(value, complex) or value is None or not math.isfinite(float(value)):
-                    value = _fmt(r.value)
-                else:
-                    value = float(value)
-                payload.append({
-                    "tau": r.tau, "t": r.t if math.isfinite(r.t) else _fmt(r.t),
-                    "gamma_ratio": r.gamma_ratio, "delta_ratio": r.delta_ratio,
-                    "quantity": r.quantity, "value": value,
-                    "scheme": r.scheme, "probe": r.probe,
-                })
-            path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+        path.write_text(data)
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc
 
-    finite = [float(r.value) for r in rows
-              if isinstance(r.value, (int, float)) and math.isfinite(float(r.value))]
+    finite = [line[6] for line in lines if line[6] is not None]  # in row order, which picks -0.0 or 0.0
     lo = min(finite) if finite else math.nan
     hi = max(finite) if finite else math.nan
-    print(f"wrote {path} rows={len(rows)} value_min={_fmt(lo)} value_max={_fmt(hi)}")
+    print(f"wrote {path} rows={len(lines)} value_min={_fmt(lo)} value_max={_fmt(hi)}")
     print(f"grid: omega={config.omega!r} gamma_ratios={list(config.gamma_ratios)!r} "
           f"delta_ratios={list(config.delta_ratios)!r} tau_max={config.tau_max!r} "
           f"tau_steps={config.tau_steps} probe={config.probe_label()} N={config.repetitions}")
@@ -479,6 +478,6 @@ def figure_preset(name: str) -> SweepConfig:
         tau_steps=129,
         probe="plus_y",
         repetitions=1,
-        output_path=f"{name}.csv",
+        name=name,
         **preset,
     )

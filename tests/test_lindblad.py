@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ptsense import (
     propagator_pt,
     pure_density,
 )
-from ptsense.errors import InvalidStep
+from ptsense.errors import EmptyBranch, InvalidStep
 from ptsense.lindblad import plus_y_3l
 
 GRID = (0.0, 0.3, 0.6, 0.9)
@@ -192,6 +193,17 @@ def test_artificial_pt_renormalized_equality():
     amplified = artificial_pt(plus_y(), p, t)
     assert np.max(np.abs(amplified.normalized().matrix - eff.normalized().matrix)) <= 1e-15
     assert np.max(np.abs(math.exp(-0.6 * t) * amplified.matrix - eff.matrix)) <= 1e-15
+
+
+@pytest.mark.parametrize("t", (1200.0, 1300.0))
+def test_normalized_vanishing_trace_is_empty_branch(t):
+    # a subnormal (t = 1200) or zero (t = 1300) trace raises before dividing, without a warning
+    state = effective_evolve(plus_y(), PtParams(1.0, 0.6), t)
+    assert state.trace < sys.float_info.min
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyBranch, match="vanishing trace"):
+            state.normalized()
 
 
 def test_postselect_3l_initial_state():

@@ -144,6 +144,47 @@ def test_json_format(tmp_path):
     assert isinstance(payload[0]["value"], float)
 
 
+def test_csv_and_json_agree_row_for_row_in_sorted_order(tmp_path, capsys):
+    # unsorted gamma lists with repeats, ints and the exceptional point (t = inf, undefined rows)
+    base = SweepConfig(quantities=("postselect_rates", "population"), schemes=("lindblad", "dilation"),
+                       gamma_ratios=(1.0, 0.6, 0, 0.6, 0.0, 1), delta_ratios=(0.005, 0), tau_steps=5)
+    summaries = []
+    for fmt in ("csv", "json"):
+        run(dataclasses.replace(base, format=fmt), str(tmp_path / f"d.{fmt}"))
+        summaries.append(capsys.readouterr().out.split(" ", 2)[2])
+    assert summaries[0] == summaries[1]
+    csv_rows = read_rows(tmp_path / "d.csv")
+    json_rows = json.loads((tmp_path / "d.json").read_text())
+    assert len(json_rows) == len(csv_rows) == int(summaries[0].split()[0].removeprefix("rows="))
+    for c, j in zip(csv_rows, json_rows):
+        assert list(j) == CSV_HEADER.split(",")
+        assert c == {key: value if isinstance(value, str) else repr(float(value)) for key, value in j.items()}
+    keys = [(float(r["gamma_ratio"]), float(r["delta_ratio"]), float(r["tau"]), r["quantity"], r["scheme"])
+            for r in csv_rows]
+    assert keys == sorted(keys)
+    assert {r["t"] for r in json_rows if r["gamma_ratio"] == 1.0 and r["tau"] > 0} == {"inf"}
+    assert {r["value"] for r in json_rows if r["t"] == "inf"} == {"undefined"}
+
+
+def test_default_output_name_follows_format(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", "fig7", "--format", "json", "--tau-steps", "3"]) == 0
+    assert isinstance(json.loads((tmp_path / "fig7.json").read_text()), list)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"quantity": "population", "scheme": "pt", "gamma_list": [0.0],
+                                    "tau_steps": 3, "format": "json"}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    assert len(json.loads((tmp_path / "sweep.json").read_text())) == 6
+    assert main(["figure", "fig2", "--tau-steps", "3"]) == 0
+    assert (tmp_path / "fig2.csv").read_text().startswith(CSV_HEADER)
+    # an explicit path is used as given
+    assert main(["sweep", "--config", str(cfg_path), "--output", "explicit.csv"]) == 0
+    assert isinstance(json.loads((tmp_path / "explicit.csv").read_text()), list)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "explicit.csv", "fig2.csv", "fig7.json", "sweep.json"]
+    capsys.readouterr()
+
+
 def test_from_mapping_round_trip():
     cfg = SweepConfig.from_mapping({
         "quantity": ["population"], "scheme": "pt", "gamma_list": [0.0, 0.5],
