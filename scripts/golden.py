@@ -58,10 +58,9 @@ def write_snapshot(name: str, output: Path) -> None:
 
 def _parse(path: Path) -> dict[tuple, str]:
     """(gamma_ratio, delta_ratio, tau, quantity, scheme, probe) -> value text of a CSV or JSON dataset."""
-    if path.suffix == ".json":
+    if path.suffix == ".json":  # numbers back to the CSV's repr text, sentinels as they are
         return {(float(r["gamma_ratio"]), float(r["delta_ratio"]), float(r["tau"]), r["quantity"], r["scheme"],
-                 r["probe"]):
-                r["value"] if isinstance(r["value"], str) else repr(float(r["value"]))
+                 r["probe"]): r["value"] if isinstance(r["value"], str) else repr(float(r["value"]))
                 for r in json.loads(path.read_text())}
     rows = {}
     for line in path.read_text().splitlines()[1:]:

@@ -367,7 +367,7 @@ def _evaluate_row(config: SweepConfig, scheme: str, gamma_ratio: float, delta_ra
     row = _Row(config, scheme, gamma_ratio, delta_ratio, taus)
     points = [(_fmt(tau), _fmt(t)) for tau, t in zip(taus, row.times)]
     if config.format == "json":
-        quote = json.dumps  # renders numbers as the JSON writer always has: an int gamma stays an int
+        quote = json.dumps  # escapes strings; writes an int gamma as an int
         grid = f'"gamma_ratio":{quote(gamma_ratio)},"delta_ratio":{quote(delta_ratio)},"quantity":'
         prefixes = [f'{{"tau":{tau},"t":{quote(t) if t == "inf" else t},{grid}' for tau, t in points]
         middle, suffix = ',"value":', f',"scheme":{quote(scheme)},"probe":{quote(config.probe_label())}}}'
