@@ -17,7 +17,7 @@ from .errors import EmptyBranch, MetricSingular
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, per_point, su2_like_pair, su2_like_propagator, vector_norm
 from .params import PtParams
 from .pt_system import propagator_pt
-from .states import RAISE, DensityMatrix2, DensityMatrix4, PureState2, PureState4
+from .states import DensityMatrix2, DensityMatrix4, PureState2, PureState4, as_state
 
 __all__ = [
     "MetricOperator",
@@ -53,7 +53,7 @@ class MetricOperator:
 @dataclass(frozen=True)
 class PostSelectionOutcome:
     """Success/failure rates, raw populations and the conditioned states
-    (arrays stacked along a leading axis for a row; see postselect).
+    (for a row, arrays stacked along a leading axis and raw matrix stacks; see postselect).
 
     In the unbroken phase p_suc >= (omega - gamma)/(2 omega) > 0, so the
     success branch always exists; rho_a is None in the measure-zero case of
@@ -167,52 +167,53 @@ def _enlarged(psi_raw, eta: np.ndarray):
     return per_point(c_n, 1) * np.concatenate([psi_t, chi_t], axis=-1), c_n
 
 
-def evolve_enlarged_state(psi0, p: PtParams, t, errors=RAISE) -> PureState4:
+def evolve_enlarged_state(psi0, p: PtParams, t) -> PureState4:
     """Enlarged pure state (psi_t, eta psi_t)^T / C_n at time t.
 
     Computed from the synchronized construction (evolve the PT subsystem,
     apply the metric) rather than from propagator_4d; the two paths agree to
-    machine precision and are cross-checked in the tests.  With
-    errors=PointErrors(n), t is an array of n times and the result is the
-    (n, 4) stack of amplitudes.
+    machine precision and are cross-checked in the tests.  For a 1-D array
+    of times the result is the (n, 4) stack of amplitudes.
     """
-    return errors.state(PureState4, *_enlarged(propagator_pt(p, t) @ _amplitudes(psi0), metric_operator(p).eta))
+    return as_state(PureState4, t, *_enlarged(propagator_pt(p, t) @ _amplitudes(psi0), metric_operator(p).eta))
 
 
-def evolve_enlarged(psi0, p: PtParams, t, errors=RAISE) -> DensityMatrix4:
-    """Rank-one density matrix of the enlarged system (a stack of them for a row)."""
+def evolve_enlarged(psi0, p: PtParams, t) -> DensityMatrix4:
+    """Rank-one density matrix of the enlarged system (the (n, 4, 4) stack for a row of times)."""
     a, c_n = _enlarged(propagator_pt(p, t) @ _amplitudes(psi0), metric_operator(p).eta)
-    errors.state(PureState4, a, c_n)
-    return errors.state(DensityMatrix4, a[..., :, None] * a.conj()[..., None, :])
+    as_state(PureState4, t, a, c_n)
+    return as_state(DensityMatrix4, t, a[..., :, None] * a.conj()[..., None, :])
 
 
-def postselect(rho4, errors=RAISE) -> PostSelectionOutcome:
+def postselect(rho4) -> PostSelectionOutcome:
     """Collapse the enlarged state onto the PT (success) or auxiliary
     (failure) subsystem.
 
     Both branch probabilities are computed from their own diagonal sums and
     checked to add to one, so a failure localizes to one branch.  For a row
-    (errors=PointErrors(n), rho4 an (n, 4, 4) stack) every field is stacked,
-    and a point without a failure branch is an EmptyBranch error instead of
-    rho_a = None.
+    (rho4 an (n, 4, 4) stack) every field is stacked, the conditioned states
+    are raw matrix stacks, and a check that fails at any point raises for the
+    whole row; a row with no failure branch at some point raises EmptyBranch
+    where one point returns rho_a = None.  Neither branch of an
+    evolve_enlarged state falls below (omega - gamma)/(2 omega).
     """
     m = rho4.matrix if isinstance(rho4, DensityMatrix4) else np.asarray(rho4, dtype=complex)
     pops = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
     p_suc = pops[..., 0] + pops[..., 1]
     p_fail = pops[..., 2] + pops[..., 3]
     total = p_suc + p_fail
-    errors.flag(abs(total - 1.0) > 1e-12, EmptyBranch,
-                lambda i: f"branch probabilities do not sum to 1: {total[i]:.15g}")
-    empty = p_suc < 1e-14
-    errors.flag(empty, EmptyBranch, "success branch has vanishing probability")
-    rho_pt = errors.state(DensityMatrix2, m[..., :2, :2] / per_point(errors.guard(p_suc, empty), 2))
-    has_a = p_fail >= 1e-14
-    block = m[..., 2:, 2:] / per_point(np.where(has_a, p_fail, 1.0), 2)
-    if errors is RAISE:
-        rho_a = DensityMatrix2(block) if has_a else None
+    bad = abs(total - 1.0) > 1e-12
+    if bad.any():
+        raise EmptyBranch(f"branch probabilities do not sum to 1: {np.extract(bad, total)[0]:.15g}")
+    if (p_suc < 1e-14).any():
+        raise EmptyBranch("success branch has vanishing probability")
+    rho_pt = as_state(DensityMatrix2, p_suc, m[..., :2, :2] / per_point(p_suc, 2))  # p_suc: one value per point
+    if (p_fail >= 1e-14).all():
+        rho_a = as_state(DensityMatrix2, p_fail, m[..., 2:, 2:] / per_point(p_fail, 2))
+    elif p_fail.ndim:
+        raise EmptyBranch("failure branch has vanishing probability")
     else:
-        errors.flag(~has_a, EmptyBranch, "failure branch has vanishing probability")
-        rho_a = errors.state(DensityMatrix2, block)
+        rho_a = None
     return PostSelectionOutcome(
         p_suc=p_suc, p_fail=p_fail, populations=pops, rho_pt=rho_pt, rho_a=rho_a
     )

@@ -20,7 +20,7 @@ from .errors import InvalidMatrix, InvalidStep
 from .linalg import PAULI_X, dagger, per_element, per_point, vector_norm
 from .params import PtParams
 from .pt_system import hamiltonian_pt, propagator_pt
-from .states import RAISE, DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, plus_y
+from .states import DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, as_state, plus_y
 
 __all__ = [
     "LindbladModel",
@@ -53,9 +53,9 @@ class LindbladModel:
     liouvillian: np.ndarray
 
 
-def hamiltonian_eff(p: PtParams, perturbed: bool = False) -> np.ndarray:
+def hamiltonian_eff(p: PtParams) -> np.ndarray:
     """Effective non-Hermitian Hamiltonian H_pt - i(gamma/2) I."""
-    return hamiltonian_pt(p, perturbed=perturbed) - 0.5j * p.gamma * np.eye(2, dtype=complex)
+    return hamiltonian_pt(p) - 0.5j * p.gamma * np.eye(2, dtype=complex)
 
 
 def plus_y_3l() -> np.ndarray:
@@ -131,7 +131,7 @@ def _conjugated(u, rho0) -> np.ndarray:
     return 0.5 * (raw + dagger(raw))
 
 
-def analytic_rho_3l(p: PtParams, t, errors=RAISE) -> DensityMatrix3:
+def analytic_rho_3l(p: PtParams, t) -> DensityMatrix3:
     """Closed-form three-level state for the probe (|1> + i|2>)/sqrt(2).
 
     The {|1>,|2>} block is the non-normalized effective state
@@ -139,33 +139,33 @@ def analytic_rho_3l(p: PtParams, t, errors=RAISE) -> DensityMatrix3:
     the exceptional point) and rho33 makes up the trace.  Once gamma*t is
     large enough that the decay underflows double precision the block is
     exactly zero and the state is the sink, which is the correct limit.
-    With errors=PointErrors(n), t is an array of n times and the result is
-    the (n, 3, 3) stack.
+    For a 1-D array of times the result is the (n, 3, 3) stack.
     """
     scaled = _decaying_amplitudes(p, t)[1]
     block = scaled[..., :, None] * scaled.conj()[..., None, :]
     out = np.zeros(getattr(t, "shape", ()) + (3, 3), dtype=complex)
     out[..., :2, :2] = 0.5 * (block + dagger(block))
     out[..., 2, 2] = 1.0 - block.trace(axis1=-2, axis2=-1).real
-    return errors.state(DensityMatrix3, out)
+    return as_state(DensityMatrix3, t, out)
 
 
-def effective_evolve(rho0, p: PtParams, t, errors=RAISE) -> UnnormalizedMatrix2:
+def effective_evolve(rho0, p: PtParams, t) -> UnnormalizedMatrix2:
     """Non-normalized dissipative state U_eff rho0 U_eff^dag.
 
     U_eff = e^{-gamma t/2} U_pt elementwise, since the anti-Hermitian part of
     H_eff is a multiple of the identity.  The trace never exceeds one here
     (it is the success probability of remaining outside the sink), and it is
     exactly zero once e^{-gamma t} underflows (deep decay), as in
-    analytic_rho_3l.  With errors=PointErrors(n), t is an array of n times
-    and the result is the (n, 2, 2) stack of matrices.
+    analytic_rho_3l.  For a 1-D array of times the result is the (n, 2, 2)
+    stack of matrices.
     """
     u_eff = per_point(per_element(math.exp, -0.5 * p.gamma * t), 2) * propagator_pt(p, t)
     raw = _conjugated(u_eff, rho0)
-    out = errors.state(UnnormalizedMatrix2, raw)
+    out = as_state(UnnormalizedMatrix2, t, raw)
     tr = raw.trace(axis1=-2, axis2=-1).real
-    # survival probability cannot exceed one
-    errors.flag(tr > 1.0 + 1e-10, InvalidMatrix, lambda i: f"effective state trace {tr[i]:.15g} exceeds 1")
+    above = tr > 1.0 + 1e-10  # survival probability cannot exceed one
+    if above.any():
+        raise InvalidMatrix(f"effective state trace {np.extract(above, tr)[0]:.15g} exceeds 1")
     return out
 
 
@@ -183,17 +183,17 @@ def effective_rhs(rho, p: PtParams) -> np.ndarray:
     return -1j * (h_eff @ mat - mat @ h_eff.conj().T)
 
 
-def artificial_pt(rho0, p: PtParams, t, errors=RAISE) -> UnnormalizedMatrix2:
+def artificial_pt(rho0, p: PtParams, t) -> UnnormalizedMatrix2:
     """Artificially amplified state e^{gamma t} rho_eff = U_pt rho0 U_pt^dag.
 
     The gain e^{gamma t} compensates the uniform decay of effective_evolve's
     rho_eff, so the result mimics a balanced gain-loss system; its trace may
     exceed one.  It is computed from the initial state rather than as the
     product, which would overflow (or divide an underflowed zero) in deep
-    decay.  With errors=PointErrors(n), t is an array of n times and the
-    result is the stack of amplified matrices.
+    decay.  For a 1-D array of times the result is the stack of amplified
+    matrices.
     """
-    return errors.state(UnnormalizedMatrix2, _conjugated(propagator_pt(p, t), rho0))
+    return as_state(UnnormalizedMatrix2, t, _conjugated(propagator_pt(p, t), rho0))
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class Postselected3L:
     rho_pt: DensityMatrix2
 
 
-def postselect_3l(p: PtParams, t, errors=RAISE) -> Postselected3L:
+def postselect_3l(p: PtParams, t) -> Postselected3L:
     """Condition analytic_rho_3l(p, t) on not having decayed into the sink.
 
     p_suc = rho11 + rho22 and p_fail = rho33 = 1 - p_suc are those of
@@ -214,13 +214,13 @@ def postselect_3l(p: PtParams, t, errors=RAISE) -> Postselected3L:
     subnormal or 0.  The conditioned state is the normalized PT state
     v v^dag/|v|^2, v = U_pt |+>_y, which equals the {|1>,|2>} block over
     p_suc without the division, so it is defined at every time.  For a row
-    (errors=PointErrors(n), t an array of n times) every field is stacked.
+    (t a 1-D array of times) every field is stacked.
     """
     v, phi = _decaying_amplitudes(p, t)
     p_suc = (phi * phi.conj()).real.sum(axis=-1)
     psi = v / per_point(vector_norm(v), 1)
     rho_pt = psi[..., :, None] * psi.conj()[..., None, :]
-    return Postselected3L(p_suc=p_suc, p_fail=1.0 - p_suc, rho_pt=errors.state(DensityMatrix2, rho_pt))
+    return Postselected3L(p_suc=p_suc, p_fail=1.0 - p_suc, rho_pt=as_state(DensityMatrix2, t, rho_pt))
 
 
 def liouvillian_matrix(p: PtParams) -> tuple[np.ndarray, np.ndarray]:

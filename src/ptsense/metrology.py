@@ -39,14 +39,17 @@ double it is (subnormal, or 0) and its QFIs stay finite.
 
 Row evaluation
 --------------
-The QFI evaluators, resource_metrics, population_shift, the
-susceptibilities, sld, qfi_sld and qfi_two_level are row-batched: given
-errors=states.PointErrors(n) and an array of n times (stacks of n states and
-derivatives for the QFI forms), each evaluates one (gamma, omega, probe) row
-in one call and returns n values per field.  Every check runs on the whole
-stack, and a point whose check fails gets the error it would have raised on
-its own.  Called with one time (errors=RAISE, the default), the same code is
-the scalar API, and a failed check raises.
+The QFI evaluators, resource_ratios, population_shift, the
+susceptibilities, sld, qfi_sld and qfi_two_level are row-batched: given a
+1-D array of n times (stacks of n states and derivatives for the QFI forms),
+each evaluates one (gamma, omega, probe) row in one call and returns n values
+per field, bit for bit the values of n one-point calls.  Called with one
+time, the same code is the scalar API.  Every check runs once on the whole
+call and raises if any point fails it, with the class a failing point raises
+alone.  The one condition that depends on the point is the resource cutoff
+at vanishing information: resource_ratios returns it as a mask, and
+resource_metrics raises UndefinedResourceMetrics unless every point is
+defined.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ from .errors import (
 )
 from .linalg import dagger, per_element, per_point, vector_norm
 from .params import PtParams
-from .pt_system import evolve_density, evolve_state, norm_growth, propagator_pt_pair
-from .states import RAISE, plus_y, pure_density
+from .pt_system import evolve_state, norm_growth, propagator_pt_pair
+from .states import plus_y, pure_density
 
 __all__ = [
     "FdConfig",
@@ -89,6 +92,7 @@ __all__ = [
     "qfi_pt",
     "resource_metrics",
     "resource_report",
+    "resource_ratios",
 ]
 
 logger = logging.getLogger(__name__)
@@ -142,7 +146,7 @@ def _probe(probe) -> np.ndarray:
     return np.asarray(probe, dtype=complex)
 
 
-def population_shift(scheme: str, p: PtParams, delta: float, t, errors=RAISE) -> float:
+def population_shift(scheme: str, p: PtParams, delta: float, t) -> float:
     """P1(omega + delta, t) - P1(omega, t) at fixed physical time.
 
     P1 is the level-1 population of the post-selected PT state ("pt"), of the
@@ -157,11 +161,11 @@ def population_shift(scheme: str, p: PtParams, delta: float, t, errors=RAISE) ->
     def level1(omega: float):
         q = p.with_omega(omega)
         if scheme in ("pt", "eff"):
-            state = evolve_state(plus_y(), q, t, errors)
+            state = evolve_state(plus_y(), q, t)
             a = (state.amplitudes if hasattr(state, "amplitudes") else state)[..., 0]
             return per_element(_square, np.hypot(a.real, a.imag))  # rounds as abs(a) ** 2
         if scheme == "enlarged":
-            return _matrix(evolve_enlarged(plus_y(), q, t, errors))[..., 0, 0].real
+            return _matrix(evolve_enlarged(plus_y(), q, t))[..., 0, 0].real
         raise InvalidScheme(f"unknown scheme {scheme!r}")
 
     if delta == 0.0:
@@ -169,19 +173,19 @@ def population_shift(scheme: str, p: PtParams, delta: float, t, errors=RAISE) ->
     return _value(level1(p.omega + delta) - level1(p.omega))
 
 
-def _check_drho(drho, errors=RAISE) -> np.ndarray:
+def _check_drho(drho) -> np.ndarray:
     # a derivative taken by finite differences (the oracles in tests/oracles.py)
     # carries the ~1e-16 Hermiticity slack of its states times 1/(2h), so the
     # guard is scale-aware rather than absolute
     d = np.asarray(drho, dtype=complex)
     d_h = dagger(d)
     scale = np.maximum(1.0, np.abs(d).max(axis=(-2, -1)))
-    errors.flag(np.abs(d - d_h).max(axis=(-2, -1)) > 1e-8 * scale, InvalidDerivative,
-                "density-matrix derivative is not Hermitian")
+    if (np.abs(d - d_h).max(axis=(-2, -1)) > 1e-8 * scale).any():
+        raise InvalidDerivative("density-matrix derivative is not Hermitian")
     return 0.5 * (d + d_h)
 
 
-def sld(rho, drho, errors=RAISE) -> np.ndarray:
+def sld(rho, drho) -> np.ndarray:
     """Symmetric logarithmic derivative solving drho = (L rho + rho L)/2.
 
     Solved in the eigenbasis of rho as L_mn = 2 drho_mn / (eps_m + eps_n),
@@ -190,7 +194,7 @@ def sld(rho, drho, errors=RAISE) -> np.ndarray:
     block of L is set to zero.
     """
     mat = _matrix(rho)
-    d = _check_drho(drho, errors)
+    d = _check_drho(drho)
     eps, basis = np.linalg.eigh(mat)
     basis_h = dagger(basis)
     d_eig = basis_h @ d @ basis
@@ -200,24 +204,24 @@ def sld(rho, drho, errors=RAISE) -> np.ndarray:
     return basis @ l_eig @ basis_h
 
 
-def _clip_qfi(value, errors=RAISE):
+def _clip_qfi(value):
     value = np.asarray(value, dtype=float)
     negative = value < 0.0
     if not negative.any():
         return _value(value)
-    for i in errors.points(negative):
-        if value[i] < -1e-9:
-            logger.warning("QFI %.3e more negative than roundoff allowance; clipping", value[i])
+    for v in value[negative]:
+        if v < -1e-9:
+            logger.warning("QFI %.3e more negative than roundoff allowance; clipping", v)
         else:
-            logger.debug("clipping roundoff-negative QFI %.3e to 0", value[i])
+            logger.debug("clipping roundoff-negative QFI %.3e to 0", v)
     return _value(np.where(negative, 0.0, value))
 
 
-def qfi_sld(rho, drho, errors=RAISE) -> float:
+def qfi_sld(rho, drho) -> float:
     """QFI as Tr(rho L^2) with the SLD operator."""
     mat = _matrix(rho)
-    l_op = sld(mat, drho, errors)
-    return _clip_qfi((mat @ l_op @ l_op).trace(axis1=-2, axis2=-1).real, errors)
+    l_op = sld(mat, drho)
+    return _clip_qfi((mat @ l_op @ l_op).trace(axis1=-2, axis2=-1).real)
 
 
 def qfi_spectral(rho, drho, gap_tol: float = 1e-8) -> float:
@@ -256,7 +260,7 @@ def qfi_spectral(rho, drho, gap_tol: float = 1e-8) -> float:
     return _clip_qfi(total)
 
 
-def qfi_two_level(rho, drho, errors=RAISE) -> float:
+def qfi_two_level(rho, drho) -> float:
     """Two-level QFI: Tr[(drho)^2] + Tr[(rho drho)^2]/det(rho).
 
     For det(rho) below PURITY_EPS the 1/det term is numerically explosive
@@ -266,27 +270,33 @@ def qfi_two_level(rho, drho, errors=RAISE) -> float:
     mat = _matrix(rho)
     if mat.shape[-2:] != (2, 2):
         raise InvalidScheme("qfi_two_level expects a 2x2 density matrix")
-    d = _check_drho(drho, errors)
+    d = _check_drho(drho)
     det = np.linalg.det(mat).real
     pure = det < PURITY_EPS
     dd = (d @ d).trace(axis1=-2, axis2=-1).real
     if pure.all():  # branch states of a pure probe are pure
-        return _clip_qfi(2.0 * dd, errors)
+        return _clip_qfi(2.0 * dd)
     rd = mat @ d
     mixed = dd + (rd @ rd).trace(axis1=-2, axis2=-1).real / np.where(pure, 1.0, det)
-    return _clip_qfi(np.where(pure, 2.0 * dd, mixed), errors)
+    return _clip_qfi(np.where(pure, 2.0 * dd, mixed))
 
 
-def qfi_pure(psi, dpsi, errors=RAISE) -> float:
+def qfi_pure(psi, dpsi) -> float:
     """Pure-state QFI 4(<dpsi|dpsi> - |<psi|dpsi>|^2); projectively invariant.
 
     Evaluated as 4 |dpsi - <psi|dpsi> psi|^2, the squared norm of the part of
     dpsi off psi, which does not cancel when dpsi is nearly parallel to psi.
+    For a stack of vectors (last axis) one value per vector.
     """
-    shape = (-1,) if errors is RAISE else (len(errors.errors), -1)
-    v = np.asarray(psi, dtype=complex).reshape(shape)
-    dv = np.asarray(dpsi, dtype=complex).reshape(shape)
-    errors.flag(abs(vector_norm(v) - 1.0) > 1e-10, InvalidDerivative, "psi must be normalized to 1e-10")
+    v, dv = np.asarray(psi, dtype=complex), np.asarray(dpsi, dtype=complex)
+    if (abs(vector_norm(v) - 1.0) > 1e-10).any():
+        raise InvalidDerivative("psi must be normalized to 1e-10")
+    return _qfi(v, dv)
+
+
+def _qfi(v, dv):
+    """qfi_pure of a unit vector v and its tangent dv, or of stacks of them, unchecked:
+    every caller here passes unit vectors by construction."""
     u = dv - per_point(np.vecdot(v, dv), 1) * v
     return _value(4.0 * (np.vecdot(u.real, u.real) + np.vecdot(u.imag, u.imag)))
 
@@ -380,21 +390,20 @@ def _population_slope(u, du, index):
     return _value(2.0 * (ui.real * dui.real + ui.imag * dui.imag - pop * drift) / norm2)
 
 
-def susceptibility_pt(p: PtParams, t, errors=RAISE):
+def susceptibility_pt(p: PtParams, t):
     """d(rho_pt^11)/d(omega) for the probe |+>_y: the slope of |v_1|^2/|v|^2, v = U_pt psi0.
 
-    The susceptibilities take a row like every evaluator here; none of them
-    has a check that depends on the point.
+    The susceptibilities take a row like every evaluator here.
     """
     return _population_slope(*_pt_family(p, t, plus_y()), 0)
 
 
-def susceptibility_a(p: PtParams, t, errors=RAISE):
+def susceptibility_a(p: PtParams, t):
     """d(rho_A^11)/d(omega): failure-branch population derivative, of the family eta v."""
     return _population_slope(*_fail_family(p, metric_operator(p).eta, *_pt_family(p, t, plus_y())), 0)
 
 
-def susceptibility_enlarged(p: PtParams, t, index=0, errors=RAISE):
+def susceptibility_enlarged(p: PtParams, t, index=0):
     """d(rho_4d^{ii})/d(omega) of the enlarged family (v, eta v), which evolve_enlarged
     normalizes; index 0 is the PT subsystem, 2 the auxiliary ((0, 2) gives both)."""
     v, dv = _pt_family(p, t, plus_y())
@@ -402,7 +411,7 @@ def susceptibility_enlarged(p: PtParams, t, index=0, errors=RAISE):
     return _population_slope(np.concatenate([v, w], axis=-1), np.concatenate([dv, dw], axis=-1), index)
 
 
-def susceptibility_eff(p: PtParams, t, errors=RAISE):
+def susceptibility_eff(p: PtParams, t):
     """d(varrho_eff^11)/d(omega) of the NON-normalized dissipative state e^{-gamma t} |v_1|^2.
 
     The decaying norm is part of the signal here; renormalizing first would
@@ -415,7 +424,7 @@ def susceptibility_eff(p: PtParams, t, errors=RAISE):
 
 
 def weighted_qfi_scheme1(
-    p: PtParams, t, fd: FdConfig | None = None, probe=None, n_repetitions: int = 1, errors=RAISE
+    p: PtParams, t, fd: FdConfig | None = None, probe=None, n_repetitions: int = 1
 ) -> QfiReport:
     """Post-selected and total QFI for the dilation scheme.
 
@@ -430,19 +439,21 @@ def weighted_qfi_scheme1(
     eta = metric_operator(p).eta
     v, dv = _pt_family(p, t, probe)
     a = _enlarged(v, eta)[0]
-    errors.flag(~np.isfinite(a).all(axis=-1), InvalidMatrix, "state vector has non-finite entries")
+    if not np.isfinite(a).all():
+        raise InvalidMatrix("state vector has non-finite entries")
     populations = (a * a.conj()).real  # the diagonal of evolve_enlarged's |a><a|
     p_suc, p_fail = populations[..., :2].sum(axis=-1), populations[..., 2:].sum(axis=-1)
     total = p_suc + p_fail
-    errors.flag(abs(total - 1.0) > 1e-12, EmptyBranch,
-                lambda i: f"branch probabilities do not sum to 1: {total[i]:.15g}")
+    bad = abs(total - 1.0) > 1e-12
+    if bad.any():
+        raise EmptyBranch(f"branch probabilities do not sum to 1: {np.extract(bad, total)[0]:.15g}")
     psi, dpsi = _direction(v, dv)
-    f_suc = qfi_pure(psi, dpsi, errors)
-    f_fail = qfi_pure(*_direction(*_fail_family(p, eta, v, dv)), errors)
+    f_suc = _qfi(psi, dpsi)
+    f_fail = _qfi(*_direction(*_fail_family(p, eta, v, dv)))
 
     psi0 = _dilated(probe, eta)[0]  # frozen at the base omega
     u4, du4 = propagator_4d_pair(p, t)
-    f_total = qfi_pure(u4 @ psi0, du4 @ psi0, errors)
+    f_total = _qfi(u4 @ psi0, du4 @ psi0)
 
     i_suc, i_fail = f_suc * p_suc, f_fail * p_fail
     i_subs = i_suc + i_fail
@@ -465,7 +476,7 @@ def weighted_qfi_scheme1(
 
 
 def weighted_qfi_scheme2(
-    p: PtParams, t, fd: FdConfig | None = None, n_repetitions: int = 1, errors=RAISE
+    p: PtParams, t, fd: FdConfig | None = None, n_repetitions: int = 1
 ) -> QfiReport:
     """Post-selected and total QFI for the dissipative three-level scheme.
 
@@ -484,12 +495,13 @@ def weighted_qfi_scheme2(
     information.  fd is accepted for compatibility and not used.
     """
     v, dv = _pt_family(p, t, plus_y())
-    errors.flag(~np.isfinite(v).all(axis=-1), InvalidMatrix, "state vector has non-finite entries")
+    if not np.isfinite(v).all():
+        raise InvalidMatrix("state vector has non-finite entries")
     phi = per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * v
     p_suc = (phi * phi.conj()).real.sum(axis=-1)  # analytic_rho_3l's rho11 + rho22, bit for bit
 
     psi, dpsi = _direction(v, dv)
-    f_suc = qfi_pure(psi, dpsi, errors)
+    f_suc = _qfi(psi, dpsi)
     growth, d_growth = norm_growth(p, t, plus_y())  # |v|^2 = 1 + gamma growth
     d_log = p.gamma * d_growth / (1.0 + p.gamma * growth)
     log_p = -p.gamma * t + per_element(math.log1p, p.gamma * growth)
@@ -517,15 +529,18 @@ def weighted_qfi_scheme2(
     )
 
 
-def qfi_pt(p: PtParams, t, probe=None, errors=RAISE) -> float:
+def qfi_pt(p: PtParams, t, probe=None) -> float:
     """QFI in omega of the normalized PT state, at fixed t: the pure-state QFI of
-    (v, dv) with v = U_pt psi0."""
+    (v, dv) with v = U_pt psi0.  Raises InvalidMatrix unless the probe is a unit
+    vector (pure_density's checks) and every time is finite."""
     probe = _probe(probe)
-    evolve_density(pure_density(probe), p, t, errors)  # the state's own checks
-    return qfi_pure(*_direction(*_pt_family(p, t, probe)), errors)
+    pure_density(probe)
+    if not np.isfinite(t).all():
+        raise InvalidMatrix("time must be finite")
+    return _qfi(*_direction(*_pt_family(p, t, probe)))
 
 
-def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None, errors=RAISE) -> ResourceReport:
+def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None) -> ResourceReport:
     """Information cost xi = 1 - i_subs/i_total and loss zeta = sqrt(i_subs/i_total).
 
     zeta^2 + xi = 1 holds exactly by construction.  Known defect: the branch
@@ -537,25 +552,36 @@ def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None, err
     Values are reported as they are rather than clipped, to keep the
     identity exact.
     """
-    return resource_report(weighted_qfi_scheme1(p, t, probe=probe, errors=errors), t, errors)
+    return resource_report(weighted_qfi_scheme1(p, t, probe=probe), t)
 
 
-def resource_report(report: QfiReport, t, errors=RAISE) -> ResourceReport:
-    """xi and zeta of a scheme-1 QfiReport at time t (of a row: an array of times and
-    errors=PointErrors(n)); see resource_metrics.
+def resource_report(report: QfiReport, t) -> ResourceReport:
+    """xi and zeta of a scheme-1 QfiReport at time t (of a row: an array of times);
+    see resource_metrics.
 
-    Raises UndefinedResourceMetrics when the enlarged-system information
-    vanishes (below 1e-12 t^2, which scales with it in every unit of omega),
-    since the ratio then has no reference to normalize by.
+    Raises UndefinedResourceMetrics unless every point is defined
+    (resource_ratios).
+    """
+    xi, zeta, defined = resource_ratios(report, t)
+    if not defined.all():
+        i_total = np.extract(~defined, report.i_total)[0]
+        raise UndefinedResourceMetrics(f"enlarged-system information {i_total:.3e} too small to normalize")
+    return ResourceReport(xi=_value(xi), zeta=_value(zeta), i_subs=report.i_subs, i_total=report.i_total)
+
+
+def resource_ratios(report: QfiReport, t):
+    """(xi, zeta, defined) of a scheme-1 QfiReport at time t, one value per point for a row.
+
+    A point is defined unless the enlarged-system information vanishes (below
+    1e-12 t^2, which scales with it in every unit of omega), since the ratio
+    then has no reference to normalize by; xi and zeta there are meaningless.
     """
     i_total = np.asarray(report.i_total, dtype=float)
-    vanishing = i_total <= 1e-12 * t * t
-    errors.flag(vanishing, UndefinedResourceMetrics,
-                lambda i: f"enlarged-system information {i_total[i]:.3e} too small to normalize")
-    ratio = report.i_subs / errors.guard(i_total, vanishing)
+    defined = i_total > 1e-12 * t * t
+    ratio = report.i_subs / np.where(defined, i_total, 1.0)
     ratio = np.where(ratio < 0.0, 0.0, ratio)  # i_subs is a sum of clipped-nonnegative terms
     ratio = np.where(abs(1.0 - ratio) < 1e-8, 1.0, ratio)  # roundoff at gamma = 0, where the split is lossless
     xi = 1.0 - ratio
-    for i in errors.points(xi < 0.0):
-        logger.debug("information cost %.3e below zero (convention mismatch window)", xi[i])
-    return ResourceReport(xi=_value(xi), zeta=_value(np.sqrt(ratio)), i_subs=report.i_subs, i_total=report.i_total)
+    for v in xi[(xi < 0.0) & defined]:
+        logger.debug("information cost %.3e below zero (convention mismatch window)", v)
+    return xi, np.sqrt(ratio), defined

@@ -10,7 +10,7 @@ __all__ = ["PtParams", "TimePoint"]
 
 @dataclass(frozen=True)
 class PtParams:
-    """Coupling rate omega, gain-loss rate gamma and perturbation delta (rad/s).
+    """Coupling rate omega and gain-loss rate gamma (rad/s).
 
     The unbroken phase gamma/omega <= 1 is enforced; the exceptional point
     gamma = omega is allowed (closed-form evaluators are regular there), the
@@ -19,10 +19,9 @@ class PtParams:
 
     omega: float = 1.0
     gamma: float = 0.0
-    delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and math.isfinite(self.gamma) and math.isfinite(self.delta)):
+        if not (math.isfinite(self.omega) and math.isfinite(self.gamma)):
             raise ValueError("parameters must be finite")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
@@ -43,12 +42,8 @@ class PtParams:
         return self.gamma / self.omega
 
     def with_omega(self, omega: float) -> "PtParams":
-        """Same gamma/delta at a shifted coupling (finite-difference helper)."""
+        """The same gamma at coupling omega."""
         return replace(self, omega=omega)
-
-    def perturbed(self) -> "PtParams":
-        """Parameters with the perturbation folded in: Omega = omega + delta."""
-        return PtParams(omega=self.omega + self.delta, gamma=self.gamma, delta=0.0)
 
 
 @dataclass(frozen=True)

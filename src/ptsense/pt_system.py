@@ -27,7 +27,7 @@ from .linalg import (
     vector_norm,
 )
 from .params import PtParams
-from .states import RAISE, DensityMatrix2, PureState2
+from .states import DensityMatrix2, PureState2, as_state
 
 __all__ = [
     "hamiltonian_pt",
@@ -42,10 +42,9 @@ __all__ = [
 ]
 
 
-def hamiltonian_pt(p: PtParams, perturbed: bool = False) -> np.ndarray:
-    """(Omega/2) sigma_x + i (gamma/2) sigma_z, with Omega = omega (+ delta)."""
-    omega = p.omega + (p.delta if perturbed else 0.0)
-    return 0.5 * omega * PAULI_X + 0.5j * p.gamma * PAULI_Z
+def hamiltonian_pt(p: PtParams) -> np.ndarray:
+    """(omega/2) sigma_x + i (gamma/2) sigma_z."""
+    return 0.5 * p.omega * PAULI_X + 0.5j * p.gamma * PAULI_Z
 
 
 def propagator_pt(p: PtParams, t: float) -> np.ndarray:
@@ -87,37 +86,34 @@ def norm_growth(p: PtParams, t, psi0):
     return m, dm
 
 
-def evolve_state(psi0, p: PtParams, t, errors=RAISE) -> PureState2:
+def evolve_state(psi0, p: PtParams, t) -> PureState2:
     """Normalized non-unitary evolution of a pure probe.
 
     Returns the renormalized state together with the norm factor
-    c_n = 1/||U psi0||.  With errors=PointErrors(n), t is an array of n
-    times and the result is the (n, 2) stack of amplitudes (see
-    states.PointErrors).
+    c_n = 1/||U psi0||.  For a 1-D array of times the result is the (n, 2)
+    stack of amplitudes (states.as_state).
     """
     amps = psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
     raw = propagator_pt(p, t) @ amps
     norm = vector_norm(raw)
-    underflow = norm < 1e-150
-    errors.flag(underflow, NormUnderflow, "propagated state norm underflowed")
-    norm = errors.guard(norm, underflow)
-    return errors.state(PureState2, raw / per_point(norm, 1), 1.0 / norm)
+    if (norm < 1e-150).any():
+        raise NormUnderflow("propagated state norm underflowed")
+    return as_state(PureState2, t, raw / per_point(norm, 1), 1.0 / norm)
 
 
-def evolve_density(rho0, p: PtParams, t, errors=RAISE) -> DensityMatrix2:
+def evolve_density(rho0, p: PtParams, t) -> DensityMatrix2:
     """U rho0 U^dag renormalized to unit trace.
 
-    With errors=PointErrors(n), t is an array of n times and the result is the
-    (n, 2, 2) stack of matrices (see states.PointErrors).
+    For a 1-D array of times the result is the (n, 2, 2) stack of matrices.
     """
     mat = rho0.matrix if isinstance(rho0, DensityMatrix2) else np.asarray(rho0, dtype=complex)
     u = propagator_pt(p, t)
     raw = u @ mat @ dagger(u)
     tr = raw.trace(axis1=-2, axis2=-1).real
-    underflow = tr < 1e-300
-    errors.flag(underflow, NormUnderflow, "Tr(U rho U^dag) underflowed")
-    out = raw / per_point(errors.guard(tr, underflow), 2)
-    return errors.state(DensityMatrix2, 0.5 * (out + dagger(out)))  # scrub roundoff asymmetry
+    if (tr < 1e-300).any():
+        raise NormUnderflow("Tr(U rho U^dag) underflowed")
+    out = raw / per_point(tr, 2)
+    return as_state(DensityMatrix2, t, 0.5 * (out + dagger(out)))  # scrub roundoff asymmetry
 
 
 def _require_unbroken_interior(p: PtParams) -> None:

@@ -1,8 +1,9 @@
 """State containers with validated invariants, and probe-state constructors.
 
 Density matrices are validated on construction (Hermiticity, trace,
-positivity), so any value of these types is a legal state; operations return
-plain ndarrays only for operators and propagators.
+positivity), so any value of these types is a legal state.  Operations
+return these types for one time and plain stacked ndarrays for a row of
+times (as_state), and plain ndarrays for operators and propagators.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyBranch, InvalidMatrix, PtsenseError
+from .errors import EmptyBranch, InvalidMatrix
 from .linalg import dagger, vector_norm
 
 __all__ = [
@@ -26,8 +27,6 @@ __all__ = [
     "DensityMatrix4",
     "UnnormalizedMatrix2",
     "pure_density",
-    "PointErrors",
-    "RAISE",
 ]
 
 HERM_TOL = 1e-12
@@ -58,142 +57,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Raise:
-    """One-point evaluation: the first failed check raises, and a checked state
-    is returned as its validated class."""
-
-    def flag(self, bad, error: type, message) -> None:
-        if bad:
-            raise error(message if isinstance(message, str) else message(()))
-
-    def points(self, mask):
-        return [()] if mask else []
-
-    def guard(self, x, bad):
-        return x  # a bad point has raised already
-
-    def state(self, cls, *args):
-        return cls(*args)
-
-
-RAISE = _Raise()
-
-
-class PointErrors:
-    """The first typed error of each point of a stacked (row) evaluation.
-
-    Passed as `errors=` to a layer function, it turns the function into its
-    row form: the time argument is a 1-D array, results are stacked along a
-    leading axis, and a failed check is recorded for the points it fails
-    instead of raising.  A point keeps its first error, which is the one the
-    same function raises when called on that point alone (errors=RAISE, the
-    default).
-    """
-
-    def __init__(self, n: int) -> None:
-        self.errors: list[Exception | None] = [None] * n
-
-    @property
-    def ok(self) -> np.ndarray:
-        """True where no check has failed yet."""
-        return np.array([e is None for e in self.errors], dtype=bool)
-
-    def copy(self) -> "PointErrors":
-        out = PointErrors(0)
-        out.errors = list(self.errors)
-        return out
-
-    def run(self, fn, *args, **kwargs):
-        """fn(*args, errors=self, **kwargs), or None if it raised.
-
-        A PtsenseError that fn raises for the whole row, from a check that
-        does not depend on the point, becomes the error of every point that
-        has none yet, as it is for each point evaluated alone.
-        """
-        try:
-            return fn(*args, errors=self, **kwargs)
-        except PtsenseError as exc:
-            self.flag(True, exc.with_traceback(None))  # its frames would hold the row's arrays
-            return None
-
-    def flag(self, bad, error, message=None) -> None:
-        """Record error(message(i)) at every point i of `bad` that has none yet.
-
-        `error` is an exception class, or an instance to record as it is;
-        `message` is a string or a function of the point index.
-        """
-        for i in np.flatnonzero(np.broadcast_to(bad, len(self.errors))):
-            if self.errors[i] is None:
-                if isinstance(error, Exception):
-                    self.errors[i] = error
-                else:
-                    self.errors[i] = error(message if isinstance(message, str) else message(i))
-
-    def points(self, mask) -> np.ndarray:
-        """Indices of the points in `mask` that have no error yet."""
-        return np.flatnonzero(mask & self.ok)
-
-    def guard(self, x: np.ndarray, bad) -> np.ndarray:
-        """x with 1.0 at the points `bad` flagged, so dividing by it stays quiet there."""
-        return np.where(bad, 1.0, x)
-
-    def state(self, cls, *args):
-        """Run the checks of `cls` on the stacked state `args[0]` and return it."""
-        for bad, message in cls.checks(*args):
-            self.flag(bad, InvalidMatrix, message)
-        return args[0]
-
-
-def _finite(a: np.ndarray, axes) -> np.ndarray:
-    return np.isfinite(a).all(axis=axes)
-
-
-def _vector_checks(a: np.ndarray, norm_factor=1.0):
-    """(bad, message) of each invariant of a state vector, or a stack of them, in order."""
-    finite = _finite(a, -1)
-    yield ~finite, "state vector has non-finite entries"
-    if not finite.all():
-        a = np.where(finite[..., None], a, 1.0 / math.sqrt(a.shape[-1]))
-    dev = abs(vector_norm(a) - 1.0)
-    yield dev > HERM_TOL, lambda i: f"state vector not normalized: |norm - 1| = {dev[i]:.2e}"
-    yield ((norm_factor <= 0.0) | (norm_factor >= math.inf) | (norm_factor != norm_factor),  # NaN
-           "norm factor must be positive and finite")
-
-
-def _density_checks(a: np.ndarray, trace_tol: float = HERM_TOL):
-    """(bad, message) of each invariant of a density matrix, or a stack of them, in order."""
-    finite = _finite(a, (-2, -1))
-    yield ~finite, "density matrix has non-finite entries"
-    if not finite.all():
-        a = np.where(finite[..., None, None], a, 0.0)
-    yield np.abs(a - dagger(a)).max(axis=(-2, -1)) > HERM_TOL, "density matrix not Hermitian to 1e-12"
-    tr = a.trace(axis1=-2, axis2=-1)
-    yield ((abs(tr.real - 1.0) > trace_tol) | (abs(tr.imag) > trace_tol),
-           lambda i: f"density matrix trace != 1 (got {tr[i]:.15g})")
-    yield np.linalg.eigvalsh(a).min(axis=-1) < -EIG_TOL, "density matrix has an eigenvalue below -1e-10"
-
-
-def _unnormalized_checks(a: np.ndarray):
-    """(bad, message) of each invariant of an UnnormalizedMatrix2, or a stack of them, in order."""
-    finite = _finite(a, (-2, -1))
-    yield ~finite, "expected a finite 2x2 matrix"
-    if not finite.all():
-        a = np.where(finite[..., None, None], a, 0.0)
-    yield np.abs(a - dagger(a)).max(axis=(-2, -1)) > HERM_TOL, "matrix not Hermitian to 1e-12"
-    yield np.linalg.eigvalsh(a).min(axis=-1) < -EIG_TOL, "matrix not positive semidefinite to 1e-10"
-    yield a.trace(axis1=-2, axis2=-1).real < 0.0, "trace must be non-negative"
-
-
-def _raise_first(checks) -> None:
-    for bad, message in checks:
-        RAISE.flag(bad, InvalidMatrix, message)
+def as_state(cls, t, *args):
+    """cls(*args), validated, for one time t; for a row of times (t a 1-D array),
+    the stack args[0] as it is."""
+    return args[0] if getattr(t, "ndim", 0) else cls(*args)
 
 
 def _check_vector(v, dim: int, norm_factor: float) -> np.ndarray:
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.shape != (dim,):
         raise InvalidMatrix(f"state vector must have dimension {dim}")
-    _raise_first(_vector_checks(a, norm_factor))
+    if not np.isfinite(a).all():
+        raise InvalidMatrix("state vector has non-finite entries")
+    dev = abs(vector_norm(a) - 1.0)
+    if dev > HERM_TOL:
+        raise InvalidMatrix(f"state vector not normalized: |norm - 1| = {dev:.2e}")
+    if not 0.0 < norm_factor < math.inf:
+        raise InvalidMatrix("norm factor must be positive and finite")
     return _freeze(a)
 
 
@@ -201,12 +81,16 @@ def _check_density(m, dim: int, trace_tol: float = HERM_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape != (dim, dim):
         raise InvalidMatrix(f"density matrix must be {dim}x{dim}")
-    _raise_first(_density_checks(a, trace_tol))
+    if not np.isfinite(a).all():
+        raise InvalidMatrix("density matrix has non-finite entries")
+    if np.abs(a - dagger(a)).max() > HERM_TOL:
+        raise InvalidMatrix("density matrix not Hermitian to 1e-12")
+    tr = a.trace()
+    if abs(tr.real - 1.0) > trace_tol or abs(tr.imag) > trace_tol:
+        raise InvalidMatrix(f"density matrix trace != 1 (got {tr:.15g})")
+    if np.linalg.eigvalsh(a).min() < -EIG_TOL:
+        raise InvalidMatrix("density matrix has an eigenvalue below -1e-10")
     return _freeze(a)
-
-
-# Each state class validates on construction; its `checks` yields the same
-# checks for a stack of states, which PointErrors.state runs.
 
 
 @dataclass(frozen=True)
@@ -215,7 +99,6 @@ class PureState2:
 
     amplitudes: np.ndarray
     norm_factor: float = 1.0
-    checks = staticmethod(_vector_checks)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _check_vector(self.amplitudes, 2, self.norm_factor))
@@ -235,7 +118,6 @@ class PureState4:
 
     amplitudes: np.ndarray
     norm_factor: float = 1.0
-    checks = staticmethod(_vector_checks)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _check_vector(self.amplitudes, 4, self.norm_factor))
@@ -251,7 +133,6 @@ class PureState4:
 @dataclass(frozen=True)
 class DensityMatrix2:
     matrix: np.ndarray
-    checks = staticmethod(_density_checks)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _check_density(self.matrix, 2))
@@ -261,17 +142,12 @@ class DensityMatrix2:
         return float(self.matrix[0, 0].real)
 
 
-def _loose_density_checks(a: np.ndarray):
-    return _density_checks(a, trace_tol=1e-10)
-
-
 @dataclass(frozen=True)
 class DensityMatrix3:
     """Three-level state; trace tolerance is looser (1e-10) since it is
     typically produced by an integrator rather than construction."""
 
     matrix: np.ndarray
-    checks = staticmethod(_loose_density_checks)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _check_density(self.matrix, 3, trace_tol=1e-10))
@@ -284,7 +160,6 @@ class DensityMatrix3:
 @dataclass(frozen=True)
 class DensityMatrix4:
     matrix: np.ndarray
-    checks = staticmethod(_loose_density_checks)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _check_density(self.matrix, 4, trace_tol=1e-10))
@@ -306,13 +181,17 @@ class UnnormalizedMatrix2:
 
     matrix: np.ndarray
     trace: float = field(init=False)
-    checks = staticmethod(_unnormalized_checks)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.matrix, dtype=complex)
-        if a.shape != (2, 2):
+        if a.shape != (2, 2) or not np.isfinite(a).all():
             raise InvalidMatrix("expected a finite 2x2 matrix")
-        _raise_first(_unnormalized_checks(a))
+        if np.abs(a - dagger(a)).max() > HERM_TOL:
+            raise InvalidMatrix("matrix not Hermitian to 1e-12")
+        if np.linalg.eigvalsh(a).min() < -EIG_TOL:
+            raise InvalidMatrix("matrix not positive semidefinite to 1e-10")
+        if a.trace().real < 0.0:
+            raise InvalidMatrix("trace must be non-negative")
         object.__setattr__(self, "matrix", _freeze(a))
         object.__setattr__(self, "trace", float(np.trace(a).real))
 

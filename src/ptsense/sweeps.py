@@ -4,9 +4,12 @@ Which (quantity, scheme) pairs exist, the rows each writes per grid point and
 how they are evaluated is one table, `_PAIRS`.  Evaluation is row-batched: each
 pair evaluates a whole (scheme, gamma/omega, delta/omega) row of the tau grid
 in one call of the layer functions, on stacked 2x2-4x4 states, and gets back
-one value per point plus the typed error of each point that failed
-(states.PointErrors).  The values equal, bit for bit, those of the scalar API
-called point by point.
+one value per point, equal bit for bit to those of the scalar API called
+point by point.  A check fails for a whole row: a pair whose call raises a
+PtsenseError (the dilation's MetricSingular at gamma/omega = 1) writes the
+single row "<quantity>_undefined" at every point.  The one per-point gap is
+the resource cutoff at vanishing information (metrology.resource_ratios),
+written as "resources_undefined" where its mask is False.
 
 The writer is text-first: while it walks a row it formats each point's
 tau, t, gamma/omega and delta/omega once, and each value once, into the
@@ -25,17 +28,18 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import metrology
 from .dilation import evolve_enlarged, postselect
-from .errors import ConfigError, WriteError
+from .errors import ConfigError, PtsenseError, WriteError
 from .lindblad import analytic_rho_3l, artificial_pt, effective_evolve, liouvillian_matrix, postselect_3l
 from .params import PtParams
 from .pt_system import evolve_density
-from .states import PointErrors, bloch_probe, minus_y, plus_y, pure_density
+from .states import bloch_probe, minus_y, plus_y, pure_density
 
 __all__ = ["SweepConfig", "run", "figure_preset", "QUANTITIES", "SCHEMES", "FIGURE_NAMES"]
 
@@ -180,9 +184,9 @@ class _Row:
     unreachable) and `t` the array of the reachable ones, the only points
     evaluated: kappa = 0 at the exceptional point leaves tau = 0 alone, so
     `t` can be shorter than the grid; its points are the first ones.
-    The scheme's QFI report is evaluated at most once per row and shared,
-    with the error of each point it failed at, by every quantity that reads
-    it, so each of those quantities still writes its own undefined rows.
+    The scheme's QFI report is evaluated at most once per row and shared by
+    every quantity that reads it; if it raised, each of those quantities
+    writes its own undefined rows.
     """
 
     def __init__(self, config: SweepConfig, scheme: str, gamma_ratio: float,
@@ -197,53 +201,47 @@ class _Row:
         self.t = np.array([t for tau, t in zip(taus, self.times) if kappa > 0.0 or tau == 0.0])
         self.probe = config.probe_vector()
         self.n_rep = config.repetitions
-        self._report = None
 
-    def errors(self) -> PointErrors:
-        return PointErrors(len(self.t))
-
+    @cached_property
     def report(self):
-        """(the pt-scheme QFI or the QfiReport of the row's scheme, its PointErrors)."""
-        if self._report is None:
-            errors = self.errors()
+        """The pt-scheme QFI or the QfiReport of the row's scheme; None if it raised."""
+        try:
             if self.scheme == "dilation":
-                value = errors.run(metrology.weighted_qfi_scheme1, self.op, self.t,
-                                   probe=self.probe, n_repetitions=self.n_rep)
-            elif self.scheme == "lindblad":
-                value = errors.run(metrology.weighted_qfi_scheme2, self.op, self.t, n_repetitions=self.n_rep)
-            else:
-                value = errors.run(metrology.qfi_pt, self.op, self.t, probe=self.probe)
-            self._report = value, errors
-        return self._report
+                return metrology.weighted_qfi_scheme1(self.op, self.t, probe=self.probe, n_repetitions=self.n_rep)
+            if self.scheme == "lindblad":
+                return metrology.weighted_qfi_scheme2(self.op, self.t, n_repetitions=self.n_rep)
+            return metrology.qfi_pt(self.op, self.t, probe=self.probe)
+        except PtsenseError:
+            return None
 
 
 def _diagonal(m: np.ndarray, n: int) -> list[np.ndarray]:
     return [m[:, i, i].real for i in range(n)]
 
 
-def _population_lindblad(row: _Row, errors: PointErrors):
-    pops = _diagonal(analytic_rho_3l(row.op, row.t, errors), 3)
-    eff = effective_evolve(row.probe, row.op, row.t, errors)
-    artificial = artificial_pt(row.probe, row.op, row.t, errors)
+def _population_lindblad(row: _Row):
+    pops = _diagonal(analytic_rho_3l(row.op, row.t), 3)
+    eff = effective_evolve(row.probe, row.op, row.t)
+    artificial = artificial_pt(row.probe, row.op, row.t)
     return pops + [eff[:, 0, 0].real, artificial[:, 0, 0].real]
 
 
-def _postselect_rates_dilation(row: _Row, errors: PointErrors):
-    out = postselect(evolve_enlarged(row.probe, row.op, row.t, errors), errors)
+def _postselect_rates_dilation(row: _Row):
+    out = postselect(evolve_enlarged(row.probe, row.op, row.t))
     return [out.p_suc, out.p_fail, out.rho_pt[:, 0, 0].real, out.rho_a[:, 0, 0].real]
 
 
-def _postselect_rates_lindblad(row: _Row, errors: PointErrors):
-    out = postselect_3l(row.op, row.t, errors)
+def _postselect_rates_lindblad(row: _Row):
+    out = postselect_3l(row.op, row.t)
     return [out.p_suc, out.p_fail, out.rho_pt[:, 0, 0].real]
 
 
-def _population_shift(row: _Row, errors: PointErrors):
+def _population_shift(row: _Row):
     kind = {"pt": "pt", "dilation": "enlarged", "lindblad": "eff"}[row.scheme]
-    return [metrology.population_shift(kind, row.base, row.delta, row.t, errors)]
+    return [metrology.population_shift(kind, row.base, row.delta, row.t)]
 
 
-def _liouvillian_spectrum(row: _Row, errors: PointErrors):
+def _liouvillian_spectrum(row: _Row):
     """The four eigenvalues, which do not depend on time (only tau = 0 is written)."""
     _, values = liouvillian_matrix(row.op)
     ordered = sorted(values, key=lambda z: (round(z.imag, 12), round(z.real, 12)))
@@ -254,9 +252,9 @@ def _liouvillian_spectrum(row: _Row, errors: PointErrors):
 class _Pair:
     """What one (quantity, scheme) pair writes at each grid point.
 
-    `evaluate(row)` returns (columns, errors): one sequence of values per row
-    name over the row's points (None for an undefined entry; no columns at
-    all when every point failed) and the PointErrors of those points.  A
+    `evaluate(row)` returns (columns, defined): one sequence of values per
+    row name over the row's points, or None when the row's call raised, and
+    a boolean mask of the points with values, or None for all of them.  A
     time-independent pair is written once, at tau = 0.
     """
 
@@ -267,35 +265,31 @@ class _Pair:
 
 
 def _batched(rows: tuple[str, ...], columns, plus_y_only: bool = False, time_independent: bool = False) -> _Pair:
-    """Pair evaluated for a whole row in one call: columns(row, errors) returns its columns."""
+    """Pair evaluated for a whole row in one call: columns(row) returns its columns."""
 
     def evaluate(row: _Row):
-        errors = row.errors()
-        return errors.run(columns, row), errors
+        try:
+            return columns(row), None
+        except PtsenseError:
+            return None, None
 
     return _Pair(rows, evaluate, plus_y_only, time_independent)
 
 
 def _from_report(rows: tuple[str, ...], read, plus_y_only: bool = False) -> _Pair:
-    """Pair whose columns read(report, row, errors) takes from the row's shared report."""
-
-    def evaluate(row: _Row):
-        report, shared = row.report()
-        errors = shared.copy()
-        return (None if report is None else errors.run(read, report, row)), errors
-
-    return _Pair(rows, evaluate, plus_y_only)
+    """Pair whose (columns, defined) read(report, row) takes from the row's shared report."""
+    return _Pair(rows, lambda row: (None, None) if row.report is None else read(row.report, row), plus_y_only)
 
 
 def _reported(fields: dict[str, str], plus_y_only: bool = False) -> _Pair:
     """Pair whose rows, keyed by row name, are fields of the row's shared report."""
-    return _from_report(tuple(fields), lambda report, row, errors: [getattr(report, f) for f in fields.values()],
+    return _from_report(tuple(fields), lambda report, row: ([getattr(report, f) for f in fields.values()], None),
                         plus_y_only)
 
 
-def _resources(report, row: _Row, errors: PointErrors):
-    metrics = metrology.resource_report(report, row.t, errors)
-    return [metrics.xi, metrics.zeta]
+def _resources(report, row: _Row):
+    xi, zeta, defined = metrology.resource_ratios(report, row.t)
+    return [xi, zeta], defined
 
 
 _POP = ("population_1", "population_2", "population_3", "population_4")
@@ -303,10 +297,10 @@ _POP = ("population_1", "population_2", "population_3", "population_4")
 #: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs
 #: the plus_y probe.  A pair missing here is rejected.  Evaluators look ptsense functions up when they run.
 _PAIRS = {
-    ("population", "pt"): _batched(_POP[:2], lambda row, errors: _diagonal(
-        evolve_density(pure_density(row.probe), row.op, row.t, errors), 2)),
-    ("population", "dilation"): _batched(_POP, lambda row, errors: _diagonal(
-        evolve_enlarged(row.probe, row.op, row.t, errors), 4)),
+    ("population", "pt"): _batched(_POP[:2], lambda row: _diagonal(
+        evolve_density(pure_density(row.probe), row.op, row.t), 2)),
+    ("population", "dilation"): _batched(_POP, lambda row: _diagonal(
+        evolve_enlarged(row.probe, row.op, row.t), 4)),
     ("population", "lindblad"): _batched(
         _POP[:3] + ("population_eff_1", "population_artificial_1"), _population_lindblad, True),
     ("postselect_rates", "dilation"): _batched(
@@ -316,22 +310,20 @@ _PAIRS = {
     ("population_shift", "pt"): _batched(("population_shift_1",), _population_shift, True),
     ("population_shift", "dilation"): _batched(("population_shift_1",), _population_shift, True),
     ("population_shift", "lindblad"): _batched(("population_shift_1",), _population_shift, True),
-    ("susceptibility", "pt"): _batched(("susceptibility_pt", "susceptibility_a"), lambda row, errors: [
-        f(row.op, row.t, errors=errors) for f in (metrology.susceptibility_pt, metrology.susceptibility_a)],
-        True),
-    ("susceptibility", "dilation"): _batched(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda row, errors: list(
-        np.moveaxis(metrology.susceptibility_enlarged(row.op, row.t, index=(0, 2), errors=errors), -1, 0)),
-        True),
-    ("susceptibility", "lindblad"): _batched(("susceptibility_eff",), lambda row, errors: [
-        metrology.susceptibility_eff(row.op, row.t, errors=errors)], True),
-    ("qfi_single", "pt"): _from_report(("qfi_pt",), lambda qfi, row, errors: [qfi]),
+    ("susceptibility", "pt"): _batched(("susceptibility_pt", "susceptibility_a"), lambda row: [
+        f(row.op, row.t) for f in (metrology.susceptibility_pt, metrology.susceptibility_a)], True),
+    ("susceptibility", "dilation"): _batched(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda row: list(
+        np.moveaxis(metrology.susceptibility_enlarged(row.op, row.t, index=(0, 2)), -1, 0)), True),
+    ("susceptibility", "lindblad"): _batched(("susceptibility_eff",), lambda row: [
+        metrology.susceptibility_eff(row.op, row.t)], True),
+    ("qfi_single", "pt"): _from_report(("qfi_pt",), lambda qfi, row: ([qfi], None)),
     ("qfi_single", "dilation"): _reported({"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
     ("qfi_single", "lindblad"): _reported({"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}, True),
     ("qfi_weighted", "dilation"): _reported(
         {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
     ("qfi_weighted", "lindblad"): _reported({"i_eff": "i_total"}, True),
     ("sensitivity_bound", "pt"): _from_report(
-        ("delta_omega_pt",), lambda qfi, row, errors: [metrology._bound(qfi, row.n_rep)]),
+        ("delta_omega_pt",), lambda qfi, row: ([metrology._bound(qfi, row.n_rep)], None)),
     ("sensitivity_bound", "dilation"): _reported(
         {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
     ("sensitivity_bound", "lindblad"): _reported(
@@ -360,9 +352,9 @@ def _evaluate_row(config: SweepConfig, scheme: str, gamma_ratio: float, delta_ra
                   taus: list[float]) -> list[tuple]:
     """The dataset lines of one (scheme, gamma, delta) row of the tau grid, as
     (gamma, delta, tau, quantity, scheme, text, value), where value is None
-    unless it is a finite float; a quantity that fails at a point becomes one
-    undefined line there.  The fields of a point are formatted once for all
-    its values.
+    unless it is a finite float; a quantity that is undefined at a point
+    becomes one undefined line there.  The fields of a point are formatted
+    once for all its values.
     """
     row = _Row(config, scheme, gamma_ratio, delta_ratio, taus)
     points = [(_fmt(tau), _fmt(t)) for tau, t in zip(taus, row.times)]
@@ -379,11 +371,13 @@ def _evaluate_row(config: SweepConfig, scheme: str, gamma_ratio: float, delta_ra
     lines: list[tuple] = []
     for quantity in config.quantities:
         pair = _PAIRS[quantity, scheme]
-        columns, errors = pair.evaluate(row)
+        columns, mask = pair.evaluate(row)
+        n = 0 if columns is None else len(row.t)
+        ok = [True] * n if mask is None else mask.tolist()
         defined, failed = [], []
         for i, tau in enumerate(taus):
             if not (pair.time_independent and tau != 0.0):
-                (defined if i < len(row.t) and errors.errors[i] is None else failed).append(i)
+                (defined if i < n and ok[i] else failed).append(i)
         for name, column in (zip(pair.rows, columns, strict=True) if defined else ()):
             head = quote(name) + middle
             values = np.asarray(column).tolist()  # python floats, or complex

@@ -38,11 +38,6 @@ def test_hamiltonian_entries():
     assert np.max(np.abs(h - expected)) < 1e-15
 
 
-def test_hamiltonian_perturbed():
-    h = hamiltonian_pt(PtParams(omega=1.0, gamma=0.0, delta=0.01).perturbed())
-    assert np.max(np.abs(h - 0.505 * np.array([[0, 1], [1, 0]]))) < 1e-15
-
-
 def test_params_reject_broken_phase():
     with pytest.raises(ValueError):
         PtParams(omega=1.0, gamma=1.0 + 1e-9)

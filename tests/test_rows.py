@@ -1,9 +1,12 @@
 """Row-batched evaluation equals the scalar API point by point.
 
-A row evaluates one (gamma/omega, probe) row of times in one call
-(errors=PointErrors(n)); the scalar API is the same code called with one time,
-which raises where the row records an error.  These properties hold the two
-to bit-for-bit equal values and to the same typed error at every point.
+A row evaluates one (gamma/omega, probe) row of times in one call (t a 1-D
+array); the scalar API is the same code called with one time.  A check raises
+for the whole call, so a row either raises an error class that one of its
+points raises alone, or returns, bit for bit, the values of its one-point
+calls.  The one per-point condition is the resource cutoff: the mask of
+metrology.resource_ratios is the set of points whose one-point
+resource_metrics does not raise UndefinedResourceMetrics.
 """
 
 import math
@@ -17,23 +20,22 @@ from hypothesis import strategies as st
 from ptsense import FdConfig, PtParams, bloch_probe
 from ptsense import metrology
 from ptsense.cli import main
-from ptsense.errors import PtsenseError
-from ptsense.states import PointErrors
+from ptsense.errors import InvalidMatrix, MetricSingular, PtsenseError, UndefinedResourceMetrics
 
 FD = FdConfig.for_omega(1.0)
 
-#: (name, evaluator(p, t, probe, errors=...)) of the row-batched metrology quantities.
+#: (name, evaluator(p, t, probe)) of the row-batched metrology quantities.
 EVALUATORS = [
-    ("scheme1", lambda p, t, probe, **kw: metrology.weighted_qfi_scheme1(p, t, FD, probe=probe, **kw)),
-    ("scheme2", lambda p, t, probe, **kw: metrology.weighted_qfi_scheme2(p, t, FD, **kw)),
-    ("qfi_pt", lambda p, t, probe, **kw: metrology.qfi_pt(p, t, probe=probe, **kw)),
-    ("resources", lambda p, t, probe, **kw: metrology.resource_metrics(p, t, FD, probe=probe, **kw)),
-    ("susceptibility_pt", lambda p, t, probe, **kw: metrology.susceptibility_pt(p, t, **kw)),
-    ("susceptibility_a", lambda p, t, probe, **kw: metrology.susceptibility_a(p, t, **kw)),
-    ("susceptibility_4d", lambda p, t, probe, **kw: metrology.susceptibility_enlarged(p, t, index=(0, 2), **kw)),
-    ("susceptibility_eff", lambda p, t, probe, **kw: metrology.susceptibility_eff(p, t, **kw)),
-    ("shift_pt", lambda p, t, probe, **kw: metrology.population_shift("pt", p, 0.004, t, **kw)),
-    ("shift_enlarged", lambda p, t, probe, **kw: metrology.population_shift("enlarged", p, 0.004, t, **kw)),
+    ("scheme1", lambda p, t, probe: metrology.weighted_qfi_scheme1(p, t, FD, probe=probe)),
+    ("scheme2", lambda p, t, probe: metrology.weighted_qfi_scheme2(p, t, FD)),
+    ("qfi_pt", lambda p, t, probe: metrology.qfi_pt(p, t, probe=probe)),
+    ("resources", lambda p, t, probe: metrology.resource_metrics(p, t, FD, probe=probe)),
+    ("susceptibility_pt", lambda p, t, probe: metrology.susceptibility_pt(p, t)),
+    ("susceptibility_a", lambda p, t, probe: metrology.susceptibility_a(p, t)),
+    ("susceptibility_4d", lambda p, t, probe: metrology.susceptibility_enlarged(p, t, index=(0, 2))),
+    ("susceptibility_eff", lambda p, t, probe: metrology.susceptibility_eff(p, t)),
+    ("shift_pt", lambda p, t, probe: metrology.population_shift("pt", p, 0.004, t)),
+    ("shift_enlarged", lambda p, t, probe: metrology.population_shift("enlarged", p, 0.004, t)),
 ]
 
 
@@ -48,8 +50,8 @@ def _bits(x) -> bytes:
     return b"None" if x is None else np.asarray(x, dtype=complex if np.iscomplexobj(x) else float).tobytes()
 
 
-def _one_point(fn, p, t, probe):
-    """The scalar result at t, or the type of the PtsenseError it raised; and whether numpy warned."""
+def _call(fn, p, t, probe):
+    """The result at t (one time or a row), or the type of the PtsenseError it raised; and whether numpy warned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         try:
@@ -63,26 +65,32 @@ def assert_row_equals_points(gamma_ratio, taus, probe):
     p = PtParams(1.0, gamma_ratio)
     times = [tau / p.kappa for tau in taus]
     t = np.array(times)
+    outcomes = {}
     for name, fn in EVALUATORS:
-        errors = PointErrors(len(times))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            row = errors.run(fn, p, t, probe)
-        row_warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
-        points = [_one_point(fn, p, ti, probe) for ti in times]
+        row, row_warned = _call(fn, p, t, probe)
+        points = outcomes[name] = [_call(fn, p, ti, probe) for ti in times]
         # numpy warns in a row only where some point warns on its own too
         assert not row_warned or any(warned for _, warned in points), name
+        if isinstance(row, type):  # the whole row raised: some point raises that class alone
+            assert row in [expected for expected, _ in points], f"{name}: {row.__name__}"
+            continue
         for i, (expected, _) in enumerate(points):
             where = f"{name} at gamma/omega={gamma_ratio!r}, t={times[i]!r}"
-            if isinstance(expected, type):
-                assert type(errors.errors[i]) is expected, where
-                continue
-            assert errors.errors[i] is None, f"{where}: {errors.errors[i]!r}"
+            assert not isinstance(expected, type), f"{where}: {expected.__name__} alone, values in a row"
             for field, value in _fields(expected).items():
                 got = _fields(row)[field]
                 if np.ndim(got):  # a field the row holds per point (not None or a default)
                     got = got[i]
                 assert _bits(got) == _bits(value), f"{where}: {field}"
+
+    # the cutoff is a mask: defined exactly where one point does not raise, with the same values there
+    report = metrology.weighted_qfi_scheme1(p, t, FD, probe=probe)
+    xi, zeta, defined = metrology.resource_ratios(report, t)
+    for i, (expected, _) in enumerate(outcomes["resources"]):
+        where = f"resources at gamma/omega={gamma_ratio!r}, t={times[i]!r}"
+        assert defined[i] == (expected is not UndefinedResourceMetrics), where
+        if defined[i]:
+            assert (_bits(xi[i]), _bits(zeta[i])) == (_bits(expected.xi), _bits(expected.zeta)), where
 
 
 gamma_ratios = st.one_of(st.floats(0.0, 1.0 - 1e-6), st.sampled_from([0.0, 0.6, 1.0 - 1e-5, 1.0 - 1e-6]))
@@ -104,11 +112,38 @@ def test_rows_equal_batch_of_one_with_undefined_points(gamma_ratio):
 
 
 def test_row_level_error_is_every_points_error():
-    # the metric is singular for the whole row: each point gets the error alone
-    p = PtParams(1.0, 1.0 - 1e-13)
-    errors = PointErrors(3)
-    assert errors.run(metrology.weighted_qfi_scheme1, p, np.array([0.0, 1.0, 2.0]), FD) is None
-    assert len({id(e) for e in errors.errors}) == 1 and not errors.ok.any()
+    # the metric is singular for the whole row: the row raises what each point raises alone
+    p, times = PtParams(1.0, 1.0 - 1e-13), [0.0, 1.0, 2.0]
+    for t in [np.array(times)] + times:
+        with pytest.raises(MetricSingular):
+            metrology.weighted_qfi_scheme1(p, t, FD)
+
+
+@pytest.mark.parametrize("fn", [metrology.weighted_qfi_scheme1, metrology.weighted_qfi_scheme2,
+                                metrology.resource_metrics])
+def test_row_with_one_bad_time_raises_for_the_whole_call(fn):
+    # the NaN point raises alone, so the row raises the same class and returns no values at all
+    p = PtParams(1.0, 0.6)
+    with np.errstate(all="ignore"):
+        with pytest.raises(InvalidMatrix):
+            fn(p, np.nan)
+        with pytest.raises(InvalidMatrix):
+            fn(p, np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("row", [False, True])
+def test_qfi_pt_validates_its_input(row):
+    # the probe and the times are checked before anything is computed from them
+    p = PtParams(1.0, 0.6)
+    at = (lambda t: np.array([1.0, t])) if row else (lambda t: t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probe in (np.zeros(2), np.array([np.nan, 1.0])):
+            with pytest.raises(InvalidMatrix):
+                metrology.qfi_pt(p, at(1.0), probe=probe)
+        for t in (np.nan, np.inf):
+            with pytest.raises(InvalidMatrix):
+                metrology.qfi_pt(p, at(t))
 
 
 def test_exceptional_point_qfi_is_the_limit():
@@ -123,9 +158,7 @@ def test_exceptional_point_qfi_is_the_limit():
         at_ep, limit = metrology.weighted_qfi_scheme2(p, t, FD), metrology.weighted_qfi_scheme2(near, t, FD)
         assert at_ep.f_total == pytest.approx(limit.f_total, rel=1e-6)
         assert at_ep.f_suc == pytest.approx(limit.f_suc, rel=1e-6)
-    errors = PointErrors(2)
-    row = errors.run(metrology.qfi_pt, p, np.array([0.0, 0.5]))
-    assert errors.errors == [None, None]
+    row = metrology.qfi_pt(p, np.array([0.0, 0.5]))
     assert list(row) == [0.0, metrology.qfi_pt(p, 0.5)]
 
 
