@@ -27,7 +27,9 @@ GOLDEN = ROOT / "tests" / "golden"
 #: Snapshot file name -> ptsense command line (without --output).  The figure
 #: presets run on a 33-step tau grid, which keeps tau = 2*pi and 4*pi.  The JSON
 #: snapshots hold gamma/omega = 1, where t = inf and the rows beyond tau = 0 are
-#: undefined, and (spectrum.json) complex values.
+#: undefined, and (spectrum.json) complex values.  order.csv and order.json pin
+#: the row order: unsorted and repeated gammas, deltas and schemes given in
+#: reverse order, and gamma/omega = 1.
 SNAPSHOTS = {
     **{f"{name}.csv": ("figure", name, "--tau-steps", "33")
        for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")},
@@ -41,6 +43,11 @@ SNAPSHOTS = {
     "spectrum.json": ("sweep", "--quantity", "liouvillian_spectrum", "--scheme", "lindblad",
                       "--gamma-list", "0.6,1.0,0.0", "--delta-list", "0.0,0.005", "--tau-steps", "33",
                       "--format", "json"),
+    **{f"order.{fmt}": ("sweep", "--quantity", "population", "--quantity", "postselect_rates",
+                        "--scheme", "lindblad", "--scheme", "dilation",
+                        "--gamma-list", "0.9,0.0,1.0,0.3,0.9,0.0", "--delta-list", "0.005,0.0",
+                        "--tau-steps", "9", "--format", fmt)
+       for fmt in ("csv", "json")},
 }
 
 

@@ -1,9 +1,11 @@
 """Golden datasets match their committed snapshots byte for byte.
 
 The snapshots in tests/golden/ are the six figure presets on a 33-step tau
-grid (tau = 2*pi and 4*pi stay on it), a custom-probe scheme-1 sweep and two
-JSON datasets (dynamics and Liouvillian spectrum, gamma/omega = 1 included);
-the command line of each is `SNAPSHOTS` in scripts/golden.py.  A change that
+grid (tau = 2*pi and 4*pi stay on it), a custom-probe scheme-1 sweep, two
+JSON datasets (dynamics and Liouvillian spectrum, gamma/omega = 1 included)
+and one sweep in both formats that pins the row order (unsorted and repeated
+gammas, deltas and schemes given in reverse order); the command line of each
+is `SNAPSHOTS` in scripts/golden.py.  A change that
 moves values on purpose regenerates them from the repository root with
 
     python scripts/golden.py snapshot
