@@ -11,15 +11,15 @@ single row "<quantity>_undefined" at every point.  The one per-point gap is
 the resource cutoff at vanishing information (metrology.resource_ratios),
 written as "resources_undefined" where its mask is False.
 
-The writer is text-first: while it walks a row it formats each point's
-tau, t, gamma/omega and delta/omega once, and each value once, into the
-finished CSV line or JSON object.  The lines are then sorted by (gamma/omega,
-delta/omega, tau, quantity, scheme), stably, so reruns are byte-identical, and
-joined.  Floats are written as float repr() (shortest round-trip, at most 17
-significant digits); non-finite or failed entries are the sentinels
-"inf"/"undefined", and complex spectra are written like "-0.6+0.8j".  A JSON
-dataset is an array of objects with the CSV's keys, in compact separators,
-where finite floats are numbers and sentinels strings.
+The writer is columnar: each (gamma/omega, delta/omega) group of rows is
+formatted a column (row name and scheme) at a time, on one prefix per point,
+and emitted already in (gamma/omega, delta/omega, tau, quantity, scheme)
+order, equal keys in config order, so reruns are byte-identical.  Floats are
+written as float repr() (shortest round-trip, at most 17 significant digits);
+non-finite or failed entries are the sentinels "inf"/"undefined", and complex
+spectra are written like "-0.6+0.8j".  A JSON dataset is an array of objects
+with the CSV's keys, in compact separators, where finite floats are numbers
+and sentinels strings.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, groupby, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,9 @@ class SweepConfig:
             raise ConfigError(f"probe: unknown value {self.probe!r}")
         if self.probe == "custom" and (self.probe_theta is None or self.probe_phi is None):
             raise ConfigError("probe: custom probe requires probe_theta and probe_phi")
+        for field, angle in (("probe_theta", self.probe_theta), ("probe_phi", self.probe_phi)):
+            if angle is not None and not math.isfinite(angle):
+                raise ConfigError(f"{field}: must be finite")
         if self.repetitions < 1:
             raise ConfigError("N: repetitions must be >= 1")
         if self.format not in ("csv", "json"):
@@ -145,7 +149,9 @@ class SweepConfig:
             if src in data and data[src] is not None:
                 try:
                     kwargs[dst] = conv(data[src])
-                except (TypeError, ValueError) as exc:
+                    if conv is int and kwargs[dst] != float(data[src]):  # int() would truncate 3.7
+                        raise ValueError(f"{data[src]!r} is not an integer")
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"{src}: {exc}") from exc
         return SweepConfig(**kwargs)
 
@@ -163,18 +169,10 @@ class SweepConfig:
 
 
 def _fmt(value) -> str:
-    if value.__class__ is float and value - value == 0.0:  # finite
-        return repr(value)
+    """Dataset text of a number: float repr(), "undefined" for NaN, a complex one without parentheses."""
     if isinstance(value, complex):
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            return "undefined"
-        return repr(value).strip("()")
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "undefined"
-    return repr(v)
+        return repr(value).strip("()") if value - value == 0 else "undefined"  # finite
+    return repr(float(value)) if value == value else "undefined"
 
 
 class _Row:
@@ -348,53 +346,56 @@ def _check_pairs(config: SweepConfig) -> None:
                 raise ConfigError(f"probe: quantity {quantity!r} is defined for the plus_y probe only")
 
 
-def _evaluate_row(config: SweepConfig, scheme: str, gamma_ratio: float, delta_ratio: float,
-                  taus: list[float]) -> list[tuple]:
-    """The dataset lines of one (scheme, gamma, delta) row of the tau grid, as
-    (gamma, delta, tau, quantity, scheme, text, value), where value is None
-    unless it is a finite float; a quantity that is undefined at a point
-    becomes one undefined line there.  The fields of a point are formatted
-    once for all its values.
+def _column(column, keep: list[bool], prefixes: list[str], head: str, end: str, quote) -> tuple[list, list]:
+    """The lines and finite values of one row name at the first len(column) points of the tau grid.
+
+    A finite float is written as its repr(), any other entry (complex, inf, NaN) as its quoted _fmt
+    text with no value; a point where `keep` is False has neither.
     """
-    row = _Row(config, scheme, gamma_ratio, delta_ratio, taus)
-    points = [(_fmt(tau), _fmt(t)) for tau, t in zip(taus, row.times)]
+    array = np.asarray(column)
+    values = [v if k else None for v, k in zip(array.tolist(), keep)]  # python floats, or complex
+    lines = [f"{p}{head}{v!r}{end}" if v is not None else None for p, v in zip(prefixes, values)]
+    for i in np.flatnonzero(np.iscomplexobj(array) | ~np.isfinite(array)).tolist():
+        if values[i] is not None:
+            lines[i], values[i] = f"{prefixes[i]}{head}{quote(_fmt(values[i]))}{end}", None
+    return lines, values
+
+
+def _columns(config: SweepConfig, gamma_ratio: float, delta_ratio: float, taus: list[float],
+             tau_texts: list[str]) -> list[tuple]:
+    """The columns (row name, scheme, lines, values) of one (gamma, delta) entry of the config, every
+    scheme: the line and the finite value of the name at each tau, None where it has none, in tau
+    order; a column may end early.  A quantity undefined at a point has one "<quantity>_undefined"
+    line there.  The (tau, t, gamma, delta) prefix of each point is formatted once.
+    """
+    rows = [_Row(config, scheme, gamma_ratio, delta_ratio, taus) for scheme in config.schemes]
+    t_texts = map(_fmt, rows[0].times)  # the times depend on gamma/omega alone
     if config.format == "json":
         quote = json.dumps  # escapes strings; writes an int gamma as an int
         grid = f'"gamma_ratio":{quote(gamma_ratio)},"delta_ratio":{quote(delta_ratio)},"quantity":'
-        prefixes = [f'{{"tau":{tau},"t":{quote(t) if t == "inf" else t},{grid}' for tau, t in points]
-        middle, suffix = ',"value":', f',"scheme":{quote(scheme)},"probe":{quote(config.probe_label())}}}'
+        prefixes = [f'{{"tau":{tau},"t":{quote(t) if t == "inf" else t},{grid}' for tau, t in zip(tau_texts, t_texts)]
+        middle, suffix = ',"value":', ',"scheme":{},"probe":{}}}'
     else:
         quote = str
         grid = f"{_fmt(gamma_ratio)},{_fmt(delta_ratio)},"
-        prefixes = [f"{tau},{t},{grid}" for tau, t in points]
-        middle, suffix = ",", f",{scheme},{config.probe_label()}"
-    lines: list[tuple] = []
-    for quantity in config.quantities:
-        pair = _PAIRS[quantity, scheme]
-        columns, mask = pair.evaluate(row)
-        n = 0 if columns is None else len(row.t)
-        ok = [True] * n if mask is None else mask.tolist()
-        defined, failed = [], []
-        for i, tau in enumerate(taus):
-            if not (pair.time_independent and tau != 0.0):
-                (defined if i < n and ok[i] else failed).append(i)
-        for name, column in (zip(pair.rows, columns, strict=True) if defined else ()):
-            head = quote(name) + middle
-            values = np.asarray(column).tolist()  # python floats, or complex
-            for i in defined:
-                v = values[i]
-                if v.__class__ is float and v - v == 0.0:  # finite
-                    text = repr(v)
-                else:
-                    text, v = quote(_fmt(v)), None
-                lines.append((gamma_ratio, delta_ratio, taus[i], name, scheme, prefixes[i] + head + text + suffix, v))
-        undefined = f"{quantity}_undefined"
-        text = quote(undefined) + middle + quote("undefined") + suffix
-        lines.extend((gamma_ratio, delta_ratio, taus[i], undefined, scheme, prefixes[i] + text, None) for i in failed)
-    return lines
-
-
-_ORDER = operator.itemgetter(0, 1, 2, 3, 4)
+        prefixes = [f"{tau},{t},{grid}" for tau, t in zip(tau_texts, t_texts)]
+        middle, suffix = ",", ",{},{}"
+    out = []
+    for row in rows:
+        end = suffix.format(quote(row.scheme), quote(config.probe_label()))
+        for quantity in config.quantities:
+            pair = _PAIRS[quantity, row.scheme]
+            columns, mask = pair.evaluate(row)
+            defined = [] if columns is None else [True] * len(row.t) if mask is None else mask.tolist()
+            written = [tau == 0.0 or not pair.time_independent for tau in taus]
+            keep = [w and d for w, d in zip(written, defined)]
+            for name, column in zip(pair.rows, columns, strict=True) if any(keep) else ():
+                out.append((name, row.scheme, *_column(column, keep, prefixes, quote(name) + middle, end, quote)))
+            failed = [w and not d for w, d in zip_longest(written, defined)]
+            if any(failed):  # NaN is written as "undefined"
+                name, nan = quantity + "_undefined", [math.nan] * len(failed)
+                out.append((name, row.scheme, *_column(nan, failed, prefixes, quote(name) + middle, end, quote)))
+    return out
 
 
 def run(config: SweepConfig, output_path: str | None = None) -> Path:
@@ -408,28 +409,37 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
     path = Path(output_path or config.output_path or f"{config.name}.{config.format}")
 
     taus = [config.tau_max * i / (config.tau_steps - 1) for i in range(config.tau_steps)]
-    lines = [
-        line
-        for g in config.gamma_ratios
-        for d in config.delta_ratios
-        for scheme in config.schemes
-        for line in _evaluate_row(config, scheme, g, d, taus)
-    ]
-    lines.sort(key=_ORDER)  # stable: equal keys (repeated gamma or delta) keep the order of the config
-    texts = [line[5] for line in lines]
-    if config.format == "csv":
-        data = CSV_HEADER + "\n" + "\n".join(texts) + "\n"
-    else:
-        data = "[" + ",".join(texts) + "]\n"
+    tau_texts = [_fmt(tau) for tau in taus]
+    groups: dict[tuple, list] = {}  # equal (gamma, delta) values share a group: 0 and 0.0 keep their own text
+    for g in config.gamma_ratios:
+        for d in config.delta_ratios:
+            groups.setdefault((g, d), []).extend(_columns(config, g, d, taus, tau_texts))
+    sizes = [len(list(equal)) for _, equal in groupby(taus)]
+    repeats = [(end - size, end) for size, end in zip(sizes, accumulate(sizes)) if size > 1]
+    texts, values = [], []
+    for key in sorted(groups):
+        columns = sorted(groups[key], key=operator.itemgetter(0, 1))  # stable: equal names keep config order
+        width = len(columns)
+        for out, field in ((texts, 2), (values, 3)):
+            flat = list(chain.from_iterable(zip_longest(*(column[field] for column in columns))))
+            for a, b in repeats:  # equal taus (a subnormal tau_max): their lines go column by column
+                block = flat[a * width:b * width]
+                flat[a * width:b * width] = [x for c in range(width) for x in block[c::width]]
+            out += flat
+    texts = list(filter(None, texts))
+    head, sep, tail = (CSV_HEADER + "\n", "\n", "\n") if config.format == "csv" else ("[", ",", "]\n")
     try:
-        path.write_text(data)
+        with path.open("w") as handle:  # three writes, so the joined lines are not copied again
+            handle.write(head)
+            handle.write(sep.join(texts))
+            handle.write(tail)
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from exc
 
-    finite = [line[6] for line in lines if line[6] is not None]  # in row order, which picks -0.0 or 0.0
+    finite = [v for v in values if v is not None]  # in row order, which picks -0.0 or 0.0
     lo = min(finite) if finite else math.nan
     hi = max(finite) if finite else math.nan
-    print(f"wrote {path} rows={len(lines)} value_min={_fmt(lo)} value_max={_fmt(hi)}")
+    print(f"wrote {path} rows={len(texts)} value_min={_fmt(lo)} value_max={_fmt(hi)}")
     print(f"grid: omega={config.omega!r} gamma_ratios={list(config.gamma_ratios)!r} "
           f"delta_ratios={list(config.delta_ratios)!r} tau_max={config.tau_max!r} "
           f"tau_steps={config.tau_steps} probe={config.probe_label()} N={config.repetitions}")

@@ -166,6 +166,35 @@ def test_csv_and_json_agree_row_for_row_in_sorted_order(tmp_path, capsys):
     assert {r["value"] for r in json_rows if r["t"] == "inf"} == {"undefined"}
 
 
+def test_int_and_float_gamma_twins_keep_their_json_text_in_config_order(tmp_path):
+    # 0 and 0.0 are one (gamma, delta) group but JSON writes them apart; the float() compare above cannot see it
+    cfg = SweepConfig(quantities=("population", "postselect_rates"), schemes=("dilation", "lindblad"),
+                      gamma_ratios=(0, 0.0, 0.5), tau_steps=3, format="json", output_path=str(tmp_path / "d.json"))
+    objects = run(cfg).read_text().removeprefix("[{").removesuffix("}]\n").split("},{")
+    gammas = [obj.split('"gamma_ratio":', 1)[1].split(",", 1)[0] for obj in objects]
+    n = gammas.count("0") + gammas.count("0.0")
+    assert n > 0 and gammas == ["0", "0.0"] * (n // 2) + ["0.5"] * (len(objects) - n)
+    for twin_int, twin_float in zip(objects[:n:2], objects[1:n:2]):
+        assert '"gamma_ratio":0,"delta_ratio":0.0,"quantity":' in twin_int
+        assert twin_int.replace('"gamma_ratio":0,', '"gamma_ratio":0.0,', 1) == twin_float
+
+
+def test_rows_at_repeated_subnormal_taus_stay_in_key_order(tmp_path, capsys):
+    # tau_max = 1e-323 on 5 steps rounds to the tau grid [0.0, 0.0, 5e-324, 1e-323, 1e-323]
+    base = SweepConfig(quantities=("postselect_rates", "population"), schemes=("lindblad", "dilation"),
+                       gamma_ratios=(0.6, 0.0), tau_max=1e-323, tau_steps=5)
+    run(dataclasses.replace(base, format="csv"), str(tmp_path / "d.csv"))
+    run(dataclasses.replace(base, format="json"), str(tmp_path / "d.json"))
+    capsys.readouterr()
+    csv_rows = read_rows(tmp_path / "d.csv")
+    json_rows = json.loads((tmp_path / "d.json").read_text())
+    assert sorted({float(r["tau"]) for r in csv_rows}) == [0.0, 5e-324, 1e-323]
+    for rows in (csv_rows, json_rows):
+        keys = [(float(r["gamma_ratio"]), float(r["delta_ratio"]), float(r["tau"]), r["quantity"], r["scheme"])
+                for r in rows]
+        assert len(keys) == 2 * 5 * (4 + 3 + 4 + 5) and keys == sorted(keys)
+
+
 def test_default_output_name_follows_format(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["figure", "fig7", "--format", "json", "--tau-steps", "3"]) == 0
@@ -197,6 +226,31 @@ def test_from_mapping_round_trip():
                                   "gamma_list": [0], "bogus": 1})
     with pytest.raises(ConfigError, match="quantity"):
         SweepConfig.from_mapping({"scheme": "pt", "gamma_list": [0]})
+
+
+@pytest.mark.parametrize("flags", [("--probe-theta", "nan", "--probe-phi", "0.3"),
+                                   ("--probe-theta", "0.3", "--probe-phi", "inf"),
+                                   ("--probe-theta=-inf", "--probe-phi", "nan")])
+def test_non_finite_custom_probe_is_a_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--quantity", "qfi_weighted", "--scheme", "dilation", "--gamma-list", "0.5",
+                 "--tau-steps", "3", "--probe", "custom", *flags, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: probe_")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("tau_steps", 3.7), ("N", 2.9), ("tau_steps", math.inf)])
+def test_non_integral_config_integer_is_a_config_error(tmp_path, capsys, field, value):
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"quantity": "population", "scheme": "pt", "gamma_list": [0.0],
+                                    "tau_steps": 3, field: value, "output_path": str(out)}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+    # an integral float is the integer it names
+    assert SweepConfig.from_mapping({"quantity": "population", "scheme": "pt", "gamma_list": [0.0],
+                                     "tau_steps": 3.0, "N": 2.0}).tau_steps == 3
 
 
 def test_threads_config_field_is_rejected(tmp_path, capsys):
