@@ -4,8 +4,8 @@ perfbench/workloads.py calls the README quick-start functions (passing the
 FdConfig positionally) and perfbench/checks.py reads QfiReport and
 PostSelectionOutcome fields and parses the written datasets.  A signature,
 field or dataset layout change fails here, in Tier-1, rather than as failed
-operations of a benchmark run.  perfbench/ is
-put on sys.path, as scripts/ is for tests/test_golden.py; nothing in it changes.
+operations of a benchmark run.  perfbench/ is put on sys.path, as scripts/ is
+for tests/test_golden.py; nothing in it changes.
 """
 
 import sys
