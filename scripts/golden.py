@@ -7,7 +7,9 @@
 the sources under src/.  `diff` prints, per (quantity, scheme, gamma_ratio),
 how many values changed and their largest absolute and relative change, the
 rows added or removed, and the undefined rows that appeared or vanished; it
-prints "no change" when the datasets hold the same rows and values.
+prints "no change" when the datasets hold the same rows and values.  `diff`
+exits with 1 when any dataset changed or is missing on one side, and 0 when
+every one reads "no change".
 """
 
 from __future__ import annotations
@@ -150,14 +152,18 @@ def main(argv: list[str] | None = None) -> int:
         pairs = [(args.old / n, args.new / n) for n in names]
     else:
         pairs = [(args.old, args.new)]
+    changed = False
     for old, new in pairs:
         if not (old.is_file() and new.is_file()):
             print(f"{old.name}: only in {new.parent if new.is_file() else old.parent}")
+            changed = True
             continue
         print(f"{old.name}:" if len(pairs) > 1 else f"{old} -> {new}:")
-        for line in diff_datasets(old, new):
+        lines = diff_datasets(old, new)
+        changed |= lines != ["no change"]
+        for line in lines:
             print(f"  {line}")
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,11 @@ probe), qfi_pt, and scheme 2's f_suc and f_total (|+>_y), on gamma/omega in
 {1-1e-4, 1-1e-6} x tau in {0.5, 2, 2pi, 4pi} at omega = 1; and for |+>_y the
 four susceptibilities of fig5 (pt, a, the enlarged pair and eff).  fig5's
 near-EP column, gamma/omega = 1-1e-5 at tau in {2, 2pi, 4pi}, adds three
-|+>_y points with every quantity.  Propagators are
+|+>_y points with every quantity.  "populations" holds, for |+>_y on
+gamma/omega in {0.5, 1-1e-5} x tau in {2, 2pi, 4pi}, fig3's five lindblad
+population rows (population_1..3 of the three-level state, population_eff_1 of
+the effective state and population_artificial_1 of the amplified one) and the
+two rows of population/pt.  Propagators are
 mpmath matrix exponentials and omega-derivatives are fourth-order central
 differences with step 1e-20, so the route shares no formula with the closed
 forms it checks.  The inputs (gamma, t and the probe amplitudes) are the
@@ -33,6 +37,8 @@ TAUS = (0.5, 2.0, 2.0 * math.pi, 4.0 * math.pi)
 PROBES = {"plus_y": None, "custom(1.1,0.7)": (1.1, 0.7)}
 #: (gamma/omega, tau) of fig5's near-EP column, evaluated for |+>_y only.
 FIG5_NEAR_EP = tuple((1.0 - 1e-5, tau) for tau in (2.0, 2.0 * math.pi, 4.0 * math.pi))
+#: (gamma/omega, tau) of the population references: an interior and fig3's near-EP gamma.
+POPULATION_POINTS = tuple((g, tau) for g in (0.5, 1.0 - 1e-5) for tau in (2.0, 2.0 * math.pi, 4.0 * math.pi))
 
 
 def probe_amplitudes(angles) -> list[complex]:
@@ -141,12 +147,29 @@ def point(g: float, tau: float, label: str) -> dict:
     return {k: (mp.nstr(v, 20) if isinstance(v, mp.mpf) else v) for k, v in out.items()}
 
 
+def populations(g: float, tau: float) -> dict:
+    """The lindblad and pt population rows at one point, probe |+>_y, omega = 1."""
+    t_double = tau / math.sqrt(max((1.0 - g) * (1.0 + g), 0.0))
+    gm, t = mp.mpf(g), mp.mpf(t_double)
+    psi0 = mp.matrix([mp.mpc(a.real, a.imag) for a in probe_amplitudes(None)])
+    v = mp.expm(-1j * t * h_pt(mp.mpf(1), gm)) * psi0
+    norm2 = abs(v[0]) ** 2 + abs(v[1]) ** 2
+    decay = mp.exp(-gm * t)  # |phi_i|^2 = e^{-gamma t} |v_i|^2
+    out = {"gamma_ratio": g, "tau": tau, "t": t_double, "probe": "plus_y",
+           "population_1": decay * abs(v[0]) ** 2, "population_2": decay * abs(v[1]) ** 2,
+           "population_3": 1 - decay * norm2, "population_eff_1": decay * abs(v[0]) ** 2,
+           "population_artificial_1": abs(v[0]) ** 2,
+           "pt_population_1": abs(v[0]) ** 2 / norm2, "pt_population_2": abs(v[1]) ** 2 / norm2}
+    return {k: (mp.nstr(v, 20) if isinstance(v, mp.mpf) else v) for k, v in out.items()}
+
+
 def main() -> None:
     mp.mp.dps = DPS
     points = [point(g, tau, label) for g in GAMMA_RATIOS for tau in TAUS for label in PROBES]
     points += [point(g, tau, "plus_y") for g, tau in FIG5_NEAR_EP]
-    OUTPUT.write_text(json.dumps({"dps": DPS, "points": points}, indent=1) + "\n")
-    print(f"wrote {OUTPUT} ({len(points)} points)")
+    rows = [populations(g, tau) for g, tau in POPULATION_POINTS]
+    OUTPUT.write_text(json.dumps({"dps": DPS, "points": points, "populations": rows}, indent=1) + "\n")
+    print(f"wrote {OUTPUT} ({len(points)} points, {len(rows)} population points)")
 
 
 if __name__ == "__main__":

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBranch, MetricSingular
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, per_point, su2_like_pair, su2_like_propagator, vector_norm
+from .errors import EmptyBranch, InvalidMatrix, MetricSingular
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _abs2, per_point, su2_like_pair, su2_like_propagator
 from .params import PtParams
-from .pt_system import propagator_pt
+from .pt_system import _direction, propagator_pt
 from .states import DensityMatrix2, DensityMatrix4, PureState2, PureState4, as_state
 
 __all__ = [
@@ -159,12 +159,31 @@ def propagator_4d_pair(p: PtParams, t):
     return su2_like_pair(h4, dh4, (0.5 * p.kappa) ** 2, 0.5 * w, t)
 
 
-def _enlarged(psi_raw, eta: np.ndarray):
-    """Unvalidated amplitudes and norm factor C_n of the enlarged state from psi_raw = U_pt psi0."""
-    psi_t = psi_raw / per_point(vector_norm(psi_raw), 1)
-    chi_t = (eta @ psi_t[..., None])[..., 0]
-    c_n = 1.0 / np.sqrt(1.0 + np.vecdot(chi_t, chi_t).real)
-    return per_point(c_n, 1) * np.concatenate([psi_t, chi_t], axis=-1), c_n
+def _enlarged(psi, eta: np.ndarray):
+    """Unvalidated amplitudes (psi, eta psi)/C_n of the enlarged state of a unit psi, and C_n."""
+    chi = (eta @ psi[..., None])[..., 0]
+    c_n = 1.0 / np.sqrt(1.0 + np.vecdot(chi, chi).real)
+    return per_point(c_n, 1) * np.concatenate([psi, chi], axis=-1), c_n
+
+
+def _rates(pops):
+    """(p_suc, p_fail), the block sums of enlarged populations; EmptyBranch unless they add to 1."""
+    p_suc, p_fail = pops[..., 0] + pops[..., 1], pops[..., 2] + pops[..., 3]
+    total = p_suc + p_fail
+    bad = abs(total - 1.0) > 1e-12
+    if bad.any():
+        raise EmptyBranch(f"branch probabilities do not sum to 1: {np.extract(bad, total)[0]:.15g}")
+    return p_suc, p_fail
+
+
+def _branches(psi, eta: np.ndarray):
+    """(pops, p_suc, p_fail): the populations |a_i|^2 of the enlarged state a of the normalized PT
+    state psi and its rates (_rates); InvalidMatrix unless a is finite."""
+    a = _enlarged(psi, eta)[0]
+    if not np.isfinite(a).all():
+        raise InvalidMatrix("state vector has non-finite entries")
+    pops = _abs2(a)
+    return (pops, *_rates(pops))
 
 
 def evolve_enlarged_state(psi0, p: PtParams, t) -> PureState4:
@@ -175,12 +194,13 @@ def evolve_enlarged_state(psi0, p: PtParams, t) -> PureState4:
     machine precision and are cross-checked in the tests.  For a 1-D array
     of times the result is the (n, 4) stack of amplitudes.
     """
-    return as_state(PureState4, t, *_enlarged(propagator_pt(p, t) @ _amplitudes(psi0), metric_operator(p).eta))
+    psi = _direction(propagator_pt(p, t) @ _amplitudes(psi0))[0]
+    return as_state(PureState4, t, *_enlarged(psi, metric_operator(p).eta))
 
 
 def evolve_enlarged(psi0, p: PtParams, t) -> DensityMatrix4:
     """Rank-one density matrix of the enlarged system (the (n, 4, 4) stack for a row of times)."""
-    a, c_n = _enlarged(propagator_pt(p, t) @ _amplitudes(psi0), metric_operator(p).eta)
+    a, c_n = _enlarged(_direction(propagator_pt(p, t) @ _amplitudes(psi0))[0], metric_operator(p).eta)
     as_state(PureState4, t, a, c_n)
     return as_state(DensityMatrix4, t, a[..., :, None] * a.conj()[..., None, :])
 
@@ -199,12 +219,7 @@ def postselect(rho4) -> PostSelectionOutcome:
     """
     m = rho4.matrix if isinstance(rho4, DensityMatrix4) else np.asarray(rho4, dtype=complex)
     pops = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
-    p_suc = pops[..., 0] + pops[..., 1]
-    p_fail = pops[..., 2] + pops[..., 3]
-    total = p_suc + p_fail
-    bad = abs(total - 1.0) > 1e-12
-    if bad.any():
-        raise EmptyBranch(f"branch probabilities do not sum to 1: {np.extract(bad, total)[0]:.15g}")
+    p_suc, p_fail = _rates(pops)
     if (p_suc < 1e-14).any():
         raise EmptyBranch("success branch has vanishing probability")
     rho_pt = as_state(DensityMatrix2, p_suc, m[..., :2, :2] / per_point(p_suc, 2))  # p_suc: one value per point

@@ -60,6 +60,11 @@ def vector_norm(v) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
+def _abs2(x) -> np.ndarray:
+    """|x_i|^2 of each entry of a complex array, as (x * conj x).real."""
+    return (x * x.conj()).real
+
+
 def per_element(fn, x):
     """fn(x) for a scalar x; for an array, fn of each element as a Python float.
 

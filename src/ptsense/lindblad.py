@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, InvalidStep
-from .linalg import PAULI_X, dagger, per_element, per_point, vector_norm
+from .linalg import PAULI_X, _abs2, dagger, per_element, per_point
 from .params import PtParams
-from .pt_system import hamiltonian_pt, propagator_pt
+from .pt_system import _direction, hamiltonian_pt, propagator_pt
 from .states import DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, as_state, plus_y
 
 __all__ = [
@@ -114,11 +114,22 @@ def integrate_lindblad(rho0, p: PtParams, t: float, dt: float) -> DensityMatrix3
     return DensityMatrix3(rho)
 
 
-def _decaying_amplitudes(p: PtParams, t):
-    """(v, phi): v = U_pt |+>_y and phi = e^{-gamma t/2} v, the {|1>,|2>} amplitudes
-    of the three-level state; stacked along a leading axis for an array of t."""
-    v = propagator_pt(p, t) @ plus_y()
-    return v, per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * v
+def _decayed(p: PtParams, t, v):
+    """(phi, p_suc): the {|1>,|2>} amplitudes e^{-gamma t/2} v of the three-level state of v = U_pt
+    psi0 and its success rate |phi|^2, the trace of the effective state.  InvalidMatrix unless v is
+    finite."""
+    if not np.isfinite(v).all():
+        raise InvalidMatrix("state vector has non-finite entries")
+    phi = per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * v
+    return phi, _abs2(phi).sum(axis=-1)
+
+
+def _survival(trace):
+    """The trace of the effective state, a survival probability: InvalidMatrix above 1 + 1e-10."""
+    above = trace > 1.0 + 1e-10
+    if above.any():
+        raise InvalidMatrix(f"effective state trace {np.extract(above, trace)[0]:.15g} exceeds 1")
+    return trace
 
 
 def _conjugated(u, rho0) -> np.ndarray:
@@ -141,11 +152,11 @@ def analytic_rho_3l(p: PtParams, t) -> DensityMatrix3:
     exactly zero and the state is the sink, which is the correct limit.
     For a 1-D array of times the result is the (n, 3, 3) stack.
     """
-    scaled = _decaying_amplitudes(p, t)[1]
+    scaled, p_suc = _decayed(p, t, propagator_pt(p, t) @ plus_y())
     block = scaled[..., :, None] * scaled.conj()[..., None, :]
     out = np.zeros(getattr(t, "shape", ()) + (3, 3), dtype=complex)
     out[..., :2, :2] = 0.5 * (block + dagger(block))
-    out[..., 2, 2] = 1.0 - block.trace(axis1=-2, axis2=-1).real
+    out[..., 2, 2] = 1.0 - p_suc
     return as_state(DensityMatrix3, t, out)
 
 
@@ -162,10 +173,7 @@ def effective_evolve(rho0, p: PtParams, t) -> UnnormalizedMatrix2:
     u_eff = per_point(per_element(math.exp, -0.5 * p.gamma * t), 2) * propagator_pt(p, t)
     raw = _conjugated(u_eff, rho0)
     out = as_state(UnnormalizedMatrix2, t, raw)
-    tr = raw.trace(axis1=-2, axis2=-1).real
-    above = tr > 1.0 + 1e-10  # survival probability cannot exceed one
-    if above.any():
-        raise InvalidMatrix(f"effective state trace {np.extract(above, tr)[0]:.15g} exceeds 1")
+    _survival(raw.trace(axis1=-2, axis2=-1).real)
     return out
 
 
@@ -216,9 +224,9 @@ def postselect_3l(p: PtParams, t) -> Postselected3L:
     p_suc without the division, so it is defined at every time.  For a row
     (t a 1-D array of times) every field is stacked.
     """
-    v, phi = _decaying_amplitudes(p, t)
-    p_suc = (phi * phi.conj()).real.sum(axis=-1)
-    psi = v / per_point(vector_norm(v), 1)
+    v = propagator_pt(p, t) @ plus_y()
+    p_suc = _decayed(p, t, v)[1]
+    psi = _direction(v)[0]
     rho_pt = psi[..., :, None] * psi.conj()[..., None, :]
     return Postselected3L(p_suc=p_suc, p_fail=1.0 - p_suc, rho_pt=as_state(DensityMatrix2, t, rho_pt))
 

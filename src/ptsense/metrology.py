@@ -44,12 +44,16 @@ susceptibilities, sld, qfi_sld and qfi_two_level are row-batched: given a
 1-D array of n times (stacks of n states and derivatives for the QFI forms),
 each evaluates one (gamma, omega, probe) row in one call and returns n values
 per field, bit for bit the values of n one-point calls.  Called with one
-time, the same code is the scalar API.  Every check runs once on the whole
-call and raises if any point fails it, with the class a failing point raises
-alone.  The one condition that depends on the point is the resource cutoff
-at vanishing information: resource_ratios returns it as a mask, and
-resource_metrics raises UndefinedResourceMetrics unless every point is
-defined.
+time, the same code is the scalar API.  The evaluators are compositions of
+private kernels on the PT family (v, dv) = (U_pt psi0, dU_pt psi0) of
+_pt_family: _direction, _fail_family, dilation._branches, _channel,
+lindblad._decayed, _scheme1/_scheme2 and the slopes.  A sweep calls the same
+kernels once per (gamma, delta) entry (sweeps._State), so a column equals its
+evaluator.  Every check runs once on the whole call and raises if any point
+fails it, with the class a failing point raises alone.  The one condition
+that depends on the point is the resource cutoff at vanishing information:
+resource_ratios returns it as a mask, and resource_metrics raises
+UndefinedResourceMetrics unless every point is defined.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import _dilated, _enlarged, d_metric, evolve_enlarged, metric_operator, propagator_4d_pair
+from .dilation import _branches, _dilated, d_metric, metric_operator, propagator_4d_pair
 from .errors import (
     EmptyBranch,
     InvalidDerivative,
@@ -69,8 +73,9 @@ from .errors import (
     UndefinedResourceMetrics,
 )
 from .linalg import dagger, per_element, per_point, vector_norm
+from .lindblad import _decayed
 from .params import PtParams
-from .pt_system import evolve_state, norm_growth, propagator_pt_pair
+from .pt_system import _direction, norm_growth, propagator_pt, propagator_pt_pair
 from .states import plus_y, pure_density
 
 __all__ = [
@@ -147,30 +152,30 @@ def _probe(probe) -> np.ndarray:
 
 
 def population_shift(scheme: str, p: PtParams, delta: float, t) -> float:
-    """P1(omega + delta, t) - P1(omega, t) at fixed physical time.
+    """P1(omega + delta, t) - P1(omega, t) at fixed physical time, for the probe |+>_y.
 
-    P1 is the level-1 population of the post-selected PT state ("pt"), of the
-    enlarged Hermitian state ("enlarged"), or of the renormalized dissipative
-    state ("eff"; identical to "pt" after renormalization and kept for
-    interface parity across the two construction schemes).  Takes a row like
-    the susceptibilities below.
+    P1 is the level-1 population of the normalized PT state ("pt"), which is
+    also that of the renormalized dissipative state, or of the enlarged
+    Hermitian state ("enlarged"), read from the family U_pt |+>_y at each
+    coupling (_level1).  Takes a row like the susceptibilities below.
     """
     if abs(delta) > 0.1 * p.omega:
         raise InvalidScheme(f"perturbation delta = {delta:g} exceeds 0.1 * omega")
-
-    def level1(omega: float):
-        q = p.with_omega(omega)
-        if scheme in ("pt", "eff"):
-            state = evolve_state(plus_y(), q, t)
-            a = (state.amplitudes if hasattr(state, "amplitudes") else state)[..., 0]
-            return per_element(_square, np.hypot(a.real, a.imag))  # rounds as abs(a) ** 2
-        if scheme == "enlarged":
-            return _matrix(evolve_enlarged(plus_y(), q, t))[..., 0, 0].real
-        raise InvalidScheme(f"unknown scheme {scheme!r}")
-
+    base = _level1(scheme, p, _direction(_pt_family(p, t, plus_y(), False)[0])[0])
     if delta == 0.0:
-        return _value(np.zeros_like(level1(p.omega)))  # still validates the scheme name
-    return _value(level1(p.omega + delta) - level1(p.omega))
+        return _value(np.zeros_like(base))
+    q = PtParams(p.omega + delta, p.gamma)
+    return _value(_level1(scheme, q, _direction(_pt_family(q, t, plus_y(), False)[0])[0]) - base)
+
+
+def _level1(scheme: str, p: PtParams, psi):
+    """P1 of population_shift from the normalized PT state psi at p: |psi_1|^2, rounded as
+    abs(psi_1) ** 2 ("pt"), or |a_1|^2 of the enlarged state ("enlarged")."""
+    if scheme == "pt":
+        return per_element(_square, np.hypot(psi[..., 0].real, psi[..., 0].imag))
+    if scheme == "enlarged":
+        return _branches(psi, metric_operator(p).eta)[0][..., 0]
+    raise InvalidScheme(f"unknown scheme {scheme!r}")
 
 
 def _check_drho(drho) -> np.ndarray:
@@ -346,24 +351,17 @@ def _bound(information, n: int):
     return per_element(lambda info: 1.0 / math.sqrt(n * info) if info > 0.0 else math.inf, information)
 
 
-def _direction(v, dv):
-    """(v/|v|, dv/|v|) of a vector family v(omega) and its derivative, or of stacks of them.
-
-    The pure-state QFI of the pair is that of the normalized family: dv/|v|
-    differs from the derivative of v/|v| only by a real multiple of v/|v|.
-    """
-    norm = per_point(vector_norm(v), 1)
-    return v / norm, dv / norm
-
-
 def _projector_tangent(psi, dpsi) -> np.ndarray:
     """d(|psi><psi|)/d(omega) of a unit vector psi, from a tangent exact up to a multiple of psi."""
     u = dpsi - per_point(np.vecdot(psi, dpsi).real, 1) * psi
     return u[..., :, None] * psi.conj()[..., None, :] + psi[..., :, None] * u.conj()[..., None, :]
 
 
-def _pt_family(p: PtParams, t, probe):
-    """v = U_pt(omega, t) psi0 and its exact omega-derivative at fixed t."""
+def _pt_family(p: PtParams, t, probe, tangent: bool = True):
+    """v = U_pt(omega, t) psi0 and its exact omega-derivative at fixed t (None unless tangent):
+    the one family every quantity of both schemes reads."""
+    if not tangent:
+        return propagator_pt(p, t) @ probe, None
     u, du = propagator_pt_pair(p, t)
     return u @ probe, du @ probe
 
@@ -400,14 +398,18 @@ def susceptibility_pt(p: PtParams, t):
 
 def susceptibility_a(p: PtParams, t):
     """d(rho_A^11)/d(omega): failure-branch population derivative, of the family eta v."""
-    return _population_slope(*_fail_family(p, metric_operator(p).eta, *_pt_family(p, t, plus_y())), 0)
+    v, dv = _pt_family(p, t, plus_y())
+    return _population_slope(*_fail_family(p, metric_operator(p).eta, v, dv), 0)
 
 
 def susceptibility_enlarged(p: PtParams, t, index=0):
     """d(rho_4d^{ii})/d(omega) of the enlarged family (v, eta v), which evolve_enlarged
     normalizes; index 0 is the PT subsystem, 2 the auxiliary ((0, 2) gives both)."""
     v, dv = _pt_family(p, t, plus_y())
-    w, dw = _fail_family(p, metric_operator(p).eta, v, dv)
+    return _enlarged_slope(v, dv, *_fail_family(p, metric_operator(p).eta, v, dv), index)
+
+
+def _enlarged_slope(v, dv, w, dw, index):
     return _population_slope(np.concatenate([v, w], axis=-1), np.concatenate([dv, dw], axis=-1), index)
 
 
@@ -418,9 +420,20 @@ def susceptibility_eff(p: PtParams, t):
     reduce this to susceptibility_pt.  In deep decay e^{-gamma t} underflows
     and the value is 0, its limit.
     """
-    v, dv = _pt_family(p, t, plus_y())
+    return _eff_slope(p, t, *_pt_family(p, t, plus_y()))
+
+
+def _eff_slope(p: PtParams, t, v, dv):
     v1, dv1 = v[..., 0], dv[..., 0]
     return _value(2.0 * per_element(math.exp, -p.gamma * t) * (v1.real * dv1.real + v1.imag * dv1.imag))
+
+
+def _channel(p: PtParams, t, probe, eta):
+    """U_4d psi4_0 and its exact omega-tangent, with psi4_0 = (psi0, eta psi0)/C frozen at the
+    base omega (the channel picture, module docstring)."""
+    psi0 = _dilated(probe, eta)[0]
+    u4, du4 = propagator_4d_pair(p, t)
+    return u4 @ psi0, du4 @ psi0
 
 
 def weighted_qfi_scheme1(
@@ -438,23 +451,15 @@ def weighted_qfi_scheme1(
     probe = _probe(probe)
     eta = metric_operator(p).eta
     v, dv = _pt_family(p, t, probe)
-    a = _enlarged(v, eta)[0]
-    if not np.isfinite(a).all():
-        raise InvalidMatrix("state vector has non-finite entries")
-    populations = (a * a.conj()).real  # the diagonal of evolve_enlarged's |a><a|
-    p_suc, p_fail = populations[..., :2].sum(axis=-1), populations[..., 2:].sum(axis=-1)
-    total = p_suc + p_fail
-    bad = abs(total - 1.0) > 1e-12
-    if bad.any():
-        raise EmptyBranch(f"branch probabilities do not sum to 1: {np.extract(bad, total)[0]:.15g}")
-    psi, dpsi = _direction(v, dv)
-    f_suc = _qfi(psi, dpsi)
-    f_fail = _qfi(*_direction(*_fail_family(p, eta, v, dv)))
+    unit = _direction(v, dv)
+    p_suc, p_fail = _branches(unit[0], eta)[1:]
+    return _scheme1(unit, p_suc, p_fail, _fail_family(p, eta, v, dv), _channel(p, t, probe, eta), n_repetitions)
 
-    psi0 = _dilated(probe, eta)[0]  # frozen at the base omega
-    u4, du4 = propagator_4d_pair(p, t)
-    f_total = _qfi(u4 @ psi0, du4 @ psi0)
 
+def _scheme1(unit, p_suc, p_fail, fail, channel, n_repetitions: int) -> QfiReport:
+    """Scheme 1's report from the normalized family unit = (psi, dpsi), the branch rates, the
+    failure family (eta v, d(eta v)) and the channel family (U_4d psi4_0, its tangent)."""
+    f_suc, f_fail, f_total = _qfi(*unit), _qfi(*_direction(*fail)), _qfi(*channel)
     i_suc, i_fail = f_suc * p_suc, f_fail * p_fail
     i_subs = i_suc + i_fail
     return QfiReport(
@@ -471,7 +476,7 @@ def weighted_qfi_scheme1(
         i_total=f_total,
         delta_omega_weighted=_bound(i_subs, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=2.0 * _projector_tangent(psi, dpsi),
+        sld_suc=2.0 * _projector_tangent(*unit),
     )
 
 
@@ -495,13 +500,13 @@ def weighted_qfi_scheme2(
     information.  fd is accepted for compatibility and not used.
     """
     v, dv = _pt_family(p, t, plus_y())
-    if not np.isfinite(v).all():
-        raise InvalidMatrix("state vector has non-finite entries")
-    phi = per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * v
-    p_suc = (phi * phi.conj()).real.sum(axis=-1)  # analytic_rho_3l's rho11 + rho22, bit for bit
+    return _scheme2(p, t, _direction(v, dv), _decayed(p, t, v)[1], n_repetitions)
 
-    psi, dpsi = _direction(v, dv)
-    f_suc = _qfi(psi, dpsi)
+
+def _scheme2(p: PtParams, t, unit, p_suc, n_repetitions: int) -> QfiReport:
+    """Scheme 2's report from the normalized family unit = (psi, dpsi) of |+>_y and the success
+    rate p_suc = e^{-gamma t} |v|^2 (lindblad._decayed)."""
+    f_suc = _qfi(*unit)
     growth, d_growth = norm_growth(p, t, plus_y())  # |v|^2 = 1 + gamma growth
     d_log = p.gamma * d_growth / (1.0 + p.gamma * growth)
     log_p = -p.gamma * t + per_element(math.log1p, p.gamma * growth)
@@ -525,7 +530,7 @@ def weighted_qfi_scheme2(
         i_total=i_total,
         delta_omega_weighted=_bound(i_total, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=2.0 * _projector_tangent(psi, dpsi),
+        sld_suc=2.0 * _projector_tangent(*unit),
     )
 
 

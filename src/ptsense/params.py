@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-__all__ = ["PtParams", "TimePoint"]
+__all__ = ["PtParams"]
 
 
 @dataclass(frozen=True)
@@ -37,30 +37,6 @@ class PtParams:
         """sqrt(omega^2 - gamma^2); zero exactly at the exceptional point."""
         return math.sqrt(max((self.omega - self.gamma) * (self.omega + self.gamma), 0.0))
 
-    @property
-    def gamma_ratio(self) -> float:
-        return self.gamma / self.omega
-
     def with_omega(self, omega: float) -> "PtParams":
         """The same gamma at coupling omega."""
         return replace(self, omega=omega)
-
-
-@dataclass(frozen=True)
-class TimePoint:
-    """Physical time t (s) and the scaled time tau = kappa*t (dimensionless)."""
-
-    t: float
-    tau: float
-
-    @staticmethod
-    def from_t(p: PtParams, t: float) -> "TimePoint":
-        return TimePoint(t=t, tau=p.kappa * t)
-
-    @staticmethod
-    def from_tau(p: PtParams, tau: float) -> "TimePoint":
-        if tau == 0.0:
-            return TimePoint(t=0.0, tau=0.0)
-        if p.kappa == 0.0:
-            raise ValueError("tau > 0 is unreachable at the exceptional point (kappa = 0)")
-        return TimePoint(t=tau / p.kappa, tau=tau)

@@ -1,11 +1,10 @@
 """The bare PT-symmetric two-level system.
 
-Two independent evaluation routes are provided on purpose and are used as
-mutual oracles in the tests: the analytic propagator path (evolve_state /
-evolve_density, regular on the whole unbroken phase including the exceptional
-point) and the direct transcription of the closed-form density-matrix
-elements for the standard probes (rho_pt_closed / rho_a_closed, which carry a
-1/(omega -+ gamma*cos) factor and therefore require gamma < omega).
+States come from the analytic propagator (evolve_state / evolve_density),
+regular on the whole unbroken phase including the exceptional point.  The
+closed-form density-matrix elements of the standard probes, which carry a
+1/(omega -+ gamma*cos) factor, are the independent oracle of the tests
+(tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidStep, MetricSingular, NormUnderflow
+from .errors import InvalidStep, NormUnderflow
 from .linalg import (
     PAULI_X,
     PAULI_Z,
@@ -36,8 +35,6 @@ __all__ = [
     "norm_growth",
     "evolve_state",
     "evolve_density",
-    "rho_pt_closed",
-    "rho_a_closed",
     "integrate_nh_master",
 ]
 
@@ -86,6 +83,13 @@ def norm_growth(p: PtParams, t, psi0):
     return m, dm
 
 
+def _direction(v, dv=None):
+    """(v/|v|, dv/|v|) of a family v(omega) and its tangent dv (or None), or of stacks of them: the
+    normalized PT state, and a tangent off d(v/|v|) by a real multiple of v/|v|, so with its QFI."""
+    norm = per_point(vector_norm(v), 1)
+    return v / norm, None if dv is None else dv / norm
+
+
 def evolve_state(psi0, p: PtParams, t) -> PureState2:
     """Normalized non-unitary evolution of a pure probe.
 
@@ -114,40 +118,6 @@ def evolve_density(rho0, p: PtParams, t) -> DensityMatrix2:
         raise NormUnderflow("Tr(U rho U^dag) underflowed")
     out = raw / per_point(tr, 2)
     return as_state(DensityMatrix2, t, 0.5 * (out + dagger(out)))  # scrub roundoff asymmetry
-
-
-def _require_unbroken_interior(p: PtParams) -> None:
-    if p.omega - p.gamma < 1e-12 * p.omega:
-        raise MetricSingular("closed-form elements diverge at the exceptional point")
-
-
-def rho_pt_closed(p: PtParams, t: float) -> DensityMatrix2:
-    """Closed-form post-selected PT state for the probe |+>_y.
-
-    rho11 = [1 + c kappa sin(kappa t)]/2 and rho12 = i c [gamma - omega
-    cos(kappa t)]/2 with c = 1/(omega - gamma cos(kappa t)); direct element
-    transcription, valid for gamma < omega.
-    """
-    _require_unbroken_interior(p)
-    k = p.kappa
-    c = 1.0 / (p.omega - p.gamma * math.cos(k * t))
-    r11 = 0.5 * (1.0 + c * k * math.sin(k * t))
-    r12 = 0.5j * c * (p.gamma - p.omega * math.cos(k * t))
-    return DensityMatrix2(np.array([[r11, r12], [np.conj(r12), 1.0 - r11]], dtype=complex))
-
-
-def rho_a_closed(p: PtParams, t: float) -> DensityMatrix2:
-    """Closed-form auxiliary-system state (failure branch), probe |+>_y.
-
-    rho_A11 = [1 + c_a kappa sin(kappa t)]/2 and rho_A12 = -i c_a [gamma +
-    omega cos(kappa t)]/2 with c_a = 1/(omega + gamma cos(kappa t)).
-    """
-    _require_unbroken_interior(p)
-    k = p.kappa
-    c = 1.0 / (p.omega + p.gamma * math.cos(k * t))
-    r11 = 0.5 * (1.0 + c * k * math.sin(k * t))
-    r12 = -0.5j * c * (p.gamma + p.omega * math.cos(k * t))
-    return DensityMatrix2(np.array([[r11, r12], [np.conj(r12), 1.0 - r11]], dtype=complex))
 
 
 def integrate_nh_master(rho0, p: PtParams, t: float, dt: float) -> DensityMatrix2:

@@ -1,12 +1,13 @@
 """Parameter sweeps over (gamma/omega, tau, delta) producing flat datasets.
 
 Which (quantity, scheme) pairs exist, the rows each writes per grid point and
-how they are evaluated is one table, `_PAIRS`.  Evaluation is row-batched: each
-pair evaluates a whole (scheme, gamma/omega, delta/omega) row of the tau grid
-in one call of the layer functions, on stacked 2x2-4x4 states, and gets back
-one value per point, equal bit for bit to those of the scalar API called
-point by point.  A check fails for a whole row: a pair whose call raises a
-PtsenseError (the dilation's MetricSingular at gamma/omega = 1) writes the
+how they are evaluated is one table, `_PAIRS`.  Each (gamma/omega,
+delta/omega) entry of the config has one _State, which every scheme and
+quantity reads: the PT family v = U_pt psi0 over the entry's tau row and its
+exact omega-tangent, and the parts built from them on first use by the
+kernels of the scalar API.  Each pair is a closed-form read of the state with
+one value per point.  A check fails for a whole row: a pair whose read raises
+a PtsenseError (the dilation's MetricSingular at gamma/omega = 1) writes the
 single row "<quantity>_undefined" at every point.  The one per-point gap is
 the resource cutoff at vanishing information (metrology.resource_ratios),
 written as "resources_undefined" where its mask is False.
@@ -35,12 +36,17 @@ from pathlib import Path
 import numpy as np
 
 from . import metrology
-from .dilation import evolve_enlarged, postselect
+from .dilation import _branches, metric_operator
 from .errors import ConfigError, PtsenseError, WriteError
-from .lindblad import analytic_rho_3l, artificial_pt, effective_evolve, liouvillian_matrix, postselect_3l
+from .linalg import _abs2
+from .lindblad import _decayed, _survival, liouvillian_matrix
+from .metrology import (
+    _channel, _eff_slope, _enlarged_slope, _fail_family, _level1, _population_slope, _pt_family, _qfi, _scheme1,
+    _scheme2,
+)
 from .params import PtParams
-from .pt_system import evolve_density
-from .states import bloch_probe, minus_y, plus_y, pure_density
+from .pt_system import _direction
+from .states import bloch_probe, minus_y, plus_y
 
 __all__ = ["SweepConfig", "run", "figure_preset", "QUANTITIES", "SCHEMES", "FIGURE_NAMES"]
 
@@ -72,16 +78,17 @@ class SweepConfig:
     name: str = "sweep"
 
     def __post_init__(self) -> None:
-        for q in self.quantities:
-            if q not in QUANTITIES:
-                raise ConfigError(f"quantity: unknown value {q!r}")
-        if not self.quantities:
-            raise ConfigError("quantity: at least one required")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ConfigError(f"scheme: unknown value {s!r}")
-        if not self.schemes:
-            raise ConfigError("scheme: at least one required")
+        for field, values, known in (("quantity", self.quantities, QUANTITIES), ("scheme", self.schemes, SCHEMES)):
+            for value in values:
+                if value not in known:
+                    raise ConfigError(f"{field}: unknown value {value!r}")
+            if not values:
+                raise ConfigError(f"{field}: at least one required")
+            if len(set(values)) < len(values):  # a repeat would only write every line again
+                raise ConfigError(f"{field}: repeated value")
+        for field, value in (("tau_steps", self.tau_steps), ("N", self.repetitions)):
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{field}: {value!r} is not an integer")
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ConfigError("omega: must be positive")
         if not self.gamma_ratios:
@@ -175,85 +182,103 @@ def _fmt(value) -> str:
     return repr(float(value)) if value == value else "undefined"
 
 
-class _Row:
-    """One (scheme, gamma/omega, delta/omega) row of the tau grid.
+class _State:
+    """The one state of a (gamma/omega, delta/omega) entry of the config, which every pair reads.
 
-    `times` holds the physical time of every tau of the grid (inf where it is
-    unreachable) and `t` the array of the reachable ones, the only points
-    evaluated: kappa = 0 at the exceptional point leaves tau = 0 alone, so
-    `t` can be shorter than the grid; its points are the first ones.
-    The scheme's QFI report is evaluated at most once per row and shared by
-    every quantity that reads it; if it raised, each of those quantities
-    writes its own undefined rows.
+    It holds the PT family v = U_pt(omega + delta) psi0 at the reachable times t and, when a
+    requested quantity reads it, the exact tangent dv, from one propagator build; each other part
+    is built from them on first use, by the kernels (and checks) of the scalar API.  A part that
+    raises (the metric at gamma/omega = 1) raises at each read.
     """
 
-    def __init__(self, config: SweepConfig, scheme: str, gamma_ratio: float,
-                 delta_ratio: float, taus: list[float]) -> None:
-        omega = config.omega
-        self.scheme = scheme
-        self.base = PtParams(omega=omega, gamma=gamma_ratio * omega)
-        self.delta = delta_ratio * omega
-        self.op = PtParams(omega=omega + self.delta, gamma=self.base.gamma)  # operating point
-        kappa = self.base.kappa
-        self.times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
-        self.t = np.array([t for tau, t in zip(taus, self.times) if kappa > 0.0 or tau == 0.0])
+    def __init__(self, config: SweepConfig, gamma_ratio: float, delta_ratio: float, t, tangent: bool) -> None:
+        self.config, self.gamma_ratio, self.t, self.tangent = config, gamma_ratio, t, tangent
+        self.delta = delta_ratio * config.omega
+        self.p = PtParams(omega=config.omega + self.delta, gamma=gamma_ratio * config.omega)
         self.probe = config.probe_vector()
-        self.n_rep = config.repetitions
 
     @cached_property
-    def report(self):
-        """The pt-scheme QFI or the QfiReport of the row's scheme; None if it raised."""
-        try:
-            if self.scheme == "dilation":
-                return metrology.weighted_qfi_scheme1(self.op, self.t, probe=self.probe, n_repetitions=self.n_rep)
-            if self.scheme == "lindblad":
-                return metrology.weighted_qfi_scheme2(self.op, self.t, n_repetitions=self.n_rep)
-            return metrology.qfi_pt(self.op, self.t, probe=self.probe)
-        except PtsenseError:
-            return None
+    def family(self):  # (v, dv), with dv None unless a requested quantity reads it
+        return _pt_family(self.p, self.t, self.probe, self.tangent)
+
+    @cached_property
+    def unit(self):  # (v/|v|, dv/|v|)
+        return _direction(*self.family)
+
+    @cached_property
+    def eta(self):
+        return metric_operator(self.p).eta
+
+    @cached_property
+    def fail(self):  # (eta v, d(eta v))
+        return _fail_family(self.p, self.eta, *self.family)
+
+    @cached_property
+    def branches(self):  # (|a_i|^2, p_suc, p_fail) of the enlarged state
+        return _branches(self.unit[0], self.eta)
+
+    @cached_property
+    def decayed(self):  # (e^{-gamma t/2} v, p_suc) of the three-level state
+        return _decayed(self.p, self.t, self.family[0])
+
+    @cached_property
+    def scheme1(self):
+        channel = _channel(self.p, self.t, self.probe, self.eta)
+        return _scheme1(self.unit, *self.branches[1:], self.fail, channel, self.config.repetitions)
+
+    @cached_property
+    def scheme2(self):
+        return _scheme2(self.p, self.t, self.unit, self.decayed[1], self.config.repetitions)
+
+    @cached_property
+    def level1(self):  # population_shift's level-1 population of v/|v|
+        return _level1("pt", self.p, self.unit[0])
+
+    @cached_property
+    def base(self):  # the state at delta = 0, which the population shifts subtract
+        return self if self.delta == 0.0 else _State(self.config, self.gamma_ratio, 0.0, self.t, False)
+
+    def shift(self, level1) -> list:
+        """The population_shift column of the level-1 population level1(state)."""
+        base = level1(self.base)
+        return [np.zeros_like(base) if self.delta == 0.0 else level1(self) - base]
 
 
-def _diagonal(m: np.ndarray, n: int) -> list[np.ndarray]:
-    return [m[:, i, i].real for i in range(n)]
+def _populations_3l(s: _State):
+    """|phi_i|^2, the sink's 1 - p_suc, and the level-1 populations of the effective state
+    (|phi_1|^2, trace p_suc, checked as effective_evolve checks it) and of the amplified one (|v_1|^2)."""
+    phi, p_suc = s.decayed
+    pops = _abs2(phi)
+    return [pops[:, 0], pops[:, 1], 1.0 - _survival(p_suc), pops[:, 0], _abs2(s.family[0])[:, 0]]
 
 
-def _population_lindblad(row: _Row):
-    pops = _diagonal(analytic_rho_3l(row.op, row.t), 3)
-    eff = effective_evolve(row.probe, row.op, row.t)
-    artificial = artificial_pt(row.probe, row.op, row.t)
-    return pops + [eff[:, 0, 0].real, artificial[:, 0, 0].real]
+def _rates_dilation(s: _State):
+    """p_suc, p_fail and rho_pt_11, rho_a_11 as postselect divides them: by a reciprocal."""
+    pops, p_suc, p_fail = s.branches
+    return [p_suc, p_fail, pops[:, 0] * (1.0 / p_suc), pops[:, 2] * (1.0 / p_fail)]
 
 
-def _postselect_rates_dilation(row: _Row):
-    out = postselect(evolve_enlarged(row.probe, row.op, row.t))
-    return [out.p_suc, out.p_fail, out.rho_pt[:, 0, 0].real, out.rho_a[:, 0, 0].real]
+def _resources(s: _State):
+    xi, zeta, defined = metrology.resource_ratios(s.scheme1, s.t)
+    return [xi, zeta], defined
 
 
-def _postselect_rates_lindblad(row: _Row):
-    out = postselect_3l(row.op, row.t)
-    return [out.p_suc, out.p_fail, out.rho_pt[:, 0, 0].real]
-
-
-def _population_shift(row: _Row):
-    kind = {"pt": "pt", "dilation": "enlarged", "lindblad": "eff"}[row.scheme]
-    return [metrology.population_shift(kind, row.base, row.delta, row.t)]
-
-
-def _liouvillian_spectrum(row: _Row):
+def _liouvillian_spectrum(s: _State):
     """The four eigenvalues, which do not depend on time (only tau = 0 is written)."""
-    _, values = liouvillian_matrix(row.op)
+    _, values = liouvillian_matrix(s.p)
     ordered = sorted(values, key=lambda z: (round(z.imag, 12), round(z.real, 12)))
-    return [[complex(z)] * len(row.t) for z in ordered]
+    return [[complex(z)] * len(s.t) for z in ordered]
 
 
 @dataclass(frozen=True)
 class _Pair:
     """What one (quantity, scheme) pair writes at each grid point.
 
-    `evaluate(row)` returns (columns, defined): one sequence of values per
-    row name over the row's points, or None when the row's call raised, and
-    a boolean mask of the points with values, or None for all of them.  A
-    time-independent pair is written once, at tau = 0.
+    `evaluate(state)` returns (columns, defined): one sequence of values per
+    row name over the state's points, and a boolean mask of the points with
+    values, or None for all of them; if it raises a PtsenseError the pair is
+    undefined at every point.  A time-independent pair is written once, at
+    tau = 0.
     """
 
     rows: tuple[str, ...]
@@ -263,73 +288,56 @@ class _Pair:
 
 
 def _batched(rows: tuple[str, ...], columns, plus_y_only: bool = False, time_independent: bool = False) -> _Pair:
-    """Pair evaluated for a whole row in one call: columns(row) returns its columns."""
-
-    def evaluate(row: _Row):
-        try:
-            return columns(row), None
-        except PtsenseError:
-            return None, None
-
-    return _Pair(rows, evaluate, plus_y_only, time_independent)
+    """Pair defined at every point: columns(state) returns its columns."""
+    return _Pair(rows, lambda s: (columns(s), None), plus_y_only, time_independent)
 
 
-def _from_report(rows: tuple[str, ...], read, plus_y_only: bool = False) -> _Pair:
-    """Pair whose (columns, defined) read(report, row) takes from the row's shared report."""
-    return _Pair(rows, lambda row: (None, None) if row.report is None else read(row.report, row), plus_y_only)
-
-
-def _reported(fields: dict[str, str], plus_y_only: bool = False) -> _Pair:
-    """Pair whose rows, keyed by row name, are fields of the row's shared report."""
-    return _from_report(tuple(fields), lambda report, row: ([getattr(report, f) for f in fields.values()], None),
-                        plus_y_only)
-
-
-def _resources(report, row: _Row):
-    xi, zeta, defined = metrology.resource_ratios(report, row.t)
-    return [xi, zeta], defined
+def _fields(report: str, fields: dict[str, str], plus_y_only: bool = False) -> _Pair:
+    """Pair whose rows, keyed by row name, are fields of the state's report ("scheme1" or "scheme2")."""
+    return _batched(tuple(fields), lambda s: [getattr(getattr(s, report), f) for f in fields.values()], plus_y_only)
 
 
 _POP = ("population_1", "population_2", "population_3", "population_4")
+_SHIFT = ("population_shift_1",)
 
 #: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs
-#: the plus_y probe.  A pair missing here is rejected.  Evaluators look ptsense functions up when they run.
+#: the plus_y probe.  A pair missing here is rejected.  Each evaluator reads the entry's _State.
 _PAIRS = {
-    ("population", "pt"): _batched(_POP[:2], lambda row: _diagonal(
-        evolve_density(pure_density(row.probe), row.op, row.t), 2)),
-    ("population", "dilation"): _batched(_POP, lambda row: _diagonal(
-        evolve_enlarged(row.probe, row.op, row.t), 4)),
+    ("population", "pt"): _batched(_POP[:2], lambda s: list(_abs2(s.unit[0]).T)),
+    ("population", "dilation"): _batched(_POP, lambda s: list(s.branches[0].T)),
     ("population", "lindblad"): _batched(
-        _POP[:3] + ("population_eff_1", "population_artificial_1"), _population_lindblad, True),
-    ("postselect_rates", "dilation"): _batched(
-        ("p_suc", "p_fail", "rho_pt_11", "rho_a_11"), _postselect_rates_dilation),
-    ("postselect_rates", "lindblad"): _batched(
-        ("p_suc", "p_fail", "rho_pt_11"), _postselect_rates_lindblad, True),
-    ("population_shift", "pt"): _batched(("population_shift_1",), _population_shift, True),
-    ("population_shift", "dilation"): _batched(("population_shift_1",), _population_shift, True),
-    ("population_shift", "lindblad"): _batched(("population_shift_1",), _population_shift, True),
-    ("susceptibility", "pt"): _batched(("susceptibility_pt", "susceptibility_a"), lambda row: [
-        f(row.op, row.t) for f in (metrology.susceptibility_pt, metrology.susceptibility_a)], True),
-    ("susceptibility", "dilation"): _batched(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda row: list(
-        np.moveaxis(metrology.susceptibility_enlarged(row.op, row.t, index=(0, 2)), -1, 0)), True),
-    ("susceptibility", "lindblad"): _batched(("susceptibility_eff",), lambda row: [
-        metrology.susceptibility_eff(row.op, row.t)], True),
-    ("qfi_single", "pt"): _from_report(("qfi_pt",), lambda qfi, row: ([qfi], None)),
-    ("qfi_single", "dilation"): _reported({"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
-    ("qfi_single", "lindblad"): _reported({"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}, True),
-    ("qfi_weighted", "dilation"): _reported(
-        {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
-    ("qfi_weighted", "lindblad"): _reported({"i_eff": "i_total"}, True),
-    ("sensitivity_bound", "pt"): _from_report(
-        ("delta_omega_pt",), lambda qfi, row: ([metrology._bound(qfi, row.n_rep)], None)),
-    ("sensitivity_bound", "dilation"): _reported(
-        {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
-    ("sensitivity_bound", "lindblad"): _reported(
-        {"delta_omega_eff": "delta_omega_weighted", "delta_omega_eff_single": "delta_omega_total"}, True),
-    ("resources", "dilation"): _from_report(("xi", "zeta"), _resources),
+        _POP[:3] + ("population_eff_1", "population_artificial_1"), _populations_3l, True),
+    ("postselect_rates", "dilation"): _batched(("p_suc", "p_fail", "rho_pt_11", "rho_a_11"), _rates_dilation),
+    ("postselect_rates", "lindblad"): _batched(("p_suc", "p_fail", "rho_pt_11"), lambda s: [
+        s.decayed[1], 1.0 - s.decayed[1], _abs2(s.unit[0])[:, 0]], True),
+    ("population_shift", "pt"): _batched(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
+    ("population_shift", "dilation"): _batched(_SHIFT, lambda s: s.shift(lambda x: x.branches[0][:, 0]), True),
+    ("population_shift", "lindblad"): _batched(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
+    ("susceptibility", "pt"): _batched(("susceptibility_pt", "susceptibility_a"), lambda s: [
+        _population_slope(*s.family, 0), _population_slope(*s.fail, 0)], True),
+    ("susceptibility", "dilation"): _batched(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda s: list(
+        _enlarged_slope(*s.family, *s.fail, (0, 2)).T), True),
+    ("susceptibility", "lindblad"): _batched(("susceptibility_eff",), lambda s: [
+        _eff_slope(s.p, s.t, *s.family)], True),
+    ("qfi_single", "pt"): _batched(("qfi_pt",), lambda s: [_qfi(*s.unit)]),
+    ("qfi_single", "dilation"): _fields("scheme1", {"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
+    ("qfi_single", "lindblad"): _fields("scheme2", {"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}, True),
+    ("qfi_weighted", "dilation"): _fields(
+        "scheme1", {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
+    ("qfi_weighted", "lindblad"): _fields("scheme2", {"i_eff": "i_total"}, True),
+    ("sensitivity_bound", "pt"): _batched(("delta_omega_pt",), lambda s: [
+        metrology._bound(_qfi(*s.unit), s.config.repetitions)]),
+    ("sensitivity_bound", "dilation"): _fields(
+        "scheme1", {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
+    ("sensitivity_bound", "lindblad"): _fields(
+        "scheme2", {"delta_omega_eff": "delta_omega_weighted", "delta_omega_eff_single": "delta_omega_total"}, True),
+    ("resources", "dilation"): _Pair(("xi", "zeta"), _resources),
     ("liouvillian_spectrum", "lindblad"): _batched(
         tuple(f"liouvillian_eig_{i}" for i in range(1, 5)), _liouvillian_spectrum, time_independent=True),
 }
+
+#: Quantities that read no omega-tangent: a config of these alone builds the family without dv.
+_NO_TANGENT = frozenset({"population", "postselect_rates", "population_shift", "liouvillian_spectrum"})
 
 QUANTITIES = tuple(dict.fromkeys(quantity for quantity, _ in _PAIRS))
 
@@ -361,40 +369,42 @@ def _column(column, keep: list[bool], prefixes: list[str], head: str, end: str, 
     return lines, values
 
 
-def _columns(config: SweepConfig, gamma_ratio: float, delta_ratio: float, taus: list[float],
-             tau_texts: list[str]) -> list[tuple]:
+def _columns(config: SweepConfig, state: _State, delta_ratio: float, taus: list[float],
+             texts: list[tuple[str, str]]) -> list[tuple]:
     """The columns (row name, scheme, lines, values) of one (gamma, delta) entry of the config, every
     scheme: the line and the finite value of the name at each tau, None where it has none, in tau
     order; a column may end early.  A quantity undefined at a point has one "<quantity>_undefined"
-    line there.  The (tau, t, gamma, delta) prefix of each point is formatted once.
+    line there.  The prefix of each point, from its (tau, t) texts, is formatted once.
     """
-    rows = [_Row(config, scheme, gamma_ratio, delta_ratio, taus) for scheme in config.schemes]
-    t_texts = map(_fmt, rows[0].times)  # the times depend on gamma/omega alone
+    gamma_ratio = state.gamma_ratio
     if config.format == "json":
         quote = json.dumps  # escapes strings; writes an int gamma as an int
         grid = f'"gamma_ratio":{quote(gamma_ratio)},"delta_ratio":{quote(delta_ratio)},"quantity":'
-        prefixes = [f'{{"tau":{tau},"t":{quote(t) if t == "inf" else t},{grid}' for tau, t in zip(tau_texts, t_texts)]
+        prefixes = [f'{{"tau":{tau},"t":{quote(t) if t == "inf" else t},{grid}' for tau, t in texts]
         middle, suffix = ',"value":', ',"scheme":{},"probe":{}}}'
     else:
         quote = str
         grid = f"{_fmt(gamma_ratio)},{_fmt(delta_ratio)},"
-        prefixes = [f"{tau},{t},{grid}" for tau, t in zip(tau_texts, t_texts)]
+        prefixes = [f"{tau},{t},{grid}" for tau, t in texts]
         middle, suffix = ",", ",{},{}"
     out = []
-    for row in rows:
-        end = suffix.format(quote(row.scheme), quote(config.probe_label()))
+    for scheme in config.schemes:
+        end = suffix.format(quote(scheme), quote(config.probe_label()))
         for quantity in config.quantities:
-            pair = _PAIRS[quantity, row.scheme]
-            columns, mask = pair.evaluate(row)
-            defined = [] if columns is None else [True] * len(row.t) if mask is None else mask.tolist()
+            pair = _PAIRS[quantity, scheme]
+            try:
+                columns, mask = pair.evaluate(state)
+            except PtsenseError:
+                columns = mask = None
+            defined = [] if columns is None else [True] * len(state.t) if mask is None else mask.tolist()
             written = [tau == 0.0 or not pair.time_independent for tau in taus]
             keep = [w and d for w, d in zip(written, defined)]
             for name, column in zip(pair.rows, columns, strict=True) if any(keep) else ():
-                out.append((name, row.scheme, *_column(column, keep, prefixes, quote(name) + middle, end, quote)))
+                out.append((name, scheme, *_column(column, keep, prefixes, quote(name) + middle, end, quote)))
             failed = [w and not d for w, d in zip_longest(written, defined)]
             if any(failed):  # NaN is written as "undefined"
                 name, nan = quantity + "_undefined", [math.nan] * len(failed)
-                out.append((name, row.scheme, *_column(nan, failed, prefixes, quote(name) + middle, end, quote)))
+                out.append((name, scheme, *_column(nan, failed, prefixes, quote(name) + middle, end, quote)))
     return out
 
 
@@ -410,10 +420,16 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
 
     taus = [config.tau_max * i / (config.tau_steps - 1) for i in range(config.tau_steps)]
     tau_texts = [_fmt(tau) for tau in taus]
+    tangent = not _NO_TANGENT.issuperset(config.quantities)
     groups: dict[tuple, list] = {}  # equal (gamma, delta) values share a group: 0 and 0.0 keep their own text
     for g in config.gamma_ratios:
+        # t, the reachable times: kappa = 0 at the exceptional point leaves tau = 0 alone
+        kappa = PtParams(omega=config.omega, gamma=g * config.omega).kappa
+        times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
+        t = np.array([time for tau, time in zip(taus, times) if kappa > 0.0 or tau == 0.0])
+        texts = list(zip(tau_texts, map(_fmt, times)))
         for d in config.delta_ratios:
-            groups.setdefault((g, d), []).extend(_columns(config, g, d, taus, tau_texts))
+            groups.setdefault((g, d), []).extend(_columns(config, _State(config, g, d, t, tangent), d, taus, texts))
     sizes = [len(list(equal)) for _, equal in groupby(taus)]
     repeats = [(end - size, end) for size, end in zip(sizes, accumulate(sizes)) if size > 1]
     texts, values = [], []

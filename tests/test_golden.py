@@ -68,3 +68,23 @@ def test_diff_reports_moved_and_undefined_values(tmp_path):
     assert float(rows[("zeta", "dilation", "0.37")][2]) == pytest.approx(1.0)
     assert rows[("xi", "dilation", "0.37")][-2:] == ["1", "0"]
     assert sum(int(r[4]) for r in rows.values()) == 1  # one row removed
+
+
+def test_diff_exit_code_says_whether_a_dataset_changed(tmp_path, capsys):
+    same, moved = tmp_path / "same", tmp_path / "moved"
+    for d in (same, moved):
+        d.mkdir()
+        for name in ("fig7.csv", "spectrum.json"):
+            (d / name).write_bytes((golden.GOLDEN / name).read_bytes())
+    lines = (moved / "fig7.csv").read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[5] = repr(float(fields[5]) + 1.0)
+    (moved / "fig7.csv").write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
+    assert golden.main(["diff", str(golden.GOLDEN / "fig7.csv"), str(same / "fig7.csv")]) == 0
+    assert golden.main(["diff", str(same), str(same)]) == 0
+    assert golden.main(["diff", str(same / "fig7.csv"), str(moved / "fig7.csv")]) == 1
+    assert golden.main(["diff", str(same), str(moved)]) == 1  # one of two datasets moved
+    (moved / "fig7.csv").unlink()
+    assert golden.main(["diff", str(same), str(moved)]) == 1  # a dataset missing on one side
+    out = capsys.readouterr().out
+    assert "no change" in out and "only in" in out

@@ -37,7 +37,7 @@ FD = FdConfig.for_omega(1.0)
 
 def test_shift_zero_delta():
     p = PtParams(1.0, 0.6)
-    for scheme in ("pt", "enlarged", "eff"):
+    for scheme in ("pt", "enlarged"):
         assert population_shift(scheme, p, 0.0, 1.7) == 0.0
 
 
@@ -59,15 +59,11 @@ def test_shift_near_ep_amplification():
 
 def test_shift_rejects_bad_scheme_and_large_delta():
     p = PtParams(1.0, 0.3)
-    with pytest.raises(InvalidScheme):
-        population_shift("bogus", p, 0.01, 1.0)
+    for scheme in ("bogus", "eff"):  # "eff" was an alias of "pt"
+        with pytest.raises(InvalidScheme):
+            population_shift(scheme, p, 0.01, 1.0)
     with pytest.raises(InvalidScheme):
         population_shift("pt", p, 0.2, 1.0)
-
-
-def test_shift_eff_equals_pt_after_renormalization():
-    p = PtParams(1.0, 0.6)
-    assert population_shift("eff", p, 0.01, 2.0) == population_shift("pt", p, 0.01, 2.0)
 
 
 # -- susceptibility -----------------------------------------------------------

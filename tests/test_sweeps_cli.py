@@ -253,6 +253,36 @@ def test_non_integral_config_integer_is_a_config_error(tmp_path, capsys, field, 
                                      "tau_steps": 3.0, "N": 2.0}).tau_steps == 3
 
 
+@pytest.mark.parametrize("field, value", [("tau_steps", 3.7), ("tau_steps", 3.0), ("repetitions", 2.5),
+                                          ("repetitions", "2")])
+def test_library_config_integer_must_be_an_int(field, value):
+    # before, tau_steps=3.7 passed and run() then failed with an untyped TypeError, and
+    # repetitions=2.5 was accepted silently
+    with pytest.raises(ConfigError, match="is not an integer"):
+        SweepConfig(**BASE, **{field: value})
+    assert SweepConfig(**BASE, **{field: np.int64(3)}).tau_steps in (3, 129)
+
+
+@pytest.mark.parametrize("field, value, flag", [("quantities", ("population", "population"), "--quantity"),
+                                                ("schemes", ("pt", "pt"), "--scheme")])
+def test_repeated_quantity_or_scheme_is_a_config_error(tmp_path, capsys, field, value, flag):
+    # before, each repeat wrote every line again: rows=16 instead of 4 for a two-fold repeat of both
+    with pytest.raises(ConfigError, match="repeated"):
+        SweepConfig(**{**BASE, field: value})
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--quantity", "population", "--scheme", "pt", "--gamma-list", "0.0", "--tau-steps", "2"]
+    assert main([*argv, flag, value[0], "--output", str(out)]) == 2
+    assert "repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_gamma_and_delta_still_repeat_rows(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    run(SweepConfig(**{**BASE, "gamma_ratios": (0.3, 0.3)}, delta_ratios=(0.0, 0.0), tau_steps=2,
+                    output_path=str(out)))
+    assert "rows=16" in capsys.readouterr().out  # 2 taus x 2 populations x 2 gammas x 2 deltas
+
+
 def test_threads_config_field_is_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
