@@ -7,25 +7,20 @@ All operations are pure functions over immutable inputs.
 
 from . import errors
 from .dilation import (
-    MetricOperator,
     PostSelectionOutcome,
     dilate_initial,
     evolve_enlarged,
-    evolve_enlarged_state,
     hamiltonian_4d,
     metric_operator,
     postselect,
     propagator_4d,
-    pt_inner,
 )
-from .linalg import EigenDecomposition, dagger, eig, expm, expm_su2_analytic
+from .linalg import dagger
 from .lindblad import (
     LindbladModel,
     analytic_rho_3l,
     artificial_pt,
     effective_evolve,
-    effective_rhs,
-    hamiltonian_eff,
     integrate_lindblad,
     lindblad_model,
     liouvillian_is_defective,
@@ -90,32 +85,23 @@ __all__ = [
     "DensityMatrix4",
     "UnnormalizedMatrix2",
     "dagger",
-    "expm",
-    "expm_su2_analytic",
-    "eig",
-    "EigenDecomposition",
     "hamiltonian_pt",
     "propagator_pt",
     "evolve_state",
     "evolve_density",
     "integrate_nh_master",
-    "MetricOperator",
     "PostSelectionOutcome",
     "metric_operator",
-    "pt_inner",
     "dilate_initial",
     "hamiltonian_4d",
     "propagator_4d",
     "evolve_enlarged",
-    "evolve_enlarged_state",
     "postselect",
     "LindbladModel",
     "lindblad_model",
-    "hamiltonian_eff",
     "integrate_lindblad",
     "analytic_rho_3l",
     "effective_evolve",
-    "effective_rhs",
     "artificial_pt",
     "postselect_3l",
     "liouvillian_matrix",

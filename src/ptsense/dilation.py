@@ -8,7 +8,6 @@ constant of motion; the enlarged evolution is therefore genuinely unitary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,34 +19,18 @@ from .pt_system import _direction, propagator_pt
 from .states import DensityMatrix2, DensityMatrix4, PureState2, PureState4, as_state
 
 __all__ = [
-    "MetricOperator",
     "PostSelectionOutcome",
     "metric_operator",
     "d_metric",
-    "pt_inner",
     "dilate_initial",
     "hamiltonian_4d",
     "propagator_4d",
     "propagator_4d_pair",
-    "evolve_enlarged_state",
     "evolve_enlarged",
     "postselect",
 ]
 
 _EP_MARGIN = 1e-12
-
-
-@dataclass(frozen=True)
-class MetricOperator:
-    """Metric eta = (omega I + gamma sigma_y)/kappa and the eigenvector
-    arrangement normalization f = 1/sqrt(2 kappa / omega)."""
-
-    eta: np.ndarray
-    f: float
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.eta)
 
 
 @dataclass(frozen=True)
@@ -67,8 +50,9 @@ class PostSelectionOutcome:
     rho_a: DensityMatrix2 | None
 
 
-def metric_operator(p: PtParams) -> MetricOperator:
-    """Hermitian positive metric linking the auxiliary to the PT subsystem.
+def metric_operator(p: PtParams) -> np.ndarray:
+    """The Hermitian positive metric eta = (omega I + gamma sigma_y)/kappa, which links the
+    auxiliary to the PT subsystem (chi = eta psi).
 
     Singular at the exceptional point; gamma/omega >= 1 - 1e-12 is rejected.
     """
@@ -76,25 +60,13 @@ def metric_operator(p: PtParams) -> MetricOperator:
         raise MetricSingular(
             f"metric operator singular: gamma/omega = {p.gamma / p.omega:.12g}"
         )
-    eta = (p.omega * np.eye(2, dtype=complex) + p.gamma * PAULI_Y) / p.kappa
-    return MetricOperator(eta=eta, f=1.0 / math.sqrt(2.0 * p.kappa / p.omega))
+    return (p.omega * np.eye(2, dtype=complex) + p.gamma * PAULI_Y) / p.kappa
 
 
 def d_metric(p: PtParams) -> np.ndarray:
     """d(eta)/d(omega) = I/kappa - omega (omega I + gamma sigma_y)/kappa^3, written as
     -gamma (gamma I + omega sigma_y)/kappa^3, which has no cancellation near the EP."""
     return -p.gamma * (p.gamma * np.eye(2, dtype=complex) + p.omega * PAULI_Y) / p.kappa ** 3
-
-
-def pt_inner(u, v) -> complex:
-    """Parity-time inner product (u, v) = (sigma_x conj(u)) . v.
-
-    The PT norm of the Hamiltonian eigenvectors is +-2 kappa/omega in the raw
-    arrangement, which is what the metric normalization f compensates.
-    """
-    uu = np.asarray(u, dtype=complex).reshape(-1)
-    vv = np.asarray(v, dtype=complex).reshape(-1)
-    return complex((PAULI_X @ uu.conj()) @ vv)
 
 
 def _amplitudes(psi0) -> np.ndarray:
@@ -110,7 +82,7 @@ def _dilated(amps: np.ndarray, eta: np.ndarray):
 
 def dilate_initial(psi0, p: PtParams) -> PureState4:
     """Normalized enlarged initial state (psi0, eta psi0)^T."""
-    return PureState4(*_dilated(_amplitudes(psi0), metric_operator(p).eta))
+    return PureState4(*_dilated(_amplitudes(psi0), metric_operator(p)))
 
 
 def _blocks_4d(diagonal: float, off: float) -> np.ndarray:
@@ -186,21 +158,11 @@ def _branches(psi, eta: np.ndarray):
     return (pops, *_rates(pops))
 
 
-def evolve_enlarged_state(psi0, p: PtParams, t) -> PureState4:
-    """Enlarged pure state (psi_t, eta psi_t)^T / C_n at time t.
-
-    Computed from the synchronized construction (evolve the PT subsystem,
-    apply the metric) rather than from propagator_4d; the two paths agree to
-    machine precision and are cross-checked in the tests.  For a 1-D array
-    of times the result is the (n, 4) stack of amplitudes.
-    """
-    psi = _direction(propagator_pt(p, t) @ _amplitudes(psi0))[0]
-    return as_state(PureState4, t, *_enlarged(psi, metric_operator(p).eta))
-
-
 def evolve_enlarged(psi0, p: PtParams, t) -> DensityMatrix4:
-    """Rank-one density matrix of the enlarged system (the (n, 4, 4) stack for a row of times)."""
-    a, c_n = _enlarged(_direction(propagator_pt(p, t) @ _amplitudes(psi0))[0], metric_operator(p).eta)
+    """Rank-one density matrix of the enlarged state (psi_t, eta psi_t)^T / C_n (the (n, 4, 4) stack
+    for a row of times), built from the PT subsystem and the metric rather than from propagator_4d;
+    the tests cross-check the two paths."""
+    a, c_n = _enlarged(_direction(propagator_pt(p, t) @ _amplitudes(psi0))[0], metric_operator(p))
     as_state(PureState4, t, a, c_n)
     return as_state(DensityMatrix4, t, a[..., :, None] * a.conj()[..., None, :])
 

@@ -11,14 +11,6 @@ class InvalidMatrix(PtsenseError):
     """Matrix input contains NaN/Inf or has an unsupported shape."""
 
 
-class NotSu2Like(PtsenseError):
-    """Matrix squared is not proportional to the identity."""
-
-
-class EigFailure(PtsenseError):
-    """Eigendecomposition did not converge or failed the residual check."""
-
-
 class InvalidStep(PtsenseError):
     """Non-positive integration step."""
 

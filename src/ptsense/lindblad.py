@@ -19,18 +19,16 @@ import numpy as np
 from .errors import InvalidMatrix, InvalidStep
 from .linalg import PAULI_X, _abs2, dagger, per_element, per_point
 from .params import PtParams
-from .pt_system import _direction, hamiltonian_pt, propagator_pt
+from .pt_system import _direction, propagator_pt
 from .states import DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, as_state, plus_y
 
 __all__ = [
     "LindbladModel",
     "lindblad_model",
-    "hamiltonian_eff",
     "plus_y_3l",
     "integrate_lindblad",
     "analytic_rho_3l",
     "effective_evolve",
-    "effective_rhs",
     "artificial_pt",
     "postselect_3l",
     "liouvillian_matrix",
@@ -51,11 +49,6 @@ class LindbladModel:
     h0: np.ndarray
     jump: np.ndarray
     liouvillian: np.ndarray
-
-
-def hamiltonian_eff(p: PtParams) -> np.ndarray:
-    """Effective non-Hermitian Hamiltonian H_pt - i(gamma/2) I."""
-    return hamiltonian_pt(p) - 0.5j * p.gamma * np.eye(2, dtype=complex)
 
 
 def plus_y_3l() -> np.ndarray:
@@ -177,20 +170,6 @@ def effective_evolve(rho0, p: PtParams, t) -> UnnormalizedMatrix2:
     return out
 
 
-def effective_rhs(rho, p: PtParams) -> np.ndarray:
-    """Generator of the reduced dynamics: -i (H_eff rho - rho H_eff^dag).
-
-    Componentwise this is
-    d(rho11) = i(omega/2)(rho12 - rho21),
-    d(rho12) = i(omega/2)(rho11 - rho22) - gamma rho12,
-    d(rho22) = i(omega/2)(rho21 - rho12) - 2 gamma rho22,
-    the same linear system encoded by LindbladModel.liouvillian.
-    """
-    mat = np.asarray(rho.matrix if isinstance(rho, UnnormalizedMatrix2) else rho, dtype=complex)
-    h_eff = hamiltonian_eff(p)
-    return -1j * (h_eff @ mat - mat @ h_eff.conj().T)
-
-
 def artificial_pt(rho0, p: PtParams, t) -> UnnormalizedMatrix2:
     """Artificially amplified state e^{gamma t} rho_eff = U_pt rho0 U_pt^dag.
 
@@ -234,10 +213,11 @@ def postselect_3l(p: PtParams, t) -> Postselected3L:
 def liouvillian_matrix(p: PtParams) -> tuple[np.ndarray, np.ndarray]:
     """The reduced-dynamics generator matrix and its eigenvalues.
 
-    Row order is the row-stacked [rho11, rho12, rho21, rho22].  The
-    eigenvalues {-gamma +- i kappa, -gamma, -gamma} are taken in closed form:
-    all four coalesce at gamma/omega = 1, where the matrix becomes defective
-    and a general eigensolver scatters them by about eps^(1/4).
+    The generator is rho -> -i (H_eff rho - rho H_eff^dag), H_eff = H_pt - i(gamma/2) I, on
+    the row-stacked [rho11, rho12, rho21, rho22].  The eigenvalues
+    {-gamma +- i kappa, -gamma, -gamma} are taken in closed form: all four
+    coalesce at gamma/omega = 1, where the matrix becomes defective and a
+    general eigensolver scatters them by about eps^(1/4).
     """
     rate = -p.gamma + 0.0  # +0.0 rather than -0.0 at gamma = 0
     values = np.array([complex(rate, p.kappa), complex(rate, -p.kappa), rate, rate], dtype=complex)

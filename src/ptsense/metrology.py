@@ -30,12 +30,11 @@ conventions and can fall below zero for some probes (ROADMAP item 3).
 Pure states
 -----------
 weighted_qfi_scheme1/2 and resource_metrics read pure states only: each QFI
-is qfi_pure of a vector and its exact tangent, each branch rate a block sum
-of squared amplitudes, and sld_suc is 2 d|psi><psi|/d(omega), the SLD of the
-pure branch state under sld's support convention.  No intermediate density
-matrix is built and no eigensolver runs.  Every point of the unbroken phase
-runs the same code, deep decay included: there scheme 2's success rate is the
-double it is (subnormal, or 0) and its QFIs stay finite.
+is qfi_pure of a vector and its exact tangent, and each branch rate a block
+sum of squared amplitudes.  No intermediate density matrix is built and no
+eigensolver runs.  Every point of the unbroken phase runs the same code, deep
+decay included: there scheme 2's success rate is the double it is
+(subnormal, or 0) and its QFIs stay finite.
 
 Row evaluation
 --------------
@@ -72,7 +71,7 @@ from .errors import (
     InvalidScheme,
     UndefinedResourceMetrics,
 )
-from .linalg import dagger, per_element, per_point, vector_norm
+from .linalg import _abs2, dagger, per_element, per_point, vector_norm
 from .lindblad import _decayed
 from .params import PtParams
 from .pt_system import _direction, norm_growth, propagator_pt, propagator_pt_pair
@@ -96,7 +95,6 @@ __all__ = [
     "weighted_qfi_scheme2",
     "qfi_pt",
     "resource_metrics",
-    "resource_report",
     "resource_ratios",
 ]
 
@@ -139,10 +137,6 @@ def _value(x):
     return x if getattr(x, "ndim", 0) else float(x)
 
 
-def _square(x: float) -> float:
-    return x ** 2
-
-
 def _probe(probe) -> np.ndarray:
     if probe is None:
         return plus_y()
@@ -169,12 +163,12 @@ def population_shift(scheme: str, p: PtParams, delta: float, t) -> float:
 
 
 def _level1(scheme: str, p: PtParams, psi):
-    """P1 of population_shift from the normalized PT state psi at p: |psi_1|^2, rounded as
-    abs(psi_1) ** 2 ("pt"), or |a_1|^2 of the enlarged state ("enlarged")."""
+    """P1 of population_shift from the normalized PT state psi at p: |psi_1|^2 ("pt"), or
+    |a_1|^2 of the enlarged state ("enlarged")."""
     if scheme == "pt":
-        return per_element(_square, np.hypot(psi[..., 0].real, psi[..., 0].imag))
+        return _abs2(psi)[..., 0]
     if scheme == "enlarged":
-        return _branches(psi, metric_operator(p).eta)[0][..., 0]
+        return _branches(psi, metric_operator(p))[0][..., 0]
     raise InvalidScheme(f"unknown scheme {scheme!r}")
 
 
@@ -316,8 +310,7 @@ class QfiReport:
     renormalized (post-selected) state, f_total the QFI of the full
     three-level state, i_total = f_total * p_suc, and the failure fields are
     None.  delta_omega_* are the Cramer-Rao bounds 1/sqrt(N * I); infinite
-    when the information vanishes.  sld_suc = 2 d|psi><psi|/d(omega) is the SLD of
-    the pure success-branch state; a row's report holds arrays and one SLD per point.
+    when the information vanishes.  A row's report holds one array per field.
     """
 
     scheme: str
@@ -333,7 +326,6 @@ class QfiReport:
     i_total: float
     delta_omega_weighted: float
     delta_omega_total: float
-    sld_suc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -349,12 +341,6 @@ class ResourceReport:
 
 def _bound(information, n: int):
     return per_element(lambda info: 1.0 / math.sqrt(n * info) if info > 0.0 else math.inf, information)
-
-
-def _projector_tangent(psi, dpsi) -> np.ndarray:
-    """d(|psi><psi|)/d(omega) of a unit vector psi, from a tangent exact up to a multiple of psi."""
-    u = dpsi - per_point(np.vecdot(psi, dpsi).real, 1) * psi
-    return u[..., :, None] * psi.conj()[..., None, :] + psi[..., :, None] * u.conj()[..., None, :]
 
 
 def _pt_family(p: PtParams, t, probe, tangent: bool = True):
@@ -399,14 +385,14 @@ def susceptibility_pt(p: PtParams, t):
 def susceptibility_a(p: PtParams, t):
     """d(rho_A^11)/d(omega): failure-branch population derivative, of the family eta v."""
     v, dv = _pt_family(p, t, plus_y())
-    return _population_slope(*_fail_family(p, metric_operator(p).eta, v, dv), 0)
+    return _population_slope(*_fail_family(p, metric_operator(p), v, dv), 0)
 
 
 def susceptibility_enlarged(p: PtParams, t, index=0):
     """d(rho_4d^{ii})/d(omega) of the enlarged family (v, eta v), which evolve_enlarged
     normalizes; index 0 is the PT subsystem, 2 the auxiliary ((0, 2) gives both)."""
     v, dv = _pt_family(p, t, plus_y())
-    return _enlarged_slope(v, dv, *_fail_family(p, metric_operator(p).eta, v, dv), index)
+    return _enlarged_slope(v, dv, *_fail_family(p, metric_operator(p), v, dv), index)
 
 
 def _enlarged_slope(v, dv, w, dw, index):
@@ -449,7 +435,7 @@ def weighted_qfi_scheme1(
     postselect's bit for bit.  fd is accepted for compatibility and not used.
     """
     probe = _probe(probe)
-    eta = metric_operator(p).eta
+    eta = metric_operator(p)
     v, dv = _pt_family(p, t, probe)
     unit = _direction(v, dv)
     p_suc, p_fail = _branches(unit[0], eta)[1:]
@@ -476,7 +462,6 @@ def _scheme1(unit, p_suc, p_fail, fail, channel, n_repetitions: int) -> QfiRepor
         i_total=f_total,
         delta_omega_weighted=_bound(i_subs, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=2.0 * _projector_tangent(*unit),
     )
 
 
@@ -530,7 +515,6 @@ def _scheme2(p: PtParams, t, unit, p_suc, n_repetitions: int) -> QfiReport:
         i_total=i_total,
         delta_omega_weighted=_bound(i_total, n_repetitions),
         delta_omega_total=_bound(f_total, n_repetitions),
-        sld_suc=2.0 * _projector_tangent(*unit),
     )
 
 
@@ -555,18 +539,10 @@ def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None) -> 
     can be far below zero: over random Bloch probes it reaches -807
     (gamma/omega = 0.6, tau = 0.05).  ROADMAP item 3 puts both on one family.
     Values are reported as they are rather than clipped, to keep the
-    identity exact.
+    identity exact.  Takes a row like weighted_qfi_scheme1, and raises
+    UndefinedResourceMetrics unless every point is defined (resource_ratios).
     """
-    return resource_report(weighted_qfi_scheme1(p, t, probe=probe), t)
-
-
-def resource_report(report: QfiReport, t) -> ResourceReport:
-    """xi and zeta of a scheme-1 QfiReport at time t (of a row: an array of times);
-    see resource_metrics.
-
-    Raises UndefinedResourceMetrics unless every point is defined
-    (resource_ratios).
-    """
+    report = weighted_qfi_scheme1(p, t, probe=probe)
     xi, zeta, defined = resource_ratios(report, t)
     if not defined.all():
         i_total = np.extract(~defined, report.i_total)[0]

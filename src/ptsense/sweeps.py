@@ -96,6 +96,8 @@ class SweepConfig:
         for g in self.gamma_ratios:
             if not (0.0 <= g <= 1.0):
                 raise ConfigError(f"gamma_list: ratio {g!r} outside [0, 1]")
+        if not self.delta_ratios:
+            raise ConfigError("delta_list: at least one ratio required")
         for d in self.delta_ratios:
             if not (0.0 <= d <= 0.1):
                 raise ConfigError(f"delta_list: ratio {d!r} outside [0, 0.1]")
@@ -188,12 +190,14 @@ class _State:
     It holds the PT family v = U_pt(omega + delta) psi0 at the reachable times t and, when a
     requested quantity reads it, the exact tangent dv, from one propagator build; each other part
     is built from them on first use, by the kernels (and checks) of the scalar API.  A part that
-    raises (the metric at gamma/omega = 1) raises at each read.
+    raises (the metric at gamma/omega = 1) raises at each read.  `base` is the entry's state at
+    delta = 0, which the population shifts subtract: the entry itself at delta = 0.
     """
 
-    def __init__(self, config: SweepConfig, gamma_ratio: float, delta_ratio: float, t, tangent: bool) -> None:
+    def __init__(self, config: SweepConfig, gamma_ratio: float, delta_ratio: float, t, tangent: bool, base) -> None:
         self.config, self.gamma_ratio, self.t, self.tangent = config, gamma_ratio, t, tangent
         self.delta = delta_ratio * config.omega
+        self.base = self if self.delta == 0.0 else base
         self.p = PtParams(omega=config.omega + self.delta, gamma=gamma_ratio * config.omega)
         self.probe = config.probe_vector()
 
@@ -207,7 +211,7 @@ class _State:
 
     @cached_property
     def eta(self):
-        return metric_operator(self.p).eta
+        return metric_operator(self.p)
 
     @cached_property
     def fail(self):  # (eta v, d(eta v))
@@ -233,10 +237,6 @@ class _State:
     @cached_property
     def level1(self):  # population_shift's level-1 population of v/|v|
         return _level1("pt", self.p, self.unit[0])
-
-    @cached_property
-    def base(self):  # the state at delta = 0, which the population shifts subtract
-        return self if self.delta == 0.0 else _State(self.config, self.gamma_ratio, 0.0, self.t, False)
 
     def shift(self, level1) -> list:
         """The population_shift column of the level-1 population level1(state)."""
@@ -428,8 +428,10 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
         times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
         t = np.array([time for tau, time in zip(taus, times) if kappa > 0.0 or tau == 0.0])
         texts = list(zip(tau_texts, map(_fmt, times)))
+        base = _State(config, g, 0.0, t, False, None)  # one delta = 0 family per gamma, built on first read
         for d in config.delta_ratios:
-            groups.setdefault((g, d), []).extend(_columns(config, _State(config, g, d, t, tangent), d, taus, texts))
+            state = _State(config, g, d, t, tangent, base)
+            groups.setdefault((g, d), []).extend(_columns(config, state, d, taus, texts))
     sizes = [len(list(equal)) for _, equal in groupby(taus)]
     repeats = [(end - size, end) for size, end in zip(sizes, accumulate(sizes)) if size > 1]
     texts, values = [], []

@@ -27,18 +27,6 @@ def oracle_rho_pt(omega: float, gamma: float, t: float) -> np.ndarray:
     return np.array([[r11, r12], [np.conj(r12), 1.0 - r11]])
 
 
-def oracle_drho_pt(omega: float, gamma: float, t: float) -> np.ndarray:
-    """d(oracle_rho_pt)/d(omega) at fixed t, differentiated by hand (d kappa = omega/kappa)."""
-    k = kappa(omega, gamma)
-    th, d_th, d_k = k * t, omega * t / k, omega / k
-    den = omega - gamma * math.cos(th)
-    c = 1.0 / den
-    d_c = -(1.0 + gamma * math.sin(th) * d_th) / den ** 2
-    d11 = (d_c * k * math.sin(th) + c * d_k * math.sin(th) + c * k * math.cos(th) * d_th) / 2.0
-    d12 = 1.0j * (d_c * (gamma - omega * math.cos(th)) + c * (-math.cos(th) + omega * math.sin(th) * d_th)) / 2.0
-    return np.array([[d11, d12], [np.conj(d12), -d11]])
-
-
 def oracle_rho_a(omega: float, gamma: float, t: float) -> np.ndarray:
     k = kappa(omega, gamma)
     c = 1.0 / (omega + gamma * math.cos(k * t))

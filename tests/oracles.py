@@ -23,6 +23,10 @@ accuracy near the EP.
 
 Defectiveness of the reduced Liouvillian: liouvillian_defective_svd counts
 eigenvectors numerically, where ptsense reads the answer off kappa = 0.
+
+A general matrix exponential: expm is a Taylor series with scaling and
+squaring, the reference for the closed-form propagators, which use
+H^2 = c^2 I.
 """
 
 from __future__ import annotations
@@ -125,6 +129,27 @@ def fd_susceptibilities(p: PtParams, t: float, h: float = 1e-6) -> dict[str, flo
     names = ("susceptibility_pt", "susceptibility_a", "susceptibility_4d_pt", "susceptibility_4d_a",
              "susceptibility_eff")
     return dict(zip(names, richardson(populations, p.omega, h).tolist()))
+
+
+def expm(m, scale: complex = 1.0) -> np.ndarray:
+    """exp(scale*M) by scaling-and-squaring of a degree-16 Taylor polynomial.
+
+    Accurate to better than 1e-12 relative error for ||scale*M|| <= 10; the
+    argument is halved until its 1-norm is below 0.5, so the Taylor tail is
+    ~0.5^17/17! and the squaring chain stays short.
+    """
+    a = np.asarray(m, dtype=complex) * scale
+    norm = np.linalg.norm(a, 1)
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
+    b = a / (2**squarings)
+    out = np.eye(a.shape[0], dtype=complex)
+    term = np.eye(a.shape[0], dtype=complex)
+    for k in range(1, 17):
+        term = term @ b / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def steps_for(t: float, dt: float) -> tuple[int, float]:

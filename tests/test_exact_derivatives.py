@@ -16,14 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_drho_pt, oracle_rho_pt
 from oracles import fd_qfi_pt, fd_scheme1, fd_scheme2, fd_susceptibilities
 from ptsense import (
     PtParams,
     bloch_probe,
     propagator_pt,
     qfi_pt,
-    sld,
     susceptibility_a,
     susceptibility_eff,
     susceptibility_enlarged,
@@ -80,15 +78,6 @@ def test_scheme2_total_qfi_is_continuous_at_vanishing_gain_loss(gamma_ratio):
     # 1 - p_suc ~ gamma t lies far below the roundoff of |U psi0|^2 here
     for t in (0.1, 3.0):
         assert weighted_qfi_scheme2(PtParams(1.0, gamma_ratio), t).f_total == pytest.approx(t * t, rel=1e-9)
-
-
-@pytest.mark.parametrize("gamma_ratio, tau", [(0.0, 1.0), (0.3, 2.0), (0.6, 3.0), (0.9, 5.0), (0.9, 2 * math.pi)])
-def test_report_sld_is_sld_of_exact_derivative(gamma_ratio, tau):
-    p = PtParams(1.0, gamma_ratio)
-    t = tau / p.kappa
-    expected = sld(oracle_rho_pt(1.0, gamma_ratio, t), oracle_drho_pt(1.0, gamma_ratio, t))
-    for report in (weighted_qfi_scheme1(p, t), weighted_qfi_scheme2(p, t)):
-        assert np.max(np.abs(report.sld_suc - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("c_squared", [1e-5, (0.5 * 0.999e-2) ** 2, (0.5 * 1.001e-2) ** 2, 0.16])

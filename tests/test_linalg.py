@@ -1,12 +1,14 @@
-"""Matrix-algebra core: exponentials and eigendecompositions."""
+"""Matrix-algebra core: the closed-form propagators against the Taylor
+reference exponential of tests/oracles.py, and that reference itself."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptsense import PtParams, eig, expm, expm_su2_analytic, hamiltonian_pt
-from ptsense.errors import EigFailure, InvalidMatrix, NotSu2Like
+from oracles import expm
+from ptsense import PtParams, hamiltonian_pt, propagator_pt
+from ptsense.linalg import su2_like_propagator
 from ptsense.lindblad import liouvillian_matrix
 
 
@@ -24,14 +26,7 @@ def test_expm_matches_analytic_su2_form():
     p = PtParams(omega=1.0, gamma=0.6)
     t = np.pi / 1.6
     general = expm(hamiltonian_pt(p), scale=-1j * t)
-    analytic = expm_su2_analytic(hamiltonian_pt(p), t)
-    assert np.max(np.abs(general - analytic)) <= 1e-12
-
-
-def test_expm_rejects_nonfinite():
-    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(InvalidMatrix):
-        expm(bad)
+    assert np.max(np.abs(general - propagator_pt(p, t))) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -49,14 +44,15 @@ def test_expm_inverse_property(seed):
 
 def test_su2_half_rabi_period():
     h = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)  # (omega/2) sigma_x, omega=1
-    out = expm_su2_analytic(h, np.pi)
+    out = su2_like_propagator(h, 0.25, np.pi)
     assert np.max(np.abs(out - (-1j) * np.array([[0, 1], [1, 0]]))) < 1e-14
 
 
 def test_su2_exceptional_point_limit():
     # at gamma = omega the propagator is exactly I - i t H (H^2 = 0)
-    h = hamiltonian_pt(PtParams(omega=1.0, gamma=1.0))
-    out = expm_su2_analytic(h, 2.0)
+    p = PtParams(omega=1.0, gamma=1.0)
+    h = hamiltonian_pt(p)
+    out = propagator_pt(p, 2.0)
     expected = np.eye(2) - 2j * h
     assert np.max(np.abs(out - expected)) < 1e-14
     general = expm(h, scale=-2j)
@@ -66,7 +62,7 @@ def test_su2_exceptional_point_limit():
 def test_su2_generic_cos_sin_form():
     p = PtParams(omega=1.0, gamma=0.6)
     t = np.pi / 1.6  # kappa t / 2 = pi/4
-    out = expm_su2_analytic(hamiltonian_pt(p), t)
+    out = propagator_pt(p, t)
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     expected = c * np.eye(2) - 1j * (2.0 / 0.8) * s * hamiltonian_pt(p)
     assert np.max(np.abs(out - expected)) < 1e-14
@@ -77,25 +73,7 @@ def test_su2_matches_general_expm_over_grid(ratio):
     p = PtParams(omega=1.0, gamma=ratio)
     h = hamiltonian_pt(p)
     for t in np.linspace(0.0, 8 * np.pi, 17):
-        assert np.max(np.abs(expm_su2_analytic(h, t) - expm(h, scale=-1j * t))) <= 1e-10
-
-
-def test_su2_rejects_non_involutory():
-    with pytest.raises(NotSu2Like):
-        expm_su2_analytic(np.diag([1.0, 2.0]), 1.0)
-
-
-def test_eig_sigma_z():
-    out = eig(np.diag([1.0, -1.0]))
-    order = np.argsort(-out.values.real)
-    assert np.allclose(out.values[order], [1.0, -1.0])
-    assert np.allclose(np.abs(out.vectors[:, order]), np.eye(2), atol=1e-14)
-
-
-def test_eig_pt_hamiltonian_eigenvalues():
-    out = eig(hamiltonian_pt(PtParams(omega=1.0, gamma=0.6)))
-    assert np.allclose(sorted(out.values.real), [-0.4, 0.4], atol=1e-12)
-    assert np.max(np.abs(out.values.imag)) < 1e-12
+        assert np.max(np.abs(propagator_pt(p, t) - expm(h, scale=-1j * t))) <= 1e-10
 
 
 def test_eig_liouvillian_spot_values():
@@ -103,37 +81,6 @@ def test_eig_liouvillian_spot_values():
     got = sorted(values, key=lambda z: (round(z.imag, 9), round(z.real, 9)))
     expected = [-0.6 - 0.8j, -0.6, -0.6, -0.6 + 0.8j]
     assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-10
-
-
-def test_eig_phase_convention_and_residual():
-    p = PtParams(omega=1.0, gamma=0.6)
-    out = eig(hamiltonian_pt(p))
-    for i in range(2):
-        v = out.vectors[:, i]
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        lead = v[np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v)))]
-        assert abs(lead.imag) < 1e-12 and lead.real > 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_eig_reconstructs_matrix(seed):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(2, 5))
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    out = eig(m)
-    assert np.max(np.abs(out.reconstruct() - m)) < 1e-9 * max(1.0, np.linalg.norm(m))
-
-
-def test_eig_rejects_nonfinite():
-    with pytest.raises(InvalidMatrix):
-        eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_eig_failure_is_importable():
-    # the residual guard raising EigFailure is exercised only by pathological
-    # inputs LAPACK cannot produce at these sizes; keep the symbol covered
-    assert issubclass(EigFailure, Exception)
 
 
 def test_dagger_is_involutive():

@@ -14,9 +14,8 @@ from ptsense import (
     analytic_rho_3l,
     artificial_pt,
     effective_evolve,
-    effective_rhs,
     evolve_density,
-    hamiltonian_eff,
+    hamiltonian_pt,
     integrate_lindblad,
     lindblad_model,
     liouvillian_is_defective,
@@ -32,20 +31,19 @@ from ptsense.lindblad import plus_y_3l
 GRID = (0.0, 0.3, 0.6, 0.9)
 
 
+def effective_rhs(rho, p):
+    """Generator of the reduced dynamics, -i (H_eff rho - rho H_eff^dag) with
+    H_eff = H_pt - i(gamma/2) I."""
+    h_eff = hamiltonian_pt(p) - 0.5j * p.gamma * np.eye(2)
+    return -1j * (h_eff @ rho - rho @ h_eff.conj().T)
+
+
 def test_model_operators():
     model = lindblad_model(PtParams(1.0, 0.6))
     assert model.jump[2, 1] == pytest.approx(math.sqrt(1.2))
     assert np.count_nonzero(model.jump) == 1
     assert model.h0[0, 1] == pytest.approx(0.5)
     assert np.max(np.abs(model.h0[2, :])) == 0.0
-
-
-def test_hamiltonian_eff_identity():
-    p = PtParams(1.0, 0.6)
-    h = hamiltonian_eff(p)
-    # equals the PT Hamiltonian shifted by -i gamma/2, i.e. -i gamma |2><2| overall
-    assert h[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert h[1, 1] == pytest.approx(-0.6j, abs=1e-15)
 
 
 def test_integrate_t0():

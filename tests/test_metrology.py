@@ -341,24 +341,3 @@ def test_delta_omega_infinite_when_information_vanishes():
     assert report.i_total == 0.0
     assert math.isinf(report.delta_omega_total)
     assert report.i_subs <= 1e-18
-
-
-def test_report_sld_reconstructs_branch_derivative():
-    # the report's SLD solves the defining equation for the conditioned state
-    p = PtParams(1.0, 0.6)
-    t = 3.0 / 0.8
-    report = weighted_qfi_scheme1(p, t, FD)
-    from ptsense import evolve_density, plus_y, pure_density
-
-    rho = evolve_density(pure_density(plus_y()), p, t).matrix
-    h = 1e-6
-    dr = (evolve_density(pure_density(plus_y()), p.with_omega(1 + h), t).matrix
-          - evolve_density(pure_density(plus_y()), p.with_omega(1 - h), t).matrix) / (2 * h)
-    recon = 0.5 * (report.sld_suc @ rho + rho @ report.sld_suc)
-    # support-subspace reconstruction: project onto the pure state's support
-    eigvals, basis = np.linalg.eigh(rho)
-    support = basis[:, eigvals > 1e-12]
-    proj = support @ support.conj().T
-    lhs = proj @ recon @ proj + proj @ recon @ (np.eye(2) - proj) + (np.eye(2) - proj) @ recon @ proj
-    rhs = proj @ dr @ proj + proj @ dr @ (np.eye(2) - proj) + (np.eye(2) - proj) @ dr @ proj
-    assert np.max(np.abs(lhs - rhs)) <= 1e-6

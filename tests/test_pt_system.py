@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_rho_a, oracle_rho_pt
+from oracles import expm
 from ptsense import (
     PtParams,
     evolve_density,
     evolve_state,
-    expm,
     hamiltonian_pt,
     integrate_nh_master,
     minus_y,

@@ -39,9 +39,9 @@ from ptsense.errors import PtsenseError
 from ptsense.sweeps import _PAIRS, SCHEMES, SweepConfig, figure_preset, run
 
 #: Propagator builds (su2_like_propagator and su2_like_pair calls) per preset at 129 tau steps: one
-#: per (gamma, delta) family, plus the base-omega family of the shifts (fig4) and the channel
-#: propagator of scheme 1's f_total (fig6, fig7).
-BUILDS = {"fig2": 4, "fig3": 4, "fig4": 16, "fig5": 12, "fig6": 10, "fig7": 10}
+#: per (gamma, delta) family, plus one base-omega family per gamma for the shifts (fig4) and the
+#: channel propagator of scheme 1's f_total (fig6, fig7).
+BUILDS = {"fig2": 4, "fig3": 4, "fig4": 12, "fig5": 12, "fig6": 10, "fig7": 10}
 
 DYNAMICS = ("evolve_density", "evolve_state", "evolve_enlarged", "postselect", "analytic_rho_3l",
             "effective_evolve", "artificial_pt", "postselect_3l")

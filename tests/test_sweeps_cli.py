@@ -376,3 +376,18 @@ def test_inf_sentinel_in_csv(tmp_path):
     rows = read_rows(run(cfg))
     at_zero = [r for r in rows if float(r["tau"]) == 0.0 and r["quantity"] == "delta_omega_4d"]
     assert at_zero and all(r["value"] == "inf" for r in at_zero)
+
+
+def test_empty_delta_list_is_a_config_error(tmp_path, capsys):
+    # an empty list would write a header-only dataset and exit 0
+    out = tmp_path / "empty.csv"
+    argv = ["sweep", "--quantity", "population", "--scheme", "pt", "--gamma-list", "0.5", "--delta-list", "",
+            "--output", str(out)]
+    assert main(argv) == 2
+    assert "delta_list: at least one ratio required" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"quantity": "population", "scheme": "pt", "gamma_list": [0.5],
+                                    "delta_list": [], "output_path": str(out)}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "delta_list: at least one ratio required" in capsys.readouterr().err
+    assert not out.exists()
