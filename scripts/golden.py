@@ -4,10 +4,12 @@
     python scripts/golden.py diff OLD NEW        # two datasets (CSV or JSON), or two directories of them
 
 `snapshot` runs each command line of SNAPSHOTS through `ptsense.cli.main` from
-the sources under src/.  `diff` prints, per (quantity, scheme, gamma_ratio),
+the sources under src/, and writes requests.json: the repr of every field the
+README quick-start calls return at the fixed points of REQUESTS.  `diff` prints, per (quantity, scheme, gamma_ratio),
 how many values changed and their largest absolute and relative change, the
 rows added or removed, and the undefined rows that appeared or vanished; it
-prints "no change" when the datasets hold the same rows and values.  `diff`
+prints "no change" when the datasets hold the same rows and values.  Two
+requests.json snapshots are compared field by field.  `diff`
 exits with 1 when any dataset changed or is missing on one side, and 0 when
 every one reads "no change".
 """
@@ -52,17 +54,73 @@ SNAPSHOTS = {
        for fmt in ("csv", "json")},
 }
 
+#: requests.json: the README quick-start calls at omega = 1 on every (gamma/omega, tau, probe) of
+#: these, the near-EP ratios of fig2 and of the dilation's reach included; "custom" is
+#: bloch_probe(1.1, 0.7).
+REQUESTS = "requests.json"
+REQUEST_GAMMAS = (0.0, 0.3, 0.6, 0.9, 1.0 - 1e-5, 0.999999)
+REQUEST_TAUS = (0.0, 1.3, 2.0 * math.pi)
+REQUEST_PROBES = ("plus_y", "custom")
+
+
+def _ptsense():
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    import ptsense
+
+    return ptsense
+
 
 def write_snapshot(name: str, output: Path) -> None:
     """Run the command line of snapshot `name`, writing its dataset to `output`."""
-    if str(ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(ROOT / "src"))
+    _ptsense()
     from ptsense.cli import main
 
     with redirect_stdout(StringIO()):
         code = main([*SNAPSHOTS[name], "--output", str(output)])
     if code != 0:
         raise SystemExit(f"{name}: ptsense exited with {code}")
+
+
+def _text(value) -> str:
+    """repr of a returned field: a state as its matrix, an array or numpy scalar as Python numbers."""
+    value = getattr(value, "matrix", value)
+    return repr(value.tolist() if hasattr(value, "tolist") else value)
+
+
+def request_fields(gamma_ratio: float, tau: float, probe_name: str) -> dict[str, dict[str, str]]:
+    """call -> field -> repr of what each quick-start call returns at one point; a call that
+    raises records its error class and message."""
+    api = _ptsense()
+    p = api.PtParams(omega=1.0, gamma=gamma_ratio)
+    t = tau / p.kappa
+    probe = api.plus_y() if probe_name == "plus_y" else api.bloch_probe(1.1, 0.7)
+    calls = {
+        "pure_density": lambda: api.pure_density(probe),
+        "evolve_density": lambda: api.evolve_density(api.pure_density(probe), p, t),
+        "postselect": lambda: api.postselect(api.evolve_enlarged(probe, p, t)),
+        "weighted_qfi_scheme1": lambda: api.weighted_qfi_scheme1(p, t, probe=probe),
+        "resource_metrics": lambda: api.resource_metrics(p, t, probe=probe),
+        "weighted_qfi_scheme2": lambda: api.weighted_qfi_scheme2(p, t),
+        "susceptibility_pt": lambda: api.susceptibility_pt(p, t),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            value = call()
+        except api.errors.PtsenseError as exc:
+            out[name] = {"raises": f"{type(exc).__name__}: {exc}"}
+            continue
+        fields = vars(value) if hasattr(value, "__dataclass_fields__") else {"value": value}
+        out[name] = {key: _text(field) for key, field in fields.items()}
+    return out
+
+
+def write_requests(output: Path) -> None:
+    """Write the requests.json snapshot: request_fields at every point of the REQUEST_* grids."""
+    points = {f"gamma_ratio={g!r} tau={tau!r} probe={probe}": request_fields(g, tau, probe)
+              for g in REQUEST_GAMMAS for tau in REQUEST_TAUS for probe in REQUEST_PROBES}
+    output.write_text(json.dumps(points, indent=1) + "\n")
 
 
 def _parse(path: Path) -> dict[tuple, str]:
@@ -131,6 +189,18 @@ def diff_datasets(old_path: Path, new_path: Path) -> list[str]:
     return lines
 
 
+def diff_requests(old_path: Path, new_path: Path) -> list[str]:
+    """One line per field of two requests.json snapshots that differs; ["no change"] when none does."""
+    def fields(path):
+        return {(point, call, field): text for point, calls in json.loads(path.read_text()).items()
+                for call, values in calls.items() for field, text in values.items()}
+
+    old, new = fields(old_path), fields(new_path)
+    lines = [f"{' '.join(key)}: {old.get(key, '(absent)')} -> {new.get(key, '(absent)')}"
+             for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    return lines or ["no change"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,6 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in SNAPSHOTS:
             write_snapshot(name, args.dir / name)
             print(f"wrote {args.dir / name}")
+        write_requests(args.dir / REQUESTS)
+        print(f"wrote {args.dir / REQUESTS}")
         return 0
     if args.old.is_dir():
         names = sorted({p.name for d in (args.old, args.new) for p in d.iterdir() if p.suffix in (".csv", ".json")})
@@ -159,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             changed = True
             continue
         print(f"{old.name}:" if len(pairs) > 1 else f"{old} -> {new}:")
-        lines = diff_datasets(old, new)
+        lines = (diff_requests if old.name == REQUESTS else diff_datasets)(old, new)
         changed |= lines != ["no change"]
         for line in lines:
             print(f"  {line}")

@@ -5,7 +5,9 @@ grid (tau = 2*pi and 4*pi stay on it), a custom-probe scheme-1 sweep, two
 JSON datasets (dynamics and Liouvillian spectrum, gamma/omega = 1 included)
 and one sweep in both formats that pins the row order (unsorted and repeated
 gammas, deltas and schemes given in reverse order); the command line of each
-is `SNAPSHOTS` in scripts/golden.py.  A change that
+is `SNAPSHOTS` in scripts/golden.py.  requests.json holds the repr of every
+field the README quick-start calls return at fixed points (`request_fields`),
+so the one-point API is pinned bit for bit as well.  A change that
 moves values on purpose regenerates them from the repository root with
 
     python scripts/golden.py snapshot
@@ -32,6 +34,30 @@ def test_preset_matches_snapshot(tmp_path, name):
     same = out.read_bytes() == snapshot.read_bytes()
     # on failure, the per-column report of scripts/golden.py diff rather than a bytes diff
     assert same, "\n".join([f"{name} differs from its snapshot:"] + golden.diff_datasets(snapshot, out))
+
+
+def test_requests_match_snapshot(tmp_path):
+    out = tmp_path / golden.REQUESTS
+    golden.write_requests(out)
+    snapshot = golden.GOLDEN / golden.REQUESTS
+    same = out.read_bytes() == snapshot.read_bytes()
+    assert same, "\n".join(["requests.json differs from its snapshot:"] + golden.diff_requests(snapshot, out))
+
+
+def test_diff_requests_reports_each_moved_field(tmp_path):
+    import json
+
+    points = json.loads((golden.GOLDEN / golden.REQUESTS).read_text())
+    point = next(iter(points))
+    points[point]["postselect"]["p_suc"] = "0.25"
+    del points[point]["pure_density"]
+    moved = tmp_path / golden.REQUESTS
+    moved.write_text(json.dumps(points, indent=1) + "\n")
+    assert golden.diff_requests(golden.GOLDEN / golden.REQUESTS, golden.GOLDEN / golden.REQUESTS) == ["no change"]
+    lines = golden.diff_requests(golden.GOLDEN / golden.REQUESTS, moved)
+    assert len(lines) == 2
+    assert any(line.startswith(f"{point} postselect p_suc: ") and line.endswith(" -> 0.25") for line in lines)
+    assert any(line.startswith(f"{point} pure_density matrix: ") and line.endswith(" -> (absent)") for line in lines)
 
 
 def test_diff_reports_no_change_for_identical_datasets():
