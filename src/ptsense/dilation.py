@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, InvalidMatrix, MetricSingular
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _abs2, per_point, su2_like_pair, su2_like_propagator
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _EYE, _abs2, per_point, su2_like_pair, su2_like_propagator
 from .params import PtParams
 from .pt_system import _direction, propagator_pt
 from .states import DensityMatrix2, DensityMatrix4, PureState2, PureState4, as_state
@@ -60,13 +60,13 @@ def metric_operator(p: PtParams) -> np.ndarray:
         raise MetricSingular(
             f"metric operator singular: gamma/omega = {p.gamma / p.omega:.12g}"
         )
-    return (p.omega * np.eye(2, dtype=complex) + p.gamma * PAULI_Y) / p.kappa
+    return (p.omega * _EYE[2] + p.gamma * PAULI_Y) / p.kappa
 
 
 def d_metric(p: PtParams) -> np.ndarray:
     """d(eta)/d(omega) = I/kappa - omega (omega I + gamma sigma_y)/kappa^3, written as
     -gamma (gamma I + omega sigma_y)/kappa^3, which has no cancellation near the EP."""
-    return -p.gamma * (p.gamma * np.eye(2, dtype=complex) + p.omega * PAULI_Y) / p.kappa ** 3
+    return -p.gamma * (p.gamma * _EYE[2] + p.omega * PAULI_Y) / p.kappa ** 3
 
 
 def _amplitudes(psi0) -> np.ndarray:

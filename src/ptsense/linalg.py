@@ -5,6 +5,12 @@ per-point helpers of row evaluation, and the closed-form propagator
 exp(-i H t) = cos(c t) I - i t sinc(c t) H of a generator with H^2 = c^2 I,
 with its omega-derivative.  Both generators of the toolkit, H_pt and H_4d,
 square to (kappa/2)^2 I, so no general exponential or eigensolver is needed.
+
+cos and sinc of the phase come from _cos_sinc, which repeats np.sinc's own
+arithmetic without its Python wrapper.  It keeps np.sinc's round trip
+pi * (phase / pi), which does not always give back the phase: every dataset
+holds the sinc of the round-tripped value, so dropping it would move them.
+The 2x2 and 4x4 identities are read-only module constants (_EYE).
 """
 
 from __future__ import annotations
@@ -29,6 +35,16 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+#: The identity of each dimension the generators have, built once.
+_EYE = {n: _read_only(np.eye(n, dtype=complex)) for n in (2, 4)}
+_EPS = float(np.finfo(float).eps)  # np.sinc's stand-in for a zero argument
 
 
 def dagger(m) -> np.ndarray:
@@ -68,6 +84,19 @@ def per_point(x, trailing: int):
     return x[(...,) + (None,) * trailing] if getattr(x, "ndim", 0) else x
 
 
+def _cos_sinc(phase):
+    """(np.cos(phase), np.sinc(phase / np.pi)), bit for bit, for a scalar or an array.
+
+    Repeats np.sinc's steps on the argument phase / np.pi: x = pi * (phase / pi), then
+    y = x with a zero replaced by the machine epsilon, then sin(y) / y.  The round trip through
+    / np.pi is kept because it does not always give back phase, and every dataset holds the sinc
+    of the round-tripped value.
+    """
+    x = np.pi * (phase / np.pi)
+    y = np.where(x, x, _EPS) if getattr(x, "ndim", 0) else (x if x else _EPS)
+    return np.cos(phase), np.sin(y) / y
+
+
 def su2_like_propagator(h, c_squared: float, t) -> np.ndarray:
     """exp(-i*H*t) for H with H^2 = c^2 * I (c real, c >= 0).
 
@@ -76,12 +105,12 @@ def su2_like_propagator(h, c_squared: float, t) -> np.ndarray:
     array of times the propagators are stacked along a leading axis.
     """
     a = np.asarray(h, dtype=complex)
-    c = float(np.sqrt(c_squared))
+    c = math.sqrt(c_squared)
     phase = c * t
-    cos, sinc = np.cos(phase), np.sinc(phase / np.pi)
+    cos, sinc = _cos_sinc(phase)
     if getattr(t, "ndim", 0):
         cos, sinc, t = cos[:, None, None], sinc[:, None, None], t[:, None, None]
-    return cos * np.eye(a.shape[0], dtype=complex) - 1j * t * sinc * a
+    return cos * _EYE[a.shape[0]] - 1j * t * sinc * a
 
 
 def sinc_slope(x: float) -> float:
@@ -102,10 +131,10 @@ def su2_like_pair(h, dh, c_squared: float, dc_squared: float, t):
     evaluated per element, so a row equals its one-point calls bit for bit.
     """
     a, da = np.asarray(h, dtype=complex), np.asarray(dh, dtype=complex)
-    phase = float(np.sqrt(c_squared)) * t
-    cos, sinc, slope = np.cos(phase), np.sinc(phase / np.pi), per_element(sinc_slope, phase)
+    phase = math.sqrt(c_squared) * t
+    (cos, sinc), slope = _cos_sinc(phase), per_element(sinc_slope, phase)
     if getattr(t, "ndim", 0):
         cos, sinc, slope, t = cos[:, None, None], sinc[:, None, None], slope[:, None, None], t[:, None, None]
-    eye = np.eye(a.shape[0], dtype=complex)
+    eye = _EYE[a.shape[0]]
     u = cos * eye - 1j * t * sinc * a
     return u, -0.5 * t * t * dc_squared * (sinc * eye + 1j * t * slope * a) - 1j * t * sinc * da

@@ -17,6 +17,7 @@ from .errors import InvalidStep, NormUnderflow
 from .linalg import (
     PAULI_X,
     PAULI_Z,
+    _cos_sinc,
     dagger,
     per_element,
     per_point,
@@ -74,7 +75,7 @@ def norm_growth(p: PtParams, t, psi0):
     y = 2.0 * (a[0].conjugate() * a[1]).imag  # <sigma_y>
     w, g = p.omega, p.gamma
     x = 0.5 * p.kappa * t
-    c, sinc = np.cos(x), np.sinc(x / np.pi)
+    c, sinc = _cos_sinc(x)
     s = t * sinc
     dc = -0.25 * w * t * t * sinc  # dx/d(omega) = omega t^2/(4x)
     ds = 0.25 * w * t * t * t * per_element(sinc_slope, x)

@@ -1,20 +1,24 @@
 """State containers with validated invariants, and probe-state constructors.
 
 Density matrices are validated on construction (Hermiticity, trace,
-positivity), so any value of these types is a legal state.  Operations
-return these types for one time and plain stacked ndarrays for a row of
-times (as_state), and plain ndarrays for operators and propagators.
+positivity), so any value of these types is a legal state.  The checks read
+the entries once, as Python numbers.  Positivity of a 2x2 is checked in
+closed form, by its lowest eigenvalue (p + q)/2 - hypot((p - q)/2, |c|); a
+3x3 or 4x4 keeps eigvalsh.  Operations return these types for one time and
+plain stacked ndarrays for a row of times (as_state), and plain ndarrays for
+operators and propagators.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyBranch, InvalidMatrix
-from .linalg import dagger, vector_norm
+from .linalg import vector_norm
 
 __all__ = [
     "plus_y",
@@ -77,18 +81,48 @@ def _check_vector(v, dim: int, norm_factor: float) -> np.ndarray:
     return _freeze(a)
 
 
+def _entries(a: np.ndarray):
+    """The rows of a square matrix as lists of Python complexes; None if an entry is not finite."""
+    rows = a.tolist()
+    return rows if all(cmath.isfinite(z) for row in rows for z in row) else None
+
+
+def _hermitian(rows) -> bool:
+    """max |a - a^dag| <= HERM_TOL, entry by entry as np.abs(a - dagger(a)).max() reads it."""
+    n = len(rows)
+    return max(abs(rows[i][j] - rows[j][i].conjugate()) for i in range(n) for j in range(i, n)) <= HERM_TOL
+
+
+def _trace(rows) -> complex:
+    """The trace of a 2x2, 3x3 or 4x4, bit for bit as a.trace() sums it: four entries in pairs,
+    fewer in order, and a zero sum as +0."""
+    d = [rows[i][i] for i in range(len(rows))]
+    return 0.0 + ((d[0] + d[1]) + (d[2] + d[3]) if len(d) == 4 else sum(d[1:], d[0]))
+
+
+def _lowest_eigenvalue(a: np.ndarray, rows) -> float:
+    """Lowest eigenvalue of a Hermitian matrix.  A 2x2 [[p, c*], [c, q]] in closed form from the
+    lower triangle, which eigvalsh reads: (p + q)/2 - hypot((p - q)/2, |c|), halved before the sums
+    so that no sum of finite entries overflows; eigvalsh for a larger matrix."""
+    if len(rows) != 2:
+        return np.linalg.eigvalsh(a).min()
+    p, q = 0.5 * rows[0][0].real, 0.5 * rows[1][1].real
+    return (p + q) - math.hypot(p - q, abs(rows[1][0]))
+
+
 def _check_density(m, dim: int, trace_tol: float = HERM_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape != (dim, dim):
         raise InvalidMatrix(f"density matrix must be {dim}x{dim}")
-    if not np.isfinite(a).all():
+    rows = _entries(a)
+    if rows is None:
         raise InvalidMatrix("density matrix has non-finite entries")
-    if np.abs(a - dagger(a)).max() > HERM_TOL:
+    if not _hermitian(rows):
         raise InvalidMatrix("density matrix not Hermitian to 1e-12")
-    tr = a.trace()
+    tr = _trace(rows)
     if abs(tr.real - 1.0) > trace_tol or abs(tr.imag) > trace_tol:
         raise InvalidMatrix(f"density matrix trace != 1 (got {tr:.15g})")
-    if np.linalg.eigvalsh(a).min() < -EIG_TOL:
+    if _lowest_eigenvalue(a, rows) < -EIG_TOL:
         raise InvalidMatrix("density matrix has an eigenvalue below -1e-10")
     return _freeze(a)
 
@@ -184,16 +218,18 @@ class UnnormalizedMatrix2:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.matrix, dtype=complex)
-        if a.shape != (2, 2) or not np.isfinite(a).all():
+        rows = _entries(a) if a.shape == (2, 2) else None
+        if rows is None:
             raise InvalidMatrix("expected a finite 2x2 matrix")
-        if np.abs(a - dagger(a)).max() > HERM_TOL:
+        if not _hermitian(rows):
             raise InvalidMatrix("matrix not Hermitian to 1e-12")
-        if np.linalg.eigvalsh(a).min() < -EIG_TOL:
+        if _lowest_eigenvalue(a, rows) < -EIG_TOL:
             raise InvalidMatrix("matrix not positive semidefinite to 1e-10")
-        if a.trace().real < 0.0:
+        trace = _trace(rows).real
+        if trace < 0.0:
             raise InvalidMatrix("trace must be non-negative")
         object.__setattr__(self, "matrix", _freeze(a))
-        object.__setattr__(self, "trace", float(np.trace(a).real))
+        object.__setattr__(self, "trace", trace)
 
     def normalized(self) -> DensityMatrix2:
         if not self.trace >= np.finfo(float).tiny:  # zero or subnormal: nothing left to normalize

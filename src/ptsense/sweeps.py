@@ -190,8 +190,8 @@ class _State:
     It holds the PT family v = U_pt(omega + delta) psi0 at the reachable times t and, when a
     requested quantity reads it, the exact tangent dv, from one propagator build; each other part
     is built from them on first use, by the kernels (and checks) of the scalar API.  A part that
-    raises (the metric at gamma/omega = 1) raises at each read.  `base` is the entry's state at
-    delta = 0, which the population shifts subtract: the entry itself at delta = 0.
+    raises (the metric at gamma/omega = 1) raises at each read.  `base` is the state at delta = 0 of
+    the entry's gamma, which the population shifts subtract: the state itself at delta = 0.
     """
 
     def __init__(self, config: SweepConfig, gamma_ratio: float, delta_ratio: float, t, tangent: bool, base) -> None:
@@ -428,9 +428,11 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
         times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
         t = np.array([time for tau, time in zip(taus, times) if kappa > 0.0 or tau == 0.0])
         texts = list(zip(tau_texts, map(_fmt, times)))
-        base = _State(config, g, 0.0, t, False, None)  # one delta = 0 family per gamma, built on first read
-        for d in config.delta_ratios:
-            state = _State(config, g, d, t, tangent, base)
+        # one delta = 0 family per gamma, built on first read; a delta = 0 entry of the config is that family
+        zero = [d * config.omega == 0.0 for d in config.delta_ratios]
+        base = _State(config, g, 0.0, t, tangent and any(zero), None)
+        for d, is_zero in zip(config.delta_ratios, zero):
+            state = base if is_zero else _State(config, g, d, t, tangent, base)
             groups.setdefault((g, d), []).extend(_columns(config, state, d, taus, texts))
     sizes = [len(list(equal)) for _, equal in groupby(taus)]
     repeats = [(end - size, end) for size, end in zip(sizes, accumulate(sizes)) if size > 1]

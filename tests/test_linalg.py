@@ -1,5 +1,6 @@
 """Matrix-algebra core: the closed-form propagators against the Taylor
-reference exponential of tests/oracles.py, and that reference itself."""
+reference exponential of tests/oracles.py, that reference itself, and the
+cos/sinc kernel against np.cos and np.sinc bit for bit."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import expm
 from ptsense import PtParams, hamiltonian_pt, propagator_pt
-from ptsense.linalg import su2_like_propagator
+from ptsense.linalg import _EYE, _cos_sinc, su2_like_pair, su2_like_propagator
 from ptsense.lindblad import liouvillian_matrix
 
 
@@ -88,3 +89,52 @@ def test_dagger_is_involutive():
 
     m = np.array([[1 + 2j, 3 - 1j], [0.5j, -2.0]])
     assert np.array_equal(dagger(dagger(m)), m)
+
+
+#: Zero, the smallest subnormal, a tiny normal, the 1e-2 switch of sinc_slope's series, a large
+#: phase and 0.1, whose round trip pi * (0.1 / pi) is not 0.1; each with its negative.
+PHASES = [0.0, 5e-324, 1e-300, 1e-2, 1e3, 0.1, 2.0, np.pi]
+PHASES += [-x for x in PHASES]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_cos_sinc_equals_numpy_on_scalars(phase):
+    for x in (phase, np.float64(phase)):
+        cos, sinc = _cos_sinc(x)
+        assert type(cos) is type(np.cos(x)) and type(sinc) is type(np.sinc(x / np.pi))
+        assert _bits(cos) == _bits(np.cos(x))
+        assert _bits(sinc) == _bits(np.sinc(x / np.pi))
+
+
+def test_cos_sinc_equals_numpy_on_arrays():
+    rng = np.random.default_rng(5)
+    for x in (np.array(PHASES), rng.uniform(-50.0, 50.0, 1000), np.array([0.0]), np.array([])):
+        cos, sinc = _cos_sinc(x)
+        assert cos.shape == sinc.shape == x.shape
+        assert _bits(cos) == _bits(np.cos(x))
+        assert _bits(sinc) == _bits(np.sinc(x / np.pi))
+    assert np.pi * (0.1 / np.pi) != 0.1  # why the round trip is kept: sinc reads the round-tripped phase
+
+
+def test_cos_sinc_is_nan_at_infinity():
+    with np.errstate(invalid="ignore"):
+        for x in (np.inf, -np.inf):
+            assert all(np.isnan(v) for v in _cos_sinc(x))
+            assert np.isnan(np.cos(x)) and np.isnan(np.sinc(x / np.pi))
+            assert np.isnan(_cos_sinc(np.array([x, 1.0]))[1][0])
+
+
+def test_identities_are_read_only_and_propagators_keep_their_values():
+    for n, eye in _EYE.items():
+        assert np.array_equal(eye, np.eye(n)) and not eye.flags.writeable
+    h = hamiltonian_pt(PtParams(omega=1.0, gamma=0.6))
+    t = np.array([0.0, 0.5, 3.0, 40.0])
+    u, du = su2_like_pair(h, 0.5 * np.eye(2)[::-1], 0.16, 0.5, t)
+    phase = 0.4 * t
+    cos, sinc = np.cos(phase)[:, None, None], np.sinc(phase / np.pi)[:, None, None]
+    assert np.array_equal(u, cos * np.eye(2) - 1j * t[:, None, None] * sinc * h)
+    assert np.array_equal(su2_like_propagator(h, 0.16, t), u)

@@ -75,6 +75,23 @@ def test_one_propagator_build_per_family(tmp_path, monkeypatch, capsys, name):
     assert len(calls) == BUILDS[name]
 
 
+#: Propagator builds of population-shift sweeps at gamma/omega = 0.5: a delta = 0 entry is the
+#: per-gamma base, so a delta list holding 0 builds one family per distinct delta.
+SHIFT_BUILDS = {(0.0, 0.001): 2, (0.001, 0.0): 2, (0.0, 0.001, 0.0): 2, (0.001, 0.002): 3}
+
+
+@pytest.mark.parametrize("scheme", ["pt", "dilation"])
+@pytest.mark.parametrize("deltas", sorted(SHIFT_BUILDS))
+def test_a_zero_delta_entry_is_the_shift_base(tmp_path, monkeypatch, capsys, deltas, scheme):
+    calls = []
+    _counting(monkeypatch, ("su2_like_propagator", "su2_like_pair") + DYNAMICS, calls)
+    config = SweepConfig(quantities=("population_shift",), schemes=(scheme,), gamma_ratios=(0.5,),
+                         delta_ratios=deltas, tau_steps=9)
+    run(config, output_path=str(tmp_path / "shift.csv"))
+    capsys.readouterr()
+    assert len(calls) == SHIFT_BUILDS[deltas]
+
+
 # -- every column equals its public function -----------------------------------
 
 GAMMAS = (0.0, 0.6, 1.0 - 1e-6, 1.0)

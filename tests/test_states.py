@@ -4,7 +4,9 @@ A density matrix is rejected, with a typed InvalidMatrix and a fixed message,
 when an entry is not finite, when it is not Hermitian to 1e-12, when its trace
 is off one by more than 1e-12 (2x2) and when its lowest eigenvalue is below
 -1e-10; the non-normalized UnnormalizedMatrix2 drops the trace check and
-asks for a non-negative trace instead.
+asks for a non-negative trace instead.  The checks read the entries as
+Python numbers: the 2x2 lowest eigenvalue in closed form, which must match
+eigvalsh, and the trace summed as numpy sums it.
 """
 
 import cmath
@@ -12,9 +14,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptsense import DensityMatrix2, DensityMatrix3, DensityMatrix4, UnnormalizedMatrix2
 from ptsense.errors import InvalidMatrix
+from ptsense.states import _lowest_eigenvalue, _trace
 
 
 def _with_lowest_eigenvalue(e: float, phase: float = 0.3) -> np.ndarray:
@@ -121,3 +126,28 @@ def test_larger_states_keep_their_checks(cls, dim, tol):
     skew[dim - 1, 0] += 2e-12
     with pytest.raises(InvalidMatrix, match=r"^density matrix not Hermitian to 1e-12$"):
         cls(skew)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-0.5, 1.5), st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi))
+def test_closed_form_lowest_eigenvalue_matches_eigvalsh(p, modulus, phase):
+    c = modulus * cmath.exp(1j * phase)
+    a = np.array([[p, c.conjugate()], [c, 1.0 - p]])  # trace one, Hermitian
+    assert abs(_lowest_eigenvalue(a, a.tolist()) - np.linalg.eigvalsh(a).min()) <= 1e-15
+
+
+def test_closed_form_lowest_eigenvalue_reads_the_lower_triangle():
+    a = np.array([[0.5, 0.0], [0.5 + 1e-10j, 0.5]])  # eigvalsh reads the lower triangle, c = a[1, 0]
+    assert _lowest_eigenvalue(a, a.tolist()) == pytest.approx(np.linalg.eigvalsh(a).min(), abs=1e-15)
+    assert abs(_lowest_eigenvalue(a, a.tolist())) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_trace_is_summed_as_numpy_sums_it(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(2000):
+        scale = 10.0 ** rng.integers(-8, 8, size=(dim, dim))
+        a = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * scale
+        assert np.complex128(_trace(a.tolist())).tobytes() == a.trace().tobytes()
+    zeros = np.diag([complex(-0.0, -0.0)] * dim)  # a zero trace is +0, as numpy's reduction gives it
+    assert np.complex128(_trace(zeros.tolist())).tobytes() == zeros.trace().tobytes()
