@@ -37,13 +37,15 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """a as a contiguous read-only array."""
+    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
 
 #: The identity of each dimension the generators have, built once.
-_EYE = {n: _read_only(np.eye(n, dtype=complex)) for n in (2, 4)}
+_EYE = {n: _freeze(np.eye(n, dtype=complex)) for n in (2, 4)}
 _EPS = float(np.finfo(float).eps)  # np.sinc's stand-in for a zero argument
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBranch, InvalidMatrix
-from .linalg import vector_norm
+from .linalg import _freeze, vector_norm
 
 __all__ = [
     "plus_y",
@@ -53,12 +53,6 @@ def bloch_probe(theta: float, phi: float) -> np.ndarray:
         [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
         dtype=complex,
     )
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 def as_state(cls, t, *args):
