@@ -5,13 +5,13 @@
 
 `snapshot` runs each command line of SNAPSHOTS through `ptsense.cli.main` from
 the sources under src/, and writes requests.json: the repr of every field the
-README quick-start calls return at the fixed points of REQUESTS.  `diff` prints, per (quantity, scheme, gamma_ratio),
-how many values changed and their largest absolute and relative change, the
-rows added or removed, and the undefined rows that appeared or vanished; it
-prints "no change" when the datasets hold the same rows and values.  Two
-requests.json snapshots are compared field by field.  `diff`
-exits with 1 when any dataset changed or is missing on one side, and 0 when
-every one reads "no change".
+README quick-start calls return at the fixed points of the REQUEST_* grids.
+`diff` prints, per (quantity, scheme, gamma_ratio), how many values changed
+and their largest absolute and relative change, the rows added or removed,
+and the undefined rows that appeared or vanished; it prints "no change" when
+the datasets hold the same rows and values.  Two requests.json snapshots are
+compared field by field.  `diff` exits with 1 when any dataset changed or is
+missing on one side, and 0 when every one reads "no change".
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ SNAPSHOTS = {
 }
 
 #: requests.json: the README quick-start calls at omega = 1 on every (gamma/omega, tau, probe) of
-#: these, the near-EP ratios of fig2 and of the dilation's reach included; "custom" is
-#: bloch_probe(1.1, 0.7).
+#: these, the near-EP ratios of the dynamics (1 - 1e-5) and resource (1 - 1e-6) presets included;
+#: "custom" is bloch_probe(1.1, 0.7).
 REQUESTS = "requests.json"
 REQUEST_GAMMAS = (0.0, 0.3, 0.6, 0.9, 1.0 - 1e-5, 0.999999)
 REQUEST_TAUS = (0.0, 1.3, 2.0 * math.pi)
