@@ -3,7 +3,11 @@
     python scripts/near_ep_reference.py          # rewrite tests/near_ep_reference.json
 
 Evaluates, with mpmath and without ptsense, the QFIs that ptsense reports near
-the EP: scheme 1's f_suc, f_fail and f_total (for |+>_y and one custom Bloch
+the EP: scheme 1's f_total and its f_suc and f_fail, the QFIs of the normalized
+success and failure blocks of the channel U_4d(omega) psi4_0 (psi4_0 frozen at
+the base omega), with its information cost xi = 1 - i_subs/f_total and loss
+zeta = sqrt(i_subs/f_total), i_subs = p_suc f_suc + p_fail f_fail and the
+rates the blocks' shares of |U_4d psi4_0|^2 (for |+>_y and one custom Bloch
 probe), qfi_pt, and scheme 2's f_suc and f_total (|+>_y), on gamma/omega in
 {1-1e-4, 1-1e-6} x tau in {0.5, 2, 2pi, 4pi} at omega = 1; and for |+>_y the
 four susceptibilities of fig5 (pt, a, the enlarged pair and eff).  fig5's
@@ -15,9 +19,11 @@ the effective state and population_artificial_1 of the amplified one) and the
 two rows of population/pt.  Propagators are
 mpmath matrix exponentials and omega-derivatives are fourth-order central
 differences with step 1e-20, so the route shares no formula with the closed
-forms it checks.  The inputs (gamma, t and the probe amplitudes) are the
-doubles ptsense itself uses, converted exactly.  tests/test_near_ep_reference.py
-reads only the committed numbers.
+forms it checks.  xi is the ratio the closed-form information budget of
+ptsense replaces, which at 60 digits has no cancellation to fear.  The inputs
+(gamma, t and the probe amplitudes) are the doubles ptsense itself uses,
+converted exactly.  tests/test_exact_derivatives.py and tests/test_state.py
+read only the committed numbers.
 """
 
 from __future__ import annotations
@@ -119,12 +125,22 @@ def point(g: float, tau: float, label: str) -> dict:
     raw4 = mp.matrix([psi0[0], psi0[1]] + list(eta(w0, gm) * psi0))  # frozen at omega0
     psi4 = raw4 / mp.sqrt((raw4.H * raw4)[0].real)
 
-    def channel(w):
-        return mp.expm(-1j * t * h_4d(w, gm)) * psi4
+    vectors = {}
 
-    f_suc = qfi(pt, w0)
-    out = {"gamma_ratio": g, "tau": tau, "t": t_double, "probe": label,
-           "f_suc": f_suc, "f_fail": qfi(fail, w0), "f_total": qfi(channel, w0), "qfi_pt": f_suc}
+    def channel(w):
+        if w not in vectors:
+            vectors[w] = mp.expm(-1j * t * h_4d(w, gm)) * psi4
+        return vectors[w]
+
+    def block(first):  # the success (first = 0) or failure (first = 2) block of the channel
+        return lambda w: mp.matrix([channel(w)[first], channel(w)[first + 1]])
+
+    a = channel(w0)
+    share = (abs(a[0]) ** 2 + abs(a[1]) ** 2) / (a.H * a)[0].real  # p_suc
+    f_suc, f_fail, f_total, qfi_pt = qfi(block(0), w0), qfi(block(2), w0), qfi(channel, w0), qfi(pt, w0)
+    ratio = (share * f_suc + (1 - share) * f_fail) / f_total
+    out = {"gamma_ratio": g, "tau": tau, "t": t_double, "probe": label, "f_suc": f_suc, "f_fail": f_fail,
+           "f_total": f_total, "xi": 1 - ratio, "zeta": mp.sqrt(ratio), "qfi_pt": qfi_pt}
     if label == "plus_y":
         def p_suc(w):
             v = pt(w)
@@ -132,7 +148,7 @@ def point(g: float, tau: float, label: str) -> dict:
 
         p, dp = p_suc(w0), (8 * (p_suc(w0 + STEP) - p_suc(w0 - STEP))
                              - (p_suc(w0 + 2 * STEP) - p_suc(w0 - 2 * STEP))) / (12 * STEP)
-        out.update(scheme2_p_suc=p, scheme2_f_suc=f_suc, scheme2_f_total=dp * dp / (p * (1 - p)) + p * f_suc)
+        out.update(scheme2_p_suc=p, scheme2_f_suc=qfi_pt, scheme2_f_total=dp * dp / (p * (1 - p)) + p * qfi_pt)
 
         def enlarged(w):  # (v, eta v), the physical enlarged family that evolve_enlarged normalizes
             return mp.matrix(list(pt(w)) + list(fail(w)))

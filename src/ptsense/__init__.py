@@ -38,7 +38,6 @@ from .metrology import (
     qfi_spectral,
     qfi_two_level,
     resource_metrics,
-    resource_ratios,
     sld,
     susceptibility_a,
     susceptibility_eff,
@@ -123,7 +122,6 @@ __all__ = [
     "weighted_qfi_scheme1",
     "weighted_qfi_scheme2",
     "resource_metrics",
-    "resource_ratios",
     "SweepConfig",
     "run",
     "figure_preset",

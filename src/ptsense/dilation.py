@@ -122,13 +122,16 @@ def propagator_4d(p: PtParams, t: float) -> np.ndarray:
     return su2_like_propagator(h4, (0.5 * p.kappa) ** 2, t)
 
 
-def propagator_4d_pair(p: PtParams, t):
-    """(propagator_4d, its d/d(omega) at fixed t), in closed form: d(kappa^2/4) = omega/2,
-    and dH_4d is the product rule on hamiltonian_4d's blocks, with d(kappa) = omega/kappa."""
-    h4 = hamiltonian_4d(p)  # raises MetricSingular next to the EP
+def _d_hamiltonian_4d(p: PtParams) -> np.ndarray:
+    """dH_4d/d(omega): the product rule on hamiltonian_4d's blocks, with d(kappa) = omega/kappa."""
     w, g = p.omega, p.gamma
-    dh4 = _blocks_4d((w * w + g * g) / (2.0 * w * w), g ** 3 / (2.0 * p.kappa * w * w))
-    return su2_like_pair(h4, dh4, (0.5 * p.kappa) ** 2, 0.5 * w, t)
+    return _blocks_4d((w * w + g * g) / (2.0 * w * w), g ** 3 / (2.0 * p.kappa * w * w))
+
+
+def propagator_4d_pair(p: PtParams, t):
+    """(propagator_4d, its d/d(omega) at fixed t), in closed form: d(kappa^2/4) = omega/2."""
+    h4 = hamiltonian_4d(p)  # raises MetricSingular next to the EP
+    return su2_like_pair(h4, _d_hamiltonian_4d(p), (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)
 
 
 def _enlarged(psi, eta: np.ndarray):

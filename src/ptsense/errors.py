@@ -35,10 +35,6 @@ class InvalidDerivative(PtsenseError):
     """Density-matrix derivative is not Hermitian (or not traceless where required)."""
 
 
-class UndefinedResourceMetrics(PtsenseError):
-    """Resource metrics undefined because the reference information vanishes."""
-
-
 class ConfigError(PtsenseError):
     """Invalid sweep configuration; the message names the offending field."""
 

@@ -17,15 +17,21 @@ phase, the exceptional point included.  No derivative depends on a step size.
 Populations and susceptibilities use the physical parameterized states: the
 state families exactly as an apparatus tuned to omega' would prepare them.
 
-The enlarged-system QFI uses the channel picture: the probe and the metric
-(hence the initial enlarged state) are frozen at the base omega and only the
-unitary U_4d(omega) = exp(-i H_4d(omega) t) carries the parameter.  This is
-the convention under which the weighted information of the two post-selected
-branches exhausts the enlarged-system information at the periodic points
-(zeta(tau = 2*pi*n) = 1) and under which the |+>_y probe is optimal.  The
-branch QFIs, however, are taken on the physical branch families U_pt(omega)
-psi0 and eta(omega) U_pt(omega) psi0, so the information cost xi mixes two
-conventions and can fall below zero for some probes (ROADMAP item 3).
+Scheme 1 reads one family, the channel: the probe and the metric (hence the
+initial enlarged state psi4_0) are frozen at the base omega and only the
+unitary U_4d(omega) = exp(-i H_4d(omega) t) carries the parameter.  f_total
+is the QFI of a = U_4d psi4_0, and f_suc and f_fail those of its normalized
+success and failure blocks a_s and a_f.  Under one family the block
+measurement cannot add information (Braunstein & Caves 1994), and the
+enlarged-system QFI splits exactly into
+  f_total = i_subs + F_C + F_coh,
+  F_C = 4 (Re z_s)^2/(p_s p_f),  F_coh = 4 (p_f Im z_s - p_s Im z_f)^2/(p_s p_f),
+with z_b = <a_b|da_b> and p_b = |a_b|^2: the weighted branch information, the
+information in which branch fired and that in the coherence between the
+branches.  The information cost xi = (F_C + F_coh)/S and the loss
+zeta = sqrt(i_subs/S), S = i_subs + F_C + F_coh, are ratios of sums of
+nonnegative terms, so xi lies in [0, 1] at every point.  This is also the
+convention under which zeta(tau = 2*pi*n) = 1 and the |+>_y probe is optimal.
 
 Pure states
 -----------
@@ -38,21 +44,19 @@ decay included: there scheme 2's success rate is the double it is
 
 Row evaluation
 --------------
-The QFI evaluators, resource_ratios, population_shift, the
+The QFI evaluators, resource_metrics, population_shift, the
 susceptibilities, sld, qfi_sld and qfi_two_level are row-batched: given a
 1-D array of n times (stacks of n states and derivatives for the QFI forms),
 each evaluates one (gamma, omega, probe) row in one call and returns n values
 per field, bit for bit the values of n one-point calls.  Called with one
 time, the same code is the scalar API.  The evaluators are compositions of
-private kernels on the PT family (v, dv) = (U_pt psi0, dU_pt psi0) of
-_pt_family: _direction, _fail_family, dilation._branches, _channel,
-lindblad._decayed, _scheme1/_scheme2 and the slopes.  A sweep calls the same
-kernels once per (gamma, delta) entry (sweeps._State), so a column equals its
-evaluator.  Every check runs once on the whole call and raises if any point
-fails it, with the class a failing point raises alone.  The one condition
-that depends on the point is the resource cutoff at vanishing information:
-resource_ratios returns it as a mask, and resource_metrics raises
-UndefinedResourceMetrics unless every point is defined.
+private kernels: on the PT family (v, dv) = (U_pt psi0, dU_pt psi0) of
+_pt_family, _direction, _fail_family, dilation._branches, lindblad._decayed,
+_scheme2 and the slopes; on the channel, _channel, _scheme1 and _budget.  A
+sweep calls the same kernels once per (gamma, delta) entry (sweeps._State),
+so a column equals its evaluator.  Every check runs once on the whole call
+and raises if any point fails it, with the class a failing point raises
+alone.
 """
 
 from __future__ import annotations
@@ -63,14 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import _branches, _dilated, d_metric, metric_operator, propagator_4d_pair
-from .errors import (
-    EmptyBranch,
-    InvalidDerivative,
-    InvalidMatrix,
-    InvalidScheme,
-    UndefinedResourceMetrics,
-)
+from .dilation import _branches, _d_hamiltonian_4d, _dilated, d_metric, metric_operator, propagator_4d_pair
+from .errors import EmptyBranch, InvalidDerivative, InvalidMatrix, InvalidScheme
 from .linalg import _abs2, dagger, per_element, per_point, vector_norm
 from .lindblad import _decayed
 from .params import PtParams
@@ -95,7 +93,6 @@ __all__ = [
     "weighted_qfi_scheme2",
     "qfi_pt",
     "resource_metrics",
-    "resource_ratios",
 ]
 
 logger = logging.getLogger(__name__)
@@ -304,8 +301,9 @@ def _qfi(v, dv):
 class QfiReport:
     """QFI variants and sensitivity bounds at one (gamma/omega, t) point.
 
-    For the dilation scheme: f_suc/f_fail are the branch QFIs, f_total is the
-    enlarged-system (channel) QFI, i_subs = i_suc + i_fail and
+    For the dilation scheme: f_suc/f_fail are the QFIs of the normalized
+    success and failure blocks of the channel vector U_4d psi4_0, f_total is
+    the QFI of the whole vector, i_subs = i_suc + i_fail and
     i_total = f_total.  For the dissipative scheme: f_suc is the QFI of the
     renormalized (post-selected) state, f_total the QFI of the full
     three-level state, i_total = f_total * p_suc, and the failure fields are
@@ -330,8 +328,9 @@ class QfiReport:
 
 @dataclass(frozen=True)
 class ResourceReport:
-    """Information cost xi and sensitivity loss zeta of post-selection;
-    zeta = sqrt(1 - xi) by construction whenever i_total > 0."""
+    """Information cost xi and sensitivity loss zeta of post-selection, from scheme 1's
+    information budget (module docstring): xi in [0, 1] and zeta^2 + xi = 1 to roundoff.
+    i_subs and i_total are weighted_qfi_scheme1's."""
 
     xi: float
     zeta: float
@@ -415,11 +414,19 @@ def _eff_slope(p: PtParams, t, v, dv):
 
 
 def _channel(p: PtParams, t, probe, eta):
-    """U_4d psi4_0 and its exact omega-tangent, with psi4_0 = (psi0, eta psi0)/C frozen at the
-    base omega (the channel picture, module docstring)."""
+    """(a, da, da0): a = U_4d psi4_0 with psi4_0 = (psi0, eta psi0)/C frozen at the base omega
+    (the channel, module docstring), its exact omega-tangent da, and da0 = -i dH_4d psi4_0, the
+    limit of da/t at t -> 0."""
     psi0 = _dilated(probe, eta)[0]
     u4, du4 = propagator_4d_pair(p, t)
-    return u4 @ psi0, du4 @ psi0
+    return u4 @ psi0, du4 @ psi0, -1j * (_d_hamiltonian_4d(p) @ psi0)
+
+
+def _scheme1_inputs(p: PtParams, t, probe):
+    """Scheme 1's branch rates (p_suc, p_fail) and its channel (_channel) for a probe or None."""
+    probe = _probe(probe)
+    eta = metric_operator(p)
+    return _branches(_direction(_pt_family(p, t, probe, False)[0])[0], eta)[1:], _channel(p, t, probe, eta)
 
 
 def weighted_qfi_scheme1(
@@ -427,25 +434,21 @@ def weighted_qfi_scheme1(
 ) -> QfiReport:
     """Post-selected and total QFI for the dilation scheme.
 
-    With v = U_pt psi0, f_suc is the pure-state QFI of (v, dv) and f_fail that
-    of (eta v, d(eta) v + eta dv), the physical branch families; f_total is the
-    enlarged-system QFI of (U_4d psi4_0, dU_4d psi4_0) in the channel picture
-    (module docstring).  The weights p_suc and p_fail are block sums of |a_i|^2 over
-    the amplitudes a that evolve_enlarged builds from the same v, so they equal
+    f_total is the QFI of the channel vector a = U_4d psi4_0 and its exact
+    tangent, and f_suc and f_fail those of its normalized blocks (module
+    docstring).  The weights p_suc and p_fail are block sums of |a_i|^2 over
+    the amplitudes that evolve_enlarged builds from U_pt psi0, so they equal
     postselect's bit for bit.  fd is accepted for compatibility and not used.
     """
-    probe = _probe(probe)
-    eta = metric_operator(p)
-    v, dv = _pt_family(p, t, probe)
-    unit = _direction(v, dv)
-    p_suc, p_fail = _branches(unit[0], eta)[1:]
-    return _scheme1(unit, p_suc, p_fail, _fail_family(p, eta, v, dv), _channel(p, t, probe, eta), n_repetitions)
+    rates, channel = _scheme1_inputs(p, t, probe)
+    return _scheme1(*rates, channel, n_repetitions)
 
 
-def _scheme1(unit, p_suc, p_fail, fail, channel, n_repetitions: int) -> QfiReport:
-    """Scheme 1's report from the normalized family unit = (psi, dpsi), the branch rates, the
-    failure family (eta v, d(eta v)) and the channel family (U_4d psi4_0, its tangent)."""
-    f_suc, f_fail, f_total = _qfi(*unit), _qfi(*_direction(*fail)), _qfi(*channel)
+def _scheme1(p_suc, p_fail, channel, n_repetitions: int) -> QfiReport:
+    """Scheme 1's report from the branch rates and the channel (a, da, da0) of _channel."""
+    a, da = channel[:2]
+    f_suc, f_fail = _qfi(*_direction(a[..., :2], da[..., :2])), _qfi(*_direction(a[..., 2:], da[..., 2:]))
+    f_total = _qfi(a, da)
     i_suc, i_fail = f_suc * p_suc, f_fail * p_fail
     i_subs = i_suc + i_fail
     return QfiReport(
@@ -465,6 +468,22 @@ def _scheme1(unit, p_suc, p_fail, fail, channel, n_repetitions: int) -> QfiRepor
     )
 
 
+def _budget(channel):
+    """(i_subs, F_C, F_coh) of the channel (a, da, da0) (module docstring), with da divided by its
+    largest |component| (da0 where da = 0): the terms are homogeneous of degree 2 in da, so their
+    ratios keep, and nothing under- or overflows.  The weights are a's block norms p_b, which make
+    the split exact; _branches' rates differ at roundoff, which 1/(p_s p_f) amplifies near the EP."""
+    a, da, da0 = channel
+    peak = per_point(np.abs(da).max(axis=-1), 1)
+    moving = peak > 0.0
+    d = np.where(moving, (da.view(float) / np.where(moving, peak, 1.0)).view(complex), da0)  # real divides
+    a_s, a_f, d_s, d_f = a[..., :2], a[..., 2:], d[..., :2], d[..., 2:]
+    p_s, p_f = np.vecdot(a_s, a_s).real, np.vecdot(a_f, a_f).real
+    z_s, z_f = np.vecdot(a_s, d_s), np.vecdot(a_f, d_f)
+    i_subs = p_s * _qfi(*_direction(a_s, d_s)) + p_f * _qfi(*_direction(a_f, d_f))
+    return i_subs, 4.0 * z_s.real * z_s.real / (p_s * p_f), 4.0 * (p_f * z_s.imag - p_s * z_f.imag) ** 2 / (p_s * p_f)
+
+
 def weighted_qfi_scheme2(
     p: PtParams, t, fd: FdConfig | None = None, n_repetitions: int = 1
 ) -> QfiReport:
@@ -481,8 +500,11 @@ def weighted_qfi_scheme2(
     is 0.  f_total vanishes at the steady state, which carries no parameter
     information.  In deep decay, where e^{-gamma t} underflows, p_suc is the
     double it is (subnormal, or 0) and f_suc is still the QFI of the
-    conditioned state.  i_total = f_total * p_suc is the repeated-averaged
-    information.  fd is accepted for compatibility and not used.
+    conditioned state.  i_total = f_total * p_suc (fig6's i_eff and
+    delta_omega_eff), although f_total already averages over both outcomes
+    (which one fired, plus p_suc f_suc; the incoherent sink adds no coherence
+    term): the success rate counts twice, unlike scheme 1's i_total = f_total.
+    fd is accepted for compatibility and not used.
     """
     v, dv = _pt_family(p, t, plus_y())
     return _scheme2(p, t, _direction(v, dv), _decayed(p, t, v)[1], n_repetitions)
@@ -530,39 +552,21 @@ def qfi_pt(p: PtParams, t, probe=None) -> float:
 
 
 def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None) -> ResourceReport:
-    """Information cost xi = 1 - i_subs/i_total and loss zeta = sqrt(i_subs/i_total).
+    """Information cost xi = (F_C + F_coh)/S and loss zeta = sqrt(i_subs/S) of scheme 1, with
+    S = i_subs + F_C + F_coh its information budget (module docstring).
 
-    zeta^2 + xi = 1 holds exactly by construction.  Known defect: the branch
-    information is measured on the physical post-selected families while the
-    reference is the channel information (module docstring).  Two parameter
-    families do not bound each other, so i_subs can exceed i_total and xi
-    can be far below zero: over random Bloch probes it reaches -807
-    (gamma/omega = 0.6, tau = 0.05).  ROADMAP item 3 puts both on one family.
-    Values are reported as they are rather than clipped, to keep the
-    identity exact.  Takes a row like weighted_qfi_scheme1, and raises
-    UndefinedResourceMetrics unless every point is defined (resource_ratios).
+    xi is a ratio of sums of nonnegative terms, so it lies in [0, 1] at every point, t = 0 and
+    t far below the roundoff of the information included, and zeta^2 + xi = 1 to roundoff.  S
+    equals f_total up to roundoff.  Takes a row like weighted_qfi_scheme1.  fd is accepted for
+    compatibility and not used.
     """
-    report = weighted_qfi_scheme1(p, t, probe=probe)
-    xi, zeta, defined = resource_ratios(report, t)
-    if not defined.all():
-        i_total = np.extract(~defined, report.i_total)[0]
-        raise UndefinedResourceMetrics(f"enlarged-system information {i_total:.3e} too small to normalize")
-    return ResourceReport(xi=_value(xi), zeta=_value(zeta), i_subs=report.i_subs, i_total=report.i_total)
+    rates, channel = _scheme1_inputs(p, t, probe)
+    report = _scheme1(*rates, channel, 1)
+    xi, zeta = _resources(*_budget(channel))
+    return ResourceReport(xi=xi, zeta=zeta, i_subs=report.i_subs, i_total=report.i_total)
 
 
-def resource_ratios(report: QfiReport, t):
-    """(xi, zeta, defined) of a scheme-1 QfiReport at time t, one value per point for a row.
-
-    A point is defined unless the enlarged-system information vanishes (below
-    1e-12 t^2, which scales with it in every unit of omega), since the ratio
-    then has no reference to normalize by; xi and zeta there are meaningless.
-    """
-    i_total = np.asarray(report.i_total, dtype=float)
-    defined = i_total > 1e-12 * t * t
-    ratio = report.i_subs / np.where(defined, i_total, 1.0)
-    ratio = np.where(ratio < 0.0, 0.0, ratio)  # i_subs is a sum of clipped-nonnegative terms
-    ratio = np.where(abs(1.0 - ratio) < 1e-8, 1.0, ratio)  # roundoff at gamma = 0, where the split is lossless
-    xi = 1.0 - ratio
-    for v in xi[(xi < 0.0) & defined]:
-        logger.debug("information cost %.3e below zero (convention mismatch window)", v)
-    return xi, np.sqrt(ratio), defined
+def _resources(i_subs, f_c, f_coh):
+    """(xi, zeta) of scheme 1's information budget (_budget)."""
+    total = i_subs + f_c + f_coh
+    return _value((f_c + f_coh) / total), _value(np.sqrt(i_subs / total))

@@ -8,9 +8,9 @@ exact omega-tangent, and the parts built from them on first use by the
 kernels of the scalar API.  Each pair is a closed-form read of the state with
 one value per point.  A check fails for a whole row: a pair whose read raises
 a PtsenseError (the dilation's MetricSingular at gamma/omega = 1) writes the
-single row "<quantity>_undefined" at every point.  The one per-point gap is
-the resource cutoff at vanishing information (metrology.resource_ratios),
-written as "resources_undefined" where its mask is False.
+single row "<quantity>_undefined" at every point, as does a pair at the
+points of the tau grid that the entry cannot reach (t = inf at the
+exceptional point).
 
 The writer is columnar: each (gamma/omega, delta/omega) group of rows is
 formatted a column (row name and scheme) at a time, on one prefix per point,
@@ -35,14 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrology
 from .dilation import _branches, metric_operator
 from .errors import ConfigError, PtsenseError, WriteError
 from .linalg import _abs2
 from .lindblad import _decayed, _survival, liouvillian_matrix
 from .metrology import (
-    _channel, _eff_slope, _enlarged_slope, _fail_family, _level1, _population_slope, _pt_family, _qfi, _scheme1,
-    _scheme2,
+    _bound, _budget, _channel, _eff_slope, _enlarged_slope, _fail_family, _level1, _population_slope, _pt_family, _qfi,
+    _resources, _scheme1, _scheme2,
 )
 from .params import PtParams
 from .pt_system import _direction
@@ -214,7 +213,7 @@ class _State:
         return metric_operator(self.p)
 
     @cached_property
-    def fail(self):  # (eta v, d(eta v))
+    def fail(self):  # (eta v, d(eta v)), the susceptibilities' failure family
         return _fail_family(self.p, self.eta, *self.family)
 
     @cached_property
@@ -226,9 +225,12 @@ class _State:
         return _decayed(self.p, self.t, self.family[0])
 
     @cached_property
+    def channel(self):  # (U_4d psi4_0, its tangent, the tangent's t -> 0 limit over t)
+        return _channel(self.p, self.t, self.probe, self.eta)
+
+    @cached_property
     def scheme1(self):
-        channel = _channel(self.p, self.t, self.probe, self.eta)
-        return _scheme1(self.unit, *self.branches[1:], self.fail, channel, self.config.repetitions)
+        return _scheme1(*self.branches[1:], self.channel, self.config.repetitions)
 
     @cached_property
     def scheme2(self):
@@ -258,9 +260,11 @@ def _rates_dilation(s: _State):
     return [p_suc, p_fail, pops[:, 0] * (1.0 / p_suc), pops[:, 2] * (1.0 / p_fail)]
 
 
-def _resources(s: _State):
-    xi, zeta, defined = metrology.resource_ratios(s.scheme1, s.t)
-    return [xi, zeta], defined
+def _resources_dilation(s: _State):
+    """xi and zeta of the channel's budget, read after the branch rates so that resource_metrics'
+    rate checks run here too."""
+    _ = s.branches
+    return list(_resources(*_budget(s.channel)))
 
 
 def _liouvillian_spectrum(s: _State):
@@ -274,11 +278,9 @@ def _liouvillian_spectrum(s: _State):
 class _Pair:
     """What one (quantity, scheme) pair writes at each grid point.
 
-    `evaluate(state)` returns (columns, defined): one sequence of values per
-    row name over the state's points, and a boolean mask of the points with
-    values, or None for all of them; if it raises a PtsenseError the pair is
-    undefined at every point.  A time-independent pair is written once, at
-    tau = 0.
+    `evaluate(state)` returns one sequence of values per row name over the
+    state's points; if it raises a PtsenseError the pair is undefined at every
+    point.  A time-independent pair is written once, at tau = 0.
     """
 
     rows: tuple[str, ...]
@@ -287,14 +289,9 @@ class _Pair:
     time_independent: bool = False
 
 
-def _batched(rows: tuple[str, ...], columns, plus_y_only: bool = False, time_independent: bool = False) -> _Pair:
-    """Pair defined at every point: columns(state) returns its columns."""
-    return _Pair(rows, lambda s: (columns(s), None), plus_y_only, time_independent)
-
-
 def _fields(report: str, fields: dict[str, str], plus_y_only: bool = False) -> _Pair:
     """Pair whose rows, keyed by row name, are fields of the state's report ("scheme1" or "scheme2")."""
-    return _batched(tuple(fields), lambda s: [getattr(getattr(s, report), f) for f in fields.values()], plus_y_only)
+    return _Pair(tuple(fields), lambda s: [getattr(getattr(s, report), f) for f in fields.values()], plus_y_only)
 
 
 _POP = ("population_1", "population_2", "population_3", "population_4")
@@ -303,36 +300,36 @@ _SHIFT = ("population_shift_1",)
 #: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs
 #: the plus_y probe.  A pair missing here is rejected.  Each evaluator reads the entry's _State.
 _PAIRS = {
-    ("population", "pt"): _batched(_POP[:2], lambda s: list(_abs2(s.unit[0]).T)),
-    ("population", "dilation"): _batched(_POP, lambda s: list(s.branches[0].T)),
-    ("population", "lindblad"): _batched(
+    ("population", "pt"): _Pair(_POP[:2], lambda s: list(_abs2(s.unit[0]).T)),
+    ("population", "dilation"): _Pair(_POP, lambda s: list(s.branches[0].T)),
+    ("population", "lindblad"): _Pair(
         _POP[:3] + ("population_eff_1", "population_artificial_1"), _populations_3l, True),
-    ("postselect_rates", "dilation"): _batched(("p_suc", "p_fail", "rho_pt_11", "rho_a_11"), _rates_dilation),
-    ("postselect_rates", "lindblad"): _batched(("p_suc", "p_fail", "rho_pt_11"), lambda s: [
+    ("postselect_rates", "dilation"): _Pair(("p_suc", "p_fail", "rho_pt_11", "rho_a_11"), _rates_dilation),
+    ("postselect_rates", "lindblad"): _Pair(("p_suc", "p_fail", "rho_pt_11"), lambda s: [
         s.decayed[1], 1.0 - s.decayed[1], _abs2(s.unit[0])[:, 0]], True),
-    ("population_shift", "pt"): _batched(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
-    ("population_shift", "dilation"): _batched(_SHIFT, lambda s: s.shift(lambda x: x.branches[0][:, 0]), True),
-    ("population_shift", "lindblad"): _batched(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
-    ("susceptibility", "pt"): _batched(("susceptibility_pt", "susceptibility_a"), lambda s: [
+    ("population_shift", "pt"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
+    ("population_shift", "dilation"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.branches[0][:, 0]), True),
+    ("population_shift", "lindblad"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
+    ("susceptibility", "pt"): _Pair(("susceptibility_pt", "susceptibility_a"), lambda s: [
         _population_slope(*s.family, 0), _population_slope(*s.fail, 0)], True),
-    ("susceptibility", "dilation"): _batched(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda s: list(
+    ("susceptibility", "dilation"): _Pair(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda s: list(
         _enlarged_slope(*s.family, *s.fail, (0, 2)).T), True),
-    ("susceptibility", "lindblad"): _batched(("susceptibility_eff",), lambda s: [
+    ("susceptibility", "lindblad"): _Pair(("susceptibility_eff",), lambda s: [
         _eff_slope(s.p, s.t, *s.family)], True),
-    ("qfi_single", "pt"): _batched(("qfi_pt",), lambda s: [_qfi(*s.unit)]),
+    ("qfi_single", "pt"): _Pair(("qfi_pt",), lambda s: [_qfi(*s.unit)]),
     ("qfi_single", "dilation"): _fields("scheme1", {"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
     ("qfi_single", "lindblad"): _fields("scheme2", {"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}, True),
     ("qfi_weighted", "dilation"): _fields(
         "scheme1", {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
     ("qfi_weighted", "lindblad"): _fields("scheme2", {"i_eff": "i_total"}, True),
-    ("sensitivity_bound", "pt"): _batched(("delta_omega_pt",), lambda s: [
-        metrology._bound(_qfi(*s.unit), s.config.repetitions)]),
+    ("sensitivity_bound", "pt"): _Pair(("delta_omega_pt",), lambda s: [
+        _bound(_qfi(*s.unit), s.config.repetitions)]),
     ("sensitivity_bound", "dilation"): _fields(
         "scheme1", {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
     ("sensitivity_bound", "lindblad"): _fields(
         "scheme2", {"delta_omega_eff": "delta_omega_weighted", "delta_omega_eff_single": "delta_omega_total"}, True),
-    ("resources", "dilation"): _Pair(("xi", "zeta"), _resources),
-    ("liouvillian_spectrum", "lindblad"): _batched(
+    ("resources", "dilation"): _Pair(("xi", "zeta"), _resources_dilation),
+    ("liouvillian_spectrum", "lindblad"): _Pair(
         tuple(f"liouvillian_eig_{i}" for i in range(1, 5)), _liouvillian_spectrum, time_independent=True),
 }
 
@@ -373,8 +370,9 @@ def _columns(config: SweepConfig, state: _State, delta_ratio: float, taus: list[
              texts: list[tuple[str, str]]) -> list[tuple]:
     """The columns (row name, scheme, lines, values) of one (gamma, delta) entry of the config, every
     scheme: the line and the finite value of the name at each tau, None where it has none, in tau
-    order; a column may end early.  A quantity undefined at a point has one "<quantity>_undefined"
-    line there.  The prefix of each point, from its (tau, t) texts, is formatted once.
+    order; a column may end early.  A pair that raised, or a point past the entry's reachable times,
+    has one "<quantity>_undefined" line there.  The prefix of each point, from its (tau, t) texts,
+    is formatted once.
     """
     gamma_ratio = state.gamma_ratio
     if config.format == "json":
@@ -393,15 +391,14 @@ def _columns(config: SweepConfig, state: _State, delta_ratio: float, taus: list[
         for quantity in config.quantities:
             pair = _PAIRS[quantity, scheme]
             try:
-                columns, mask = pair.evaluate(state)
+                columns, reached = pair.evaluate(state), len(state.t)
             except PtsenseError:
-                columns = mask = None
-            defined = [] if columns is None else [True] * len(state.t) if mask is None else mask.tolist()
+                columns, reached = None, 0
             written = [tau == 0.0 or not pair.time_independent for tau in taus]
-            keep = [w and d for w, d in zip(written, defined)]
+            keep = [w and i < reached for i, w in enumerate(written)]
             for name, column in zip(pair.rows, columns, strict=True) if any(keep) else ():
                 out.append((name, scheme, *_column(column, keep, prefixes, quote(name) + middle, end, quote)))
-            failed = [w and not d for w, d in zip_longest(written, defined)]
+            failed = [w and i >= reached for i, w in enumerate(written)]
             if any(failed):  # NaN is written as "undefined"
                 name, nan = quantity + "_undefined", [math.nan] * len(failed)
                 out.append((name, scheme, *_column(nan, failed, prefixes, quote(name) + middle, end, quote)))

@@ -94,9 +94,9 @@ def oracle_p_suc_eff(omega: float, gamma: float, t: float) -> float:
     return math.exp(-gamma * t) * (omega - gamma * math.cos(k * t)) / (omega - gamma)
 
 
-# -- analytic QFI of the post-selected branches -------------------------------
-# Derivative of the closed-form Bloch angle of the (pure) branch states with
-# respect to omega at fixed t; see test_metrology for the derivation check
+# -- analytic QFI of the PT state ----------------------------------------------
+# Derivative of the closed-form Bloch angle of the (pure) normalized PT state
+# with respect to omega at fixed t; see test_metrology for the derivation check
 # against finite differences.
 
 def oracle_qfi_pt(omega: float, gamma: float, t: float) -> float:
@@ -105,10 +105,30 @@ def oracle_qfi_pt(omega: float, gamma: float, t: float) -> float:
     return ((omega * t - (gamma / k) * math.sin(th)) / (omega - gamma * math.cos(th))) ** 2
 
 
-def oracle_qfi_a(omega: float, gamma: float, t: float) -> float:
-    k = kappa(omega, gamma)
-    th = k * t
-    return ((omega * t + (gamma / k) * math.sin(th)) / (omega + gamma * math.cos(th))) ** 2
+# -- analytic QFI of the channel branches of |+>_y ------------------------------
+# For |+>_y, eta psi0 = r psi0 with r = (omega + gamma)/kappa, and H_4d and its
+# omega-derivative map psi4_0 = (psi0, r psi0)/N into multiples of |-y> in each
+# block (H_4d psi4_0 = (i kappa/2N)(r|-y>, |-y>) at the base omega).  So in the
+# basis (|+y>, |-y>) each block of a = U_4d psi4_0 = cos x psi4_0 - i q H_4d psi4_0
+# (x = kappa t/2, q = 2 sin x/kappa) and of its omega-tangent at the base omega
+# has real coordinates, and the QFI of a normalized real family u(omega) is
+# 4 (u x du)^2/|u|^4.
+
+def oracle_channel_branch_qfis(omega: float, gamma: float, t: float) -> tuple[float, float]:
+    """(f_suc, f_fail) of scheme 1 for |+>_y: the QFIs of the normalized blocks of U_4d psi4_0."""
+    w, g = omega, gamma
+    k = kappa(w, g)
+    r = (w + g) / k
+    x, dx = k * t / 2, w * t / (2 * k)
+    s, c = math.sin(x), math.cos(x)
+    q, dq = 2 * s / k, 2 * c * dx / k - 2 * s * w / k ** 3
+    d, o = (w * w + g * g) / (2 * w * w), g ** 3 / (2 * k * w * w)  # dH_4d's blocks (d sx, i o sz)
+
+    def qfi(u, du):
+        return 4 * (u[0] * du[1] - u[1] * du[0]) ** 2 / (u[0] ** 2 + u[1] ** 2) ** 2
+
+    return (qfi((c, r * s), (-dx * s, dq * k * r / 2 + q * (d + o * r))),
+            qfi((r * c, s), (-dx * s * r, dq * k / 2 + q * (d * r - o))))
 
 
 # -- random mixed states for QFI form agreement -------------------------------

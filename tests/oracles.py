@@ -66,21 +66,23 @@ def _pure(psi: np.ndarray, dpsi: np.ndarray) -> float:
 
 
 def fd_scheme1(p: PtParams, t: float, probe, h: float = 1e-6) -> dict[str, float]:
-    """f_suc and f_fail of the physical post-selected branch families, and the
-    channel-picture f_total with psi4_0 frozen at the base omega."""
-
-    def branches(omega: float) -> np.ndarray:
-        out = postselect(evolve_enlarged(probe, p.with_omega(omega), t))
-        return np.stack([out.rho_pt.matrix, out.rho_a.matrix])
-
-    base = postselect(evolve_enlarged(probe, p, t))
-    d_suc, d_fail = richardson(branches, p.omega, h)
+    """f_suc, f_fail and f_total of the channel U_4d(omega) psi4_0, with psi4_0 frozen at the
+    base omega: the QFIs of the normalized success and failure blocks, as density matrices, and
+    of the whole vector."""
     psi0 = dilate_initial(probe, p).amplitudes
-    d_psi = richardson(lambda omega: propagator_4d(p.with_omega(omega), t) @ psi0, p.omega, h)
+
+    def channel(omega: float) -> np.ndarray:
+        return propagator_4d(p.with_omega(omega), t) @ psi0
+
+    def blocks(omega: float) -> np.ndarray:
+        a = channel(omega)
+        return np.stack([np.outer(u, u.conj()) / np.vdot(u, u).real for u in (a[:2], a[2:])])
+
+    base, d_blocks = blocks(p.omega), richardson(blocks, p.omega, h)
     return {
-        "f_suc": qfi_two_level(base.rho_pt, d_suc),
-        "f_fail": qfi_two_level(base.rho_a, d_fail),
-        "f_total": _pure(propagator_4d(p, t) @ psi0, d_psi),
+        "f_suc": qfi_two_level(base[0], d_blocks[0]),
+        "f_fail": qfi_two_level(base[1], d_blocks[1]),
+        "f_total": _pure(channel(p.omega), richardson(channel, p.omega, h)),
     }
 
 

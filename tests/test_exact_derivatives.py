@@ -22,6 +22,7 @@ from ptsense import (
     bloch_probe,
     propagator_pt,
     qfi_pt,
+    resource_metrics,
     susceptibility_a,
     susceptibility_eff,
     susceptibility_enlarged,
@@ -113,6 +114,11 @@ def test_near_ep_reference_values():
             got.update(scheme2_f_suc=s2.f_suc, scheme2_f_total=s2.f_total)
         for key, value in got.items():
             assert value == pytest.approx(float(point[key]), rel=1e-8), f"{where}: {key}"
+        # the closed-form budget against the 60-digit 1 - i_subs/f_total: within 2e-13 measured; the
+        # absolute 1e-12 covers xi of 1e-27 at tau = 2 pi n, where the budget keeps only roundoff
+        resources = resource_metrics(p, t, probe=probe)
+        for key in ("xi", "zeta"):
+            assert getattr(resources, key) == pytest.approx(float(point[key]), rel=1e-8, abs=1e-12), f"{where}: {key}"
         if "susceptibility_pt" in point:
             four_d = susceptibility_enlarged(p, t, index=(0, 2))
             got = {"susceptibility_pt": susceptibility_pt(p, t), "susceptibility_a": susceptibility_a(p, t),

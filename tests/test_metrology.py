@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_qfi_a, oracle_qfi_pt, random_mixed_pair
+from conftest import oracle_channel_branch_qfis, oracle_qfi_pt, random_mixed_pair
 from ptsense import (
     FdConfig,
     PtParams,
     bloch_probe,
     population_shift,
+    qfi_pt,
     qfi_pure,
     qfi_sld,
     qfi_spectral,
@@ -24,11 +25,7 @@ from ptsense import (
     weighted_qfi_scheme1,
     weighted_qfi_scheme2,
 )
-from ptsense.errors import (
-    InvalidDerivative,
-    InvalidScheme,
-    UndefinedResourceMetrics,
-)
+from ptsense.errors import InvalidDerivative, InvalidScheme
 
 FD = FdConfig.for_omega(1.0)
 
@@ -206,13 +203,17 @@ def test_scheme1_hermitian_baseline():
 
 
 def test_scheme1_branch_qfi_matches_analytic_oracle():
+    # the branch QFIs are those of the channel's blocks, not of the physical families U_pt psi0
+    # and eta(omega) U_pt psi0
     for ratio in (0.3, 0.6, 0.9):
         p = PtParams(1.0, ratio)
         for tau in (1.0, 3.0, 5.0):
             t = tau / p.kappa
             report = weighted_qfi_scheme1(p, t, FD)
-            assert report.f_suc == pytest.approx(oracle_qfi_pt(1.0, ratio, t), rel=1e-5)
-            assert report.f_fail == pytest.approx(oracle_qfi_a(1.0, ratio, t), rel=1e-5)
+            f_suc, f_fail = oracle_channel_branch_qfis(1.0, ratio, t)
+            assert report.f_suc == pytest.approx(f_suc, rel=1e-12)
+            assert report.f_fail == pytest.approx(f_fail, rel=1e-12)
+            assert report.f_suc != pytest.approx(oracle_qfi_pt(1.0, ratio, t), rel=1e-3)
 
 
 def test_scheme1_postselection_discards_information():
@@ -284,11 +285,15 @@ def test_scheme2_information_vanishes_at_long_times():
 
 
 def test_scheme2_conditioned_state_matches_scheme1_branch():
+    # the conditioned state is the normalized PT state, so its QFI is qfi_pt's; scheme 1's
+    # success branch is a block of the channel, whose QFI differs
     p = PtParams(1.0, 0.6)
     t = 3.0 / 0.8
     r1 = weighted_qfi_scheme1(p, t, FD)
     r2 = weighted_qfi_scheme2(p, t, FD)
-    assert r2.f_suc == pytest.approx(r1.f_suc, rel=1e-8)
+    assert r2.f_suc == pytest.approx(qfi_pt(p, t), rel=1e-8)
+    assert r2.f_suc == pytest.approx(oracle_qfi_pt(1.0, 0.6, t), rel=1e-8)
+    assert abs(r1.f_suc / r2.f_suc - 1.0) > 1e-3
 
 
 # -- resource metrics ---------------------------------------------------------
@@ -330,14 +335,20 @@ def test_resources_xi_monotone_in_gamma_at_tau5():
 
 
 def test_resources_undefined_when_no_information():
-    with pytest.raises(UndefinedResourceMetrics):
-        resource_metrics(PtParams(1.0, 0.6), 0.0, FD)
+    # t = 0 carries no information, but the budget's ratios have a value there: their t -> 0 limit
+    p = PtParams(1.0, 0.6)
+    out = resource_metrics(p, 0.0, FD)
+    assert out.i_subs == 0.0 and out.i_total == 0.0
+    assert 0.0 <= out.xi <= 1.0 and abs(out.zeta ** 2 + out.xi - 1.0) <= 1e-15
+    for probe in (None, bloch_probe(1.1, 0.7)):
+        at_zero = resource_metrics(p, 0.0, FD, probe=probe)
+        assert resource_metrics(p, 1e-9, FD, probe=probe).xi == pytest.approx(at_zero.xi, rel=1e-6, abs=1e-15)
 
 
 def test_delta_omega_infinite_when_information_vanishes():
-    # at t = 0 the channel has acquired no information at all; the failure
-    # branch family eta(omega) psi0 keeps only roundoff (|+>_y is an eigenvector of eta)
+    # at t = 0 the channel has acquired no information at all, in either branch
     report = weighted_qfi_scheme1(PtParams(1.0, 0.6), 0.0, FD)
     assert report.i_total == 0.0
     assert math.isinf(report.delta_omega_total)
-    assert report.i_subs <= 1e-18
+    assert report.i_subs == 0.0
+    assert math.isinf(report.delta_omega_weighted)

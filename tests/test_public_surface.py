@@ -24,6 +24,15 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def test_resource_cutoff_names_are_gone():
+    # xi and zeta have a value at every point, so no mask of defined points and no exception for
+    # undefined ones is exported
+    from ptsense import errors, metrology
+
+    exported = set(ptsense.__all__) | set(metrology.__all__) | set(vars(errors))
+    assert not {"resource_ratios", "UndefinedResourceMetrics"} & exported
+
+
 def test_readme_quick_start_runs():
     text = (ROOT / "README.md").read_text()
     section = text[text.index("## Library quick start"):]

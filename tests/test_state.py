@@ -26,7 +26,7 @@ from ptsense import (
     postselect_3l,
     pure_density,
     qfi_pt,
-    resource_ratios,
+    resource_metrics,
     susceptibility_a,
     susceptibility_eff,
     susceptibility_enlarged,
@@ -138,6 +138,9 @@ def _expected(quantity, scheme, p, base, delta, t, probe):
     if scheme == "pt":
         qfi = qfi_pt(p, t, probe=probe)
         return {"qfi_pt": qfi} if quantity == "qfi_single" else {"delta_omega_pt": _bound(qfi)}
+    if quantity == "resources":
+        out = resource_metrics(p, t, probe=probe)
+        return {"xi": out.xi, "zeta": out.zeta}
     report = weighted_qfi_scheme1(p, t, probe=probe) if scheme == "dilation" else weighted_qfi_scheme2(p, t)
     fields = {
         ("qfi_single", "dilation"): {"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"},
@@ -149,9 +152,6 @@ def _expected(quantity, scheme, p, base, delta, t, probe):
         ("sensitivity_bound", "lindblad"): {"delta_omega_eff": "delta_omega_weighted",
                                             "delta_omega_eff_single": "delta_omega_total"},
     }
-    if quantity == "resources":
-        xi, zeta, defined = resource_ratios(report, t)
-        return {"xi": np.where(defined, xi, np.nan), "zeta": np.where(defined, zeta, np.nan)}
     return {row: getattr(report, field) for row, field in fields[quantity, scheme].items()}
 
 
@@ -194,9 +194,7 @@ def test_every_column_equals_its_public_function(tmp_path, capsys, scheme, custo
                 for name, column in columns.items():
                     got = written[gamma, delta, name]
                     for tau, value in zip(taus, np.atleast_1d(column).tolist()):
-                        if isinstance(value, float) and math.isnan(value):  # the resource cutoff
-                            assert tau not in got and tau in written[gamma, delta, "resources_undefined"], where
-                        elif (name, scheme) in ROUNDOFF or (quantity, scheme) in ROUNDOFF:
+                        if (name, scheme) in ROUNDOFF or (quantity, scheme) in ROUNDOFF:
                             assert abs(float(got[tau]) - value) <= 1e-15 * max(1.0, abs(value)), f"{where}: {name}"
                         else:
                             assert got[tau] == _text(value), f"{where}: {name} at tau={tau!r}"

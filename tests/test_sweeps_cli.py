@@ -67,8 +67,8 @@ def test_every_pair_runs_or_is_rejected(tmp_path, quantity, scheme):
     names = {tau: [r["quantity"] for r in rows if float(r["tau"]) == tau] for tau in (0.0, 1.0)}
     if pair.time_independent:
         assert names == {0.0: sorted(pair.rows), 1.0: []}
-    else:  # at tau = 0 some quantities are undefined (no information yet)
-        assert names[1.0] == sorted(pair.rows)
+    else:  # every quantity has a value at tau = 0 too
+        assert names == {0.0: sorted(pair.rows), 1.0: sorted(pair.rows)}
 
 
 def test_population_reproduces_rabi(tmp_path):
@@ -93,15 +93,16 @@ def test_resources_zeta_at_2pi(tmp_path):
 
 
 def test_resources_undefined_rows_do_not_depend_on_the_unit_of_omega(tmp_path):
-    # i_total scales as 1/omega^2 at fixed tau; the cutoff scales with it, so only tau = 0 is undefined
+    # the information scales as 1/omega^2 at fixed tau, and xi and zeta, ratios of it, have a
+    # value at every point in every unit of omega, tau = 0 included
     def undefined(omega):
         cfg = dataclasses.replace(figure_preset("fig7"), omega=omega, tau_steps=33)
         rows = read_rows(run(cfg, str(tmp_path / f"fig7-{omega}.csv")))
+        assert len(rows) == 5 * 33 * 6
         return {(r["tau"], r["gamma_ratio"], r["quantity"]) for r in rows if r["value"] == "undefined"}
 
-    at_one = undefined(1.0)
-    assert at_one == {("0.0", g, "resources_undefined") for g in ("0.0", "0.3", "0.6", "0.9", "0.999999")}
-    assert undefined(2 * math.pi * 1e6) == at_one
+    assert undefined(1.0) == set()
+    assert undefined(2 * math.pi * 1e6) == set()
 
 
 def test_liouvillian_spectrum_rows(tmp_path):
