@@ -328,9 +328,8 @@ class QfiReport:
 
 @dataclass(frozen=True)
 class ResourceReport:
-    """Information cost xi and sensitivity loss zeta of post-selection, from scheme 1's
-    information budget (module docstring): xi in [0, 1] and zeta^2 + xi = 1 to roundoff.
-    i_subs and i_total are weighted_qfi_scheme1's."""
+    """Information cost xi in [0, 1] and sensitivity loss zeta of post-selection, from scheme 1's information
+    budget (module docstring), zeta^2 + xi = 1 to roundoff; i_subs and i_total are weighted_qfi_scheme1's."""
 
     xi: float
     zeta: float
@@ -414,9 +413,8 @@ def _eff_slope(p: PtParams, t, v, dv):
 
 
 def _channel(p: PtParams, t, probe, eta):
-    """(a, da, da0): a = U_4d psi4_0 with psi4_0 = (psi0, eta psi0)/C frozen at the base omega
-    (the channel, module docstring), its exact omega-tangent da, and da0 = -i dH_4d psi4_0, the
-    limit of da/t at t -> 0."""
+    """(a, da, da0): a = U_4d psi4_0 with psi4_0 = (psi0, eta psi0)/C frozen at the base omega (the
+    channel, module docstring), its exact omega-tangent da, and da0 = -i dH_4d psi4_0 = lim da/t at t = 0."""
     psi0 = _dilated(probe, eta)[0]
     u4, du4 = propagator_4d_pair(p, t)
     return u4 @ psi0, du4 @ psi0, -1j * (_d_hamiltonian_4d(p) @ psi0)
@@ -447,8 +445,8 @@ def weighted_qfi_scheme1(
 def _scheme1(p_suc, p_fail, channel, n_repetitions: int) -> QfiReport:
     """Scheme 1's report from the branch rates and the channel (a, da, da0) of _channel."""
     a, da = channel[:2]
-    f_suc, f_fail = _qfi(*_direction(a[..., :2], da[..., :2])), _qfi(*_direction(a[..., 2:], da[..., 2:]))
-    f_total = _qfi(a, da)
+    blocks = _qfi(*_direction(_split(a), _split(da)))
+    f_suc, f_fail, f_total = _value(blocks[..., 0]), _value(blocks[..., 1]), _qfi(a, da)
     i_suc, i_fail = f_suc * p_suc, f_fail * p_fail
     i_subs = i_suc + i_fail
     return QfiReport(
@@ -469,19 +467,23 @@ def _scheme1(p_suc, p_fail, channel, n_repetitions: int) -> QfiReport:
 
 
 def _budget(channel):
-    """(i_subs, F_C, F_coh) of the channel (a, da, da0) (module docstring), with da divided by its
-    largest |component| (da0 where da = 0): the terms are homogeneous of degree 2 in da, so their
-    ratios keep, and nothing under- or overflows.  The weights are a's block norms p_b, which make
-    the split exact; _branches' rates differ at roundoff, which 1/(p_s p_f) amplifies near the EP."""
+    """(i_subs, F_C, F_coh) of the channel (a, da, da0) (module docstring) on da over its largest |component|
+    (da0 where da = 0): the terms are homogeneous of degree 2 in da, so nothing under- or overflows.  a's block
+    norms weigh them, which keeps the split exact; _branches' rates differ at roundoff, amplified near the EP."""
     a, da, da0 = channel
     peak = per_point(np.abs(da).max(axis=-1), 1)
     moving = peak > 0.0
     d = np.where(moving, (da.view(float) / np.where(moving, peak, 1.0)).view(complex), da0)  # real divides
-    a_s, a_f, d_s, d_f = a[..., :2], a[..., 2:], d[..., :2], d[..., 2:]
-    p_s, p_f = np.vecdot(a_s, a_s).real, np.vecdot(a_f, a_f).real
-    z_s, z_f = np.vecdot(a_s, d_s), np.vecdot(a_f, d_f)
-    i_subs = p_s * _qfi(*_direction(a_s, d_s)) + p_f * _qfi(*_direction(a_f, d_f))
+    a, d = _split(a), _split(d)
+    p, z = np.vecdot(a, a).real, np.vecdot(a, d)
+    i_subs = np.vecdot(p, _qfi(*_direction(a, d)))
+    p_s, p_f, z_s, z_f = p[..., 0], p[..., 1], z[..., 0], z[..., 1]
     return i_subs, 4.0 * z_s.real * z_s.real / (p_s * p_f), 4.0 * (p_f * z_s.imag - p_s * z_f.imag) ** 2 / (p_s * p_f)
+
+
+def _split(v):
+    """The success and failure blocks of an enlarged vector, or of each of a stack, along a new axis."""
+    return v.reshape(v.shape[:-1] + (2, 2))
 
 
 def weighted_qfi_scheme2(

@@ -261,8 +261,7 @@ def _rates_dilation(s: _State):
 
 
 def _resources_dilation(s: _State):
-    """xi and zeta of the channel's budget, read after the branch rates so that resource_metrics'
-    rate checks run here too."""
+    """xi and zeta of the channel's budget, after the rate checks that resource_metrics runs too."""
     _ = s.branches
     return list(_resources(*_budget(s.channel)))
 
