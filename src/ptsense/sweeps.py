@@ -394,10 +394,9 @@ def _columns(config: SweepConfig, state: _State, delta_ratio: float, taus: list[
             except PtsenseError:
                 columns, reached = None, 0
             written = [tau == 0.0 or not pair.time_independent for tau in taus]
-            keep = [w and i < reached for i, w in enumerate(written)]
+            keep, failed = written[:reached], [False] * reached + written[reached:]
             for name, column in zip(pair.rows, columns, strict=True) if any(keep) else ():
                 out.append((name, scheme, *_column(column, keep, prefixes, quote(name) + middle, end, quote)))
-            failed = [w and i >= reached for i, w in enumerate(written)]
             if any(failed):  # NaN is written as "undefined"
                 name, nan = quantity + "_undefined", [math.nan] * len(failed)
                 out.append((name, scheme, *_column(nan, failed, prefixes, quote(name) + middle, end, quote)))
