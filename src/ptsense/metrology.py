@@ -478,7 +478,8 @@ def _budget(channel):
     p, z = np.vecdot(a, a).real, np.vecdot(a, d)
     i_subs = np.vecdot(p, _qfi(*_direction(a, d)))
     p_s, p_f, z_s, z_f = p[..., 0], p[..., 1], z[..., 0], z[..., 1]
-    return i_subs, 4.0 * z_s.real * z_s.real / (p_s * p_f), 4.0 * (p_f * z_s.imag - p_s * z_f.imag) ** 2 / (p_s * p_f)
+    c = p_f * z_s.imag - p_s * z_f.imag  # squared as c * c: a numpy scalar's ** 2 can round apart from an array's
+    return i_subs, 4.0 * z_s.real * z_s.real / (p_s * p_f), 4.0 * c * c / (p_s * p_f)
 
 
 def _split(v):
