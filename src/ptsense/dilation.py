@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBranch, InvalidMatrix, MetricSingular
+from .errors import EmptyBranch, MetricSingular
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _EYE, _abs2, per_point, su2_like_pair, su2_like_propagator
 from .params import PtParams
 from .pt_system import _direction, propagator_pt
-from .states import DensityMatrix2, DensityMatrix4, PureState2, PureState4, as_state
+from .states import DensityMatrix2, DensityMatrix4, PureState4, _density_of, _finite, _result, _vector
 
 __all__ = [
     "PostSelectionOutcome",
@@ -69,11 +69,7 @@ def d_metric(p: PtParams) -> np.ndarray:
     return -p.gamma * (p.gamma * _EYE[2] + p.omega * PAULI_Y) / p.kappa ** 3
 
 
-def _amplitudes(psi0) -> np.ndarray:
-    return psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
-
-
-def _dilated(amps: np.ndarray, eta: np.ndarray):
+def _dilated(eta: np.ndarray, amps: np.ndarray):
     """(psi0, eta psi0)^T normalized, and its norm factor; unvalidated."""
     raw = np.concatenate([amps, eta @ amps])
     norm = np.linalg.norm(raw)
@@ -82,7 +78,7 @@ def _dilated(amps: np.ndarray, eta: np.ndarray):
 
 def dilate_initial(psi0, p: PtParams) -> PureState4:
     """Normalized enlarged initial state (psi0, eta psi0)^T."""
-    return PureState4(*_dilated(_amplitudes(psi0), metric_operator(p)))
+    return _result(PureState4, None, *_dilated(metric_operator(p), _vector(psi0)))
 
 
 def _blocks_4d(diagonal: float, off: float) -> np.ndarray:
@@ -134,7 +130,7 @@ def propagator_4d_pair(p: PtParams, t):
     return su2_like_pair(h4, _d_hamiltonian_4d(p), (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)
 
 
-def _enlarged(psi, eta: np.ndarray):
+def _enlarged(eta: np.ndarray, psi):
     """Unvalidated amplitudes (psi, eta psi)/C_n of the enlarged state of a unit psi, and C_n."""
     chi = (eta @ psi[..., None])[..., 0]
     c_n = 1.0 / np.sqrt(1.0 + np.vecdot(chi, chi).real)
@@ -154,9 +150,7 @@ def _rates(pops):
 def _branches(psi, eta: np.ndarray):
     """(pops, p_suc, p_fail): the populations |a_i|^2 of the enlarged state a of the normalized PT
     state psi and its rates (_rates); InvalidMatrix unless a is finite."""
-    a = _enlarged(psi, eta)[0]
-    if not np.isfinite(a).all():
-        raise InvalidMatrix("state vector has non-finite entries")
+    a = _finite(_enlarged(eta, psi)[0], "state vector")
     pops = _abs2(a)
     return (pops, *_rates(pops))
 
@@ -165,31 +159,31 @@ def evolve_enlarged(psi0, p: PtParams, t) -> DensityMatrix4:
     """Rank-one density matrix of the enlarged state (psi_t, eta psi_t)^T / C_n (the (n, 4, 4) stack
     for a row of times), built from the PT subsystem and the metric rather than from propagator_4d;
     the tests cross-check the two paths."""
-    a, c_n = _enlarged(_direction(propagator_pt(p, t) @ _amplitudes(psi0))[0], metric_operator(p))
-    as_state(PureState4, t, a, c_n)
-    return as_state(DensityMatrix4, t, a[..., :, None] * a.conj()[..., None, :])
+    a = _enlarged(metric_operator(p), _direction(propagator_pt(p, t) @ _vector(psi0))[0])[0]
+    return _result(DensityMatrix4, t, a[..., :, None] * a.conj()[..., None, :])
 
 
 def postselect(rho4) -> PostSelectionOutcome:
     """Collapse the enlarged state onto the PT (success) or auxiliary
     (failure) subsystem.
 
-    Both branch probabilities are computed from their own diagonal sums and
-    checked to add to one, so a failure localizes to one branch.  For a row
-    (rho4 an (n, 4, 4) stack) every field is stacked, the conditioned states
-    are raw matrix stacks, and a check that fails at any point raises for the
-    whole row; a row with no failure branch at some point raises EmptyBranch
-    where one point returns rho_a = None.  Neither branch of an
-    evolve_enlarged state falls below (omega - gamma)/(2 omega).
+    rho4 is checked at entry unless it is a DensityMatrix4.  Both branch
+    probabilities are computed from their own diagonal sums and checked to
+    add to one, so a failure localizes to one branch.  For a row (rho4 an
+    (n, 4, 4) stack, checked matrix by matrix) every field is stacked, the
+    conditioned states are raw matrix stacks, and a check that fails at any
+    point raises for the whole row; a row with no failure branch at some
+    point raises EmptyBranch where one point returns rho_a = None.  Neither
+    branch of an evolve_enlarged state falls below (omega - gamma)/(2 omega).
     """
-    m = rho4.matrix if isinstance(rho4, DensityMatrix4) else np.asarray(rho4, dtype=complex)
+    m = _density_of(rho4, DensityMatrix4)
     pops = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
     p_suc, p_fail = _rates(pops)
     if (p_suc < 1e-14).any():
         raise EmptyBranch("success branch has vanishing probability")
-    rho_pt = as_state(DensityMatrix2, p_suc, m[..., :2, :2] / per_point(p_suc, 2))  # p_suc: one value per point
+    rho_pt = _result(DensityMatrix2, p_suc, m[..., :2, :2] / per_point(p_suc, 2))  # p_suc: one value per point
     if (p_fail >= 1e-14).all():
-        rho_a = as_state(DensityMatrix2, p_fail, m[..., 2:, 2:] / per_point(p_fail, 2))
+        rho_a = _result(DensityMatrix2, p_fail, m[..., 2:, 2:] / per_point(p_fail, 2))
     elif p_fail.ndim:
         raise EmptyBranch("failure branch has vanishing probability")
     else:

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, InvalidStep
-from .linalg import PAULI_X, _abs2, dagger, per_element, per_point
+from .linalg import PAULI_X, _abs2, dagger, per_element, per_point, vector_norm
 from .params import PtParams
-from .pt_system import _direction, propagator_pt
-from .states import DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, as_state, plus_y
+from .pt_system import propagator_pt
+from .states import (DensityMatrix2, DensityMatrix3, UnnormalizedMatrix2, _density_of, _finite, _result, plus_y,
+                     pure_density)
 
 __all__ = [
     "LindbladModel",
@@ -90,7 +91,7 @@ def integrate_lindblad(rho0, p: PtParams, t: float, dt: float) -> DensityMatrix3
     """
     if dt <= 0.0:
         raise InvalidStep("dt must be positive")
-    rho = np.array(rho0.matrix if isinstance(rho0, DensityMatrix3) else rho0, dtype=complex)
+    rho = np.array(_density_of(rho0, DensityMatrix3))
     if t == 0.0:
         return DensityMatrix3(rho)
     model = lindblad_model(p)
@@ -111,8 +112,7 @@ def _decayed(p: PtParams, t, v):
     """(phi, p_suc): the {|1>,|2>} amplitudes e^{-gamma t/2} v of the three-level state of v = U_pt
     psi0 and its success rate |phi|^2, the trace of the effective state.  InvalidMatrix unless v is
     finite."""
-    if not np.isfinite(v).all():
-        raise InvalidMatrix("state vector has non-finite entries")
+    _finite(v, "state vector")
     phi = per_point(per_element(math.exp, -0.5 * p.gamma * t), 1) * v
     return phi, _abs2(phi).sum(axis=-1)
 
@@ -125,14 +125,13 @@ def _survival(trace):
     return trace
 
 
-def _conjugated(u, rho0) -> np.ndarray:
-    """u rho0 u^dag, Hermitian to roundoff, for a propagator u or a stack of them; rho0
-    is a DensityMatrix2, a 2x2 matrix or a state vector."""
-    mat = np.asarray(rho0.matrix if isinstance(rho0, DensityMatrix2) else rho0, dtype=complex)
-    if mat.shape == (2,):
-        mat = np.outer(mat, mat.conj())
+def _conjugated(u, rho0):
+    """(u rho0 u^dag, its trace): Hermitian to roundoff, for a propagator u or a stack of them; rho0
+    is a DensityMatrix2, a 2x2 matrix or a state vector, checked at entry."""
+    mat = _density_of(pure_density(rho0) if np.ndim(rho0) == 1 else rho0, DensityMatrix2)
     raw = u @ mat @ dagger(u)
-    return 0.5 * (raw + dagger(raw))
+    out = 0.5 * (raw + dagger(raw))
+    return out, out.trace(axis1=-2, axis2=-1).real
 
 
 def analytic_rho_3l(p: PtParams, t) -> DensityMatrix3:
@@ -149,8 +148,8 @@ def analytic_rho_3l(p: PtParams, t) -> DensityMatrix3:
     block = scaled[..., :, None] * scaled.conj()[..., None, :]
     out = np.zeros(getattr(t, "shape", ()) + (3, 3), dtype=complex)
     out[..., :2, :2] = 0.5 * (block + dagger(block))
-    out[..., 2, 2] = 1.0 - p_suc
-    return as_state(DensityMatrix3, t, out)
+    out[..., 2, 2] = 1.0 - _survival(p_suc)  # rho33 >= -1e-10: the state's positivity
+    return _result(DensityMatrix3, t, out)
 
 
 def effective_evolve(rho0, p: PtParams, t) -> UnnormalizedMatrix2:
@@ -164,9 +163,9 @@ def effective_evolve(rho0, p: PtParams, t) -> UnnormalizedMatrix2:
     stack of matrices.
     """
     u_eff = per_point(per_element(math.exp, -0.5 * p.gamma * t), 2) * propagator_pt(p, t)
-    raw = _conjugated(u_eff, rho0)
-    out = as_state(UnnormalizedMatrix2, t, raw)
-    _survival(raw.trace(axis1=-2, axis2=-1).real)
+    out, trace = _conjugated(u_eff, rho0)
+    out = _result(UnnormalizedMatrix2, t, out, trace)
+    _survival(trace)
     return out
 
 
@@ -180,7 +179,7 @@ def artificial_pt(rho0, p: PtParams, t) -> UnnormalizedMatrix2:
     decay.  For a 1-D array of times the result is the stack of amplified
     matrices.
     """
-    return as_state(UnnormalizedMatrix2, t, _conjugated(propagator_pt(p, t), rho0))
+    return _result(UnnormalizedMatrix2, t, *_conjugated(propagator_pt(p, t), rho0))
 
 
 @dataclass(frozen=True)
@@ -205,9 +204,9 @@ def postselect_3l(p: PtParams, t) -> Postselected3L:
     """
     v = propagator_pt(p, t) @ plus_y()
     p_suc = _decayed(p, t, v)[1]
-    psi = _direction(v)[0]
+    psi = v / per_point(_finite(vector_norm(v), "state norm"), 1)  # _direction, where no norm overflowed
     rho_pt = psi[..., :, None] * psi.conj()[..., None, :]
-    return Postselected3L(p_suc=p_suc, p_fail=1.0 - p_suc, rho_pt=as_state(DensityMatrix2, t, rho_pt))
+    return Postselected3L(p_suc=p_suc, p_fail=1.0 - p_suc, rho_pt=_result(DensityMatrix2, t, rho_pt))
 
 
 def liouvillian_matrix(p: PtParams) -> tuple[np.ndarray, np.ndarray]:

@@ -68,12 +68,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import _branches, _d_hamiltonian_4d, _dilated, d_metric, metric_operator, propagator_4d_pair
-from .errors import EmptyBranch, InvalidDerivative, InvalidMatrix, InvalidScheme
+from .errors import EmptyBranch, InvalidDerivative, InvalidScheme
 from .linalg import _abs2, dagger, per_element, per_point, vector_norm
 from .lindblad import _decayed
 from .params import PtParams
 from .pt_system import _direction, norm_growth, propagator_pt, propagator_pt_pair
-from .states import plus_y, pure_density
+from .states import _finite, _vector, plus_y
 
 __all__ = [
     "FdConfig",
@@ -134,14 +134,6 @@ def _value(x):
     return x if getattr(x, "ndim", 0) else float(x)
 
 
-def _probe(probe) -> np.ndarray:
-    if probe is None:
-        return plus_y()
-    if hasattr(probe, "amplitudes"):
-        return probe.amplitudes
-    return np.asarray(probe, dtype=complex)
-
-
 def population_shift(scheme: str, p: PtParams, delta: float, t) -> float:
     """P1(omega + delta, t) - P1(omega, t) at fixed physical time, for the probe |+>_y.
 
@@ -153,6 +145,7 @@ def population_shift(scheme: str, p: PtParams, delta: float, t) -> float:
     if abs(delta) > 0.1 * p.omega:
         raise InvalidScheme(f"perturbation delta = {delta:g} exceeds 0.1 * omega")
     base = _level1(scheme, p, _direction(_pt_family(p, t, plus_y(), False)[0])[0])
+    _finite(t, "time")  # after the scheme name and the metric, which are checked first
     if delta == 0.0:
         return _value(np.zeros_like(base))
     q = PtParams(p.omega + delta, p.gamma)
@@ -377,20 +370,19 @@ def susceptibility_pt(p: PtParams, t):
 
     The susceptibilities take a row like every evaluator here.
     """
-    return _population_slope(*_pt_family(p, t, plus_y()), 0)
+    return _population_slope(*_pt_family(p, _finite(t, "time"), plus_y()), 0)
 
 
 def susceptibility_a(p: PtParams, t):
     """d(rho_A^11)/d(omega): failure-branch population derivative, of the family eta v."""
-    v, dv = _pt_family(p, t, plus_y())
-    return _population_slope(*_fail_family(p, metric_operator(p), v, dv), 0)
+    return _population_slope(*_fail_family(p, metric_operator(p), *_pt_family(p, _finite(t, "time"), plus_y())), 0)
 
 
 def susceptibility_enlarged(p: PtParams, t, index=0):
     """d(rho_4d^{ii})/d(omega) of the enlarged family (v, eta v), which evolve_enlarged
     normalizes; index 0 is the PT subsystem, 2 the auxiliary ((0, 2) gives both)."""
-    v, dv = _pt_family(p, t, plus_y())
-    return _enlarged_slope(v, dv, *_fail_family(p, metric_operator(p), v, dv), index)
+    eta, (v, dv) = metric_operator(p), _pt_family(p, _finite(t, "time"), plus_y())
+    return _enlarged_slope(v, dv, *_fail_family(p, eta, v, dv), index)
 
 
 def _enlarged_slope(v, dv, w, dw, index):
@@ -404,7 +396,7 @@ def susceptibility_eff(p: PtParams, t):
     reduce this to susceptibility_pt.  In deep decay e^{-gamma t} underflows
     and the value is 0, its limit.
     """
-    return _eff_slope(p, t, *_pt_family(p, t, plus_y()))
+    return _eff_slope(p, t, *_pt_family(p, _finite(t, "time"), plus_y()))
 
 
 def _eff_slope(p: PtParams, t, v, dv):
@@ -415,15 +407,14 @@ def _eff_slope(p: PtParams, t, v, dv):
 def _channel(p: PtParams, t, probe, eta):
     """(a, da, da0): a = U_4d psi4_0 with psi4_0 = (psi0, eta psi0)/C frozen at the base omega (the
     channel, module docstring), its exact omega-tangent da, and da0 = -i dH_4d psi4_0 = lim da/t at t = 0."""
-    psi0 = _dilated(probe, eta)[0]
+    psi0 = _dilated(eta, probe)[0]
     u4, du4 = propagator_4d_pair(p, t)
     return u4 @ psi0, du4 @ psi0, -1j * (_d_hamiltonian_4d(p) @ psi0)
 
 
 def _scheme1_inputs(p: PtParams, t, probe):
     """Scheme 1's branch rates (p_suc, p_fail) and its channel (_channel) for a probe or None."""
-    probe = _probe(probe)
-    eta = metric_operator(p)
+    eta, probe = metric_operator(p), plus_y() if probe is None else _vector(probe)
     return _branches(_direction(_pt_family(p, t, probe, False)[0])[0], eta)[1:], _channel(p, t, probe, eta)
 
 
@@ -546,12 +537,9 @@ def _scheme2(p: PtParams, t, unit, p_suc, n_repetitions: int) -> QfiReport:
 def qfi_pt(p: PtParams, t, probe=None) -> float:
     """QFI in omega of the normalized PT state, at fixed t: the pure-state QFI of
     (v, dv) with v = U_pt psi0.  Raises InvalidMatrix unless the probe is a unit
-    vector (pure_density's checks) and every time is finite."""
-    probe = _probe(probe)
-    pure_density(probe)
-    if not np.isfinite(t).all():
-        raise InvalidMatrix("time must be finite")
-    return _qfi(*_direction(*_pt_family(p, t, probe)))
+    vector (states._vector) and every time is finite."""
+    probe = plus_y() if probe is None else _vector(probe)
+    return _qfi(*_direction(*_pt_family(p, _finite(t, "time"), probe)))
 
 
 def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None) -> ResourceReport:

@@ -27,7 +27,7 @@ from .linalg import (
     vector_norm,
 )
 from .params import PtParams
-from .states import DensityMatrix2, PureState2, as_state
+from .states import DensityMatrix2, PureState2, _density_of, _finite, _result, _vector
 
 __all__ = [
     "hamiltonian_pt",
@@ -70,7 +70,7 @@ def norm_growth(p: PtParams, t, psi0):
     the norm comes without the cancellation in |U psi0|^2 - 1, also where
     gamma is far below the roundoff of |U psi0|^2.  Per point for an array of t.
     """
-    a = np.asarray(psi0, dtype=complex)
+    a = _vector(psi0)
     z = abs(a[0]) ** 2 - abs(a[1]) ** 2  # <sigma_z>
     y = 2.0 * (a[0].conjugate() * a[1]).imag  # <sigma_y>
     w, g = p.omega, p.gamma
@@ -96,14 +96,13 @@ def evolve_state(psi0, p: PtParams, t) -> PureState2:
 
     Returns the renormalized state together with the norm factor
     c_n = 1/||U psi0||.  For a 1-D array of times the result is the (n, 2)
-    stack of amplitudes (states.as_state).
+    stack of amplitudes (states._result).
     """
-    amps = psi0.amplitudes if isinstance(psi0, PureState2) else np.asarray(psi0, dtype=complex)
-    raw = propagator_pt(p, t) @ amps
-    norm = vector_norm(raw)
+    raw = propagator_pt(p, t) @ _vector(psi0)
+    norm = _finite(vector_norm(raw), "state norm")  # an overflowed norm would leave a zero vector
     if (norm < 1e-150).any():
         raise NormUnderflow("propagated state norm underflowed")
-    return as_state(PureState2, t, raw / per_point(norm, 1), 1.0 / norm)
+    return _result(PureState2, t, raw / per_point(norm, 1), 1.0 / norm)
 
 
 def evolve_density(rho0, p: PtParams, t) -> DensityMatrix2:
@@ -111,14 +110,13 @@ def evolve_density(rho0, p: PtParams, t) -> DensityMatrix2:
 
     For a 1-D array of times the result is the (n, 2, 2) stack of matrices.
     """
-    mat = rho0.matrix if isinstance(rho0, DensityMatrix2) else np.asarray(rho0, dtype=complex)
     u = propagator_pt(p, t)
-    raw = u @ mat @ dagger(u)
-    tr = raw.trace(axis1=-2, axis2=-1).real
+    raw = u @ _density_of(rho0, DensityMatrix2) @ dagger(u)
+    tr = _finite(raw.trace(axis1=-2, axis2=-1).real, "state trace")  # an overflowed trace would leave zeros
     if (tr < 1e-300).any():
         raise NormUnderflow("Tr(U rho U^dag) underflowed")
     out = raw / per_point(tr, 2)
-    return as_state(DensityMatrix2, t, 0.5 * (out + dagger(out)))  # scrub roundoff asymmetry
+    return _result(DensityMatrix2, t, 0.5 * (out + dagger(out)))  # scrub roundoff asymmetry
 
 
 def integrate_nh_master(rho0, p: PtParams, t: float, dt: float) -> DensityMatrix2:
@@ -134,7 +132,7 @@ def integrate_nh_master(rho0, p: PtParams, t: float, dt: float) -> DensityMatrix
     """
     if dt <= 0.0:
         raise InvalidStep("dt must be positive")
-    mat = rho0.matrix if isinstance(rho0, DensityMatrix2) else np.asarray(rho0, dtype=complex)
+    mat = _density_of(rho0, DensityMatrix2)
     a = float(mat[0, 0].real)  # rho11
     d = float(mat[1, 1].real)  # rho22
     x = float(mat[0, 1].real)  # Re rho12

@@ -1,12 +1,12 @@
-"""State containers with validated invariants, and probe-state constructors.
+"""State containers, probe-state constructors, and the entry rule for inputs.
 
-Density matrices are validated on construction (Hermiticity, trace,
-positivity), so any value of these types is a legal state.  The checks read
-the entries once, as Python numbers.  Positivity of a 2x2 is checked in
-closed form, by its lowest eigenvalue (p + q)/2 - hypot((p - q)/2, |c|); a
-3x3 or 4x4 keeps eigvalsh.  Operations return these types for one time and
-plain stacked ndarrays for a row of times (as_state), and plain ndarrays for
-operators and propagators.
+A probe or initial state vector is checked as PureState2 checks it (_vector),
+an initial density matrix as its class checks it (_density_of); an instance
+passes as it is.  A closed-form result is valid by construction: it is only
+checked for being finite and is built without its class's checks (_result),
+which run on direct construction and on the integrators' results.  They read
+the entries once, as Python numbers; a 2x2's lowest eigenvalue is taken in
+closed form, (p + q)/2 - hypot((p - q)/2, |c|), a 3x3's or 4x4's by eigvalsh.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBranch, InvalidMatrix
-from .linalg import _freeze, vector_norm
+from .linalg import _freeze
 
 __all__ = [
     "plus_y",
@@ -55,19 +55,14 @@ def bloch_probe(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def as_state(cls, t, *args):
-    """cls(*args), validated, for one time t; for a row of times (t a 1-D array),
-    the stack args[0] as it is."""
-    return args[0] if getattr(t, "ndim", 0) else cls(*args)
-
-
 def _check_vector(v, dim: int, norm_factor: float) -> np.ndarray:
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.shape != (dim,):
         raise InvalidMatrix(f"state vector must have dimension {dim}")
-    if not np.isfinite(a).all():
+    entries = a.tolist()
+    if not all(map(cmath.isfinite, entries)):
         raise InvalidMatrix("state vector has non-finite entries")
-    dev = abs(vector_norm(a) - 1.0)
+    dev = abs(math.hypot(*map(abs, entries)) - 1.0)
     if dev > HERM_TOL:
         raise InvalidMatrix(f"state vector not normalized: |norm - 1| = {dev:.2e}")
     if not 0.0 < norm_factor < math.inf:
@@ -104,8 +99,9 @@ def _lowest_eigenvalue(a: np.ndarray, rows) -> float:
     return (p + q) - math.hypot(p - q, abs(rows[1][0]))
 
 
-def _check_density(m, dim: int, trace_tol: float = HERM_TOL) -> np.ndarray:
+def _check_density(m, dim: int) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
+    trace_tol = HERM_TOL if dim == 2 else 1e-10  # a larger state comes from an integrator
     if a.shape != (dim, dim):
         raise InvalidMatrix(f"density matrix must be {dim}x{dim}")
     rows = _entries(a)
@@ -137,7 +133,7 @@ class PureState2:
         return float(abs(self.amplitudes[0]) ** 2)
 
     def density(self) -> "DensityMatrix2":
-        return DensityMatrix2(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return pure_density(self)
 
 
 @dataclass(frozen=True)
@@ -154,47 +150,38 @@ class PureState4:
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def density(self) -> "DensityMatrix4":
-        return DensityMatrix4(np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True)
-class DensityMatrix2:
+class _Density:
+    """A density matrix of dimension dim (a class attribute of each subclass), checked on construction."""
+
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _check_density(self.matrix, 2))
+        object.__setattr__(self, "matrix", _check_density(self.matrix, self.dim))
+
+    @property
+    def populations(self) -> np.ndarray:
+        return np.diagonal(self.matrix).real.copy()
+
+
+class DensityMatrix2(_Density):
+    dim = 2
 
     @property
     def population(self) -> float:
         return float(self.matrix[0, 0].real)
 
 
-@dataclass(frozen=True)
-class DensityMatrix3:
+class DensityMatrix3(_Density):
     """Three-level state; trace tolerance is looser (1e-10) since it is
     typically produced by an integrator rather than construction."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _check_density(self.matrix, 3, trace_tol=1e-10))
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.diagonal(self.matrix).real.copy()
+    dim = 3
 
 
-@dataclass(frozen=True)
-class DensityMatrix4:
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _check_density(self.matrix, 4, trace_tol=1e-10))
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.diagonal(self.matrix).real.copy()
+class DensityMatrix4(_Density):
+    dim = 4
 
 
 @dataclass(frozen=True)
@@ -228,10 +215,44 @@ class UnnormalizedMatrix2:
     def normalized(self) -> DensityMatrix2:
         if not self.trace >= np.finfo(float).tiny:  # zero or subnormal: nothing left to normalize
             raise EmptyBranch("state has vanishing trace; normalized state undefined")
-        return DensityMatrix2(self.matrix / self.trace)
+        return _result(DensityMatrix2, None, self.matrix / self.trace)
 
 
 def pure_density(psi) -> DensityMatrix2:
-    """|psi><psi| for a normalized two-component vector."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    return DensityMatrix2(np.outer(v, v.conj()))
+    """|psi><psi| for a normalized two-component vector (or a PureState2)."""
+    v = _vector(psi)
+    return _result(DensityMatrix2, None, np.outer(v, v.conj()))
+
+
+def _vector(psi) -> np.ndarray:
+    """A probe or initial state vector's amplitudes: a PureState2's as they are, else checked as it checks them."""
+    return psi.amplitudes if isinstance(psi, PureState2) else _check_vector(psi, 2, 1.0)
+
+
+def _density_of(rho, cls) -> np.ndarray:
+    """An initial state's matrix: a cls's as it is, else checked as cls checks it (a stack, each matrix)."""
+    if isinstance(rho, cls):
+        return rho.matrix
+    a = np.asarray(rho, dtype=complex)
+    for m in a if a.ndim == 3 else (a,):
+        _check_density(m, cls.dim)
+    return a
+
+
+def _finite(x, what: str):
+    """x as it is; InvalidMatrix unless every entry of x is finite."""
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) < finite.size:  # cheaper than finite.all() on a few entries
+        raise InvalidMatrix(f"{what} is not finite")
+    return x
+
+
+def _result(cls, t, data, *fields):
+    """A closed-form result: InvalidMatrix unless data is finite (an overflow, a NaN time); then, read-only,
+    cls(data, *fields) built without cls's checks for one time t, or data itself for a row of times."""
+    data = _freeze(_finite(data, "state"))
+    if getattr(t, "ndim", 0):
+        return data
+    state = object.__new__(cls)
+    vars(state).update(zip(cls.__dataclass_fields__, (data, *fields)))
+    return state

@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, groupby, zip_longest
+from itertools import accumulate, chain, groupby, product, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -285,19 +285,21 @@ class _Pair:
     rows: tuple[str, ...]
     evaluate: object
     plus_y_only: bool = False
+    tangent: bool = False
     time_independent: bool = False
 
 
-def _fields(report: str, fields: dict[str, str], plus_y_only: bool = False) -> _Pair:
+def _fields(report: str, fields: dict[str, str]) -> _Pair:
     """Pair whose rows, keyed by row name, are fields of the state's report ("scheme1" or "scheme2")."""
-    return _Pair(tuple(fields), lambda s: [getattr(getattr(s, report), f) for f in fields.values()], plus_y_only)
+    scheme2 = report == "scheme2"  # plus_y only, and reads the PT tangent (scheme 1 reads the channel's)
+    return _Pair(tuple(fields), lambda s: [getattr(getattr(s, report), f) for f in fields.values()], scheme2, scheme2)
 
 
 _POP = ("population_1", "population_2", "population_3", "population_4")
 _SHIFT = ("population_shift_1",)
 
-#: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs
-#: the plus_y probe.  A pair missing here is rejected.  Each evaluator reads the entry's _State.
+#: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs the plus_y
+#: probe and whether it reads the PT tangent, which an entry builds only then.  A pair missing here is rejected.
 _PAIRS = {
     ("population", "pt"): _Pair(_POP[:2], lambda s: list(_abs2(s.unit[0]).T)),
     ("population", "dilation"): _Pair(_POP, lambda s: list(s.branches[0].T)),
@@ -310,30 +312,27 @@ _PAIRS = {
     ("population_shift", "dilation"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.branches[0][:, 0]), True),
     ("population_shift", "lindblad"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
     ("susceptibility", "pt"): _Pair(("susceptibility_pt", "susceptibility_a"), lambda s: [
-        _population_slope(*s.family, 0), _population_slope(*s.fail, 0)], True),
+        _population_slope(*s.family, 0), _population_slope(*s.fail, 0)], True, True),
     ("susceptibility", "dilation"): _Pair(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda s: list(
-        _enlarged_slope(*s.family, *s.fail, (0, 2)).T), True),
+        _enlarged_slope(*s.family, *s.fail, (0, 2)).T), True, True),
     ("susceptibility", "lindblad"): _Pair(("susceptibility_eff",), lambda s: [
-        _eff_slope(s.p, s.t, *s.family)], True),
-    ("qfi_single", "pt"): _Pair(("qfi_pt",), lambda s: [_qfi(*s.unit)]),
+        _eff_slope(s.p, s.t, *s.family)], True, True),
+    ("qfi_single", "pt"): _Pair(("qfi_pt",), lambda s: [_qfi(*s.unit)], tangent=True),
     ("qfi_single", "dilation"): _fields("scheme1", {"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
-    ("qfi_single", "lindblad"): _fields("scheme2", {"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}, True),
+    ("qfi_single", "lindblad"): _fields("scheme2", {"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}),
     ("qfi_weighted", "dilation"): _fields(
         "scheme1", {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
-    ("qfi_weighted", "lindblad"): _fields("scheme2", {"i_eff": "i_total"}, True),
+    ("qfi_weighted", "lindblad"): _fields("scheme2", {"i_eff": "i_total"}),
     ("sensitivity_bound", "pt"): _Pair(("delta_omega_pt",), lambda s: [
-        _bound(_qfi(*s.unit), s.config.repetitions)]),
+        _bound(_qfi(*s.unit), s.config.repetitions)], tangent=True),
     ("sensitivity_bound", "dilation"): _fields(
         "scheme1", {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
     ("sensitivity_bound", "lindblad"): _fields(
-        "scheme2", {"delta_omega_eff": "delta_omega_weighted", "delta_omega_eff_single": "delta_omega_total"}, True),
+        "scheme2", {"delta_omega_eff": "delta_omega_weighted", "delta_omega_eff_single": "delta_omega_total"}),
     ("resources", "dilation"): _Pair(("xi", "zeta"), _resources_dilation),
     ("liouvillian_spectrum", "lindblad"): _Pair(
         tuple(f"liouvillian_eig_{i}" for i in range(1, 5)), _liouvillian_spectrum, time_independent=True),
 }
-
-#: Quantities that read no omega-tangent: a config of these alone builds the family without dv.
-_NO_TANGENT = frozenset({"population", "postselect_rates", "population_shift", "liouvillian_spectrum"})
 
 QUANTITIES = tuple(dict.fromkeys(quantity for quantity, _ in _PAIRS))
 
@@ -415,7 +414,7 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
 
     taus = [config.tau_max * i / (config.tau_steps - 1) for i in range(config.tau_steps)]
     tau_texts = [_fmt(tau) for tau in taus]
-    tangent = not _NO_TANGENT.issuperset(config.quantities)
+    tangent = any(_PAIRS[pair].tangent for pair in product(config.quantities, config.schemes))
     groups: dict[tuple, list] = {}  # equal (gamma, delta) values share a group: 0 and 0.0 keep their own text
     for g in config.gamma_ratios:
         # t, the reachable times: kappa = 0 at the exceptional point leaves tau = 0 alone

@@ -16,10 +16,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ptsense import FdConfig, PtParams, bloch_probe
-from ptsense import metrology
+from ptsense import (
+    DensityMatrix2,
+    DensityMatrix3,
+    DensityMatrix4,
+    FdConfig,
+    PtParams,
+    PureState2,
+    artificial_pt,
+    bloch_probe,
+    dilate_initial,
+    effective_evolve,
+    evolve_density,
+    evolve_enlarged,
+    evolve_state,
+    integrate_lindblad,
+    integrate_nh_master,
+    metrology,
+    plus_y,
+    postselect,
+    pure_density,
+)
 from ptsense.cli import main
 from ptsense.errors import InvalidMatrix, MetricSingular, PtsenseError
+from ptsense.pt_system import norm_growth
 
 FD = FdConfig.for_omega(1.0)
 
@@ -110,8 +130,17 @@ def test_row_level_error_is_every_points_error():
             metrology.weighted_qfi_scheme1(p, t, FD)
 
 
-@pytest.mark.parametrize("fn", [metrology.weighted_qfi_scheme1, metrology.weighted_qfi_scheme2,
-                                metrology.resource_metrics])
+@pytest.mark.parametrize("fn", [
+    metrology.weighted_qfi_scheme1, metrology.weighted_qfi_scheme2, metrology.resource_metrics,
+    metrology.susceptibility_pt, metrology.susceptibility_a, metrology.susceptibility_enlarged,
+    metrology.susceptibility_eff,
+    pytest.param(lambda p, t: metrology.population_shift("pt", p, 0.004, t), id="population_shift"),
+    pytest.param(lambda p, t: evolve_density(pure_density(plus_y()), p, t), id="evolve_density"),
+    pytest.param(lambda p, t: evolve_state(plus_y(), p, t), id="evolve_state"),
+    pytest.param(lambda p, t: evolve_enlarged(plus_y(), p, t), id="evolve_enlarged"),
+    pytest.param(lambda p, t: effective_evolve(plus_y(), p, t), id="effective_evolve"),
+    pytest.param(lambda p, t: artificial_pt(plus_y(), p, t), id="artificial_pt"),
+])
 def test_row_with_one_bad_time_raises_for_the_whole_call(fn):
     # the NaN point raises alone, so the row raises the same class and returns no values at all
     p = PtParams(1.0, 0.6)
@@ -122,16 +151,62 @@ def test_row_with_one_bad_time_raises_for_the_whole_call(fn):
             fn(p, np.array([1.0, np.nan]))
 
 
+#: (name, call(p, t, probe)) of every public function that takes a probe or an initial state vector
+PROBE_TAKERS = [
+    ("evolve_state", lambda p, t, probe: evolve_state(probe, p, t)),
+    ("dilate_initial", lambda p, t, probe: dilate_initial(probe, p)),
+    ("evolve_enlarged", lambda p, t, probe: evolve_enlarged(probe, p, t)),
+    ("effective_evolve", lambda p, t, probe: effective_evolve(probe, p, t)),
+    ("artificial_pt", lambda p, t, probe: artificial_pt(probe, p, t)),
+    ("norm_growth", lambda p, t, probe: norm_growth(p, t, probe)),
+    ("pure_density", lambda p, t, probe: pure_density(probe)),
+    ("scheme1", lambda p, t, probe: metrology.weighted_qfi_scheme1(p, t, FD, probe=probe)),
+    ("resources", lambda p, t, probe: metrology.resource_metrics(p, t, FD, probe=probe)),
+    ("qfi_pt", lambda p, t, probe: metrology.qfi_pt(p, t, probe=probe)),
+]
+#: (name, call(p, t, rho0), dimension, whether it takes a row of times) of every public function that
+#: takes an initial density matrix
+DENSITY_TAKERS = [
+    ("evolve_density", lambda p, t, rho: evolve_density(rho, p, t), 2, True),
+    ("effective_evolve", lambda p, t, rho: effective_evolve(rho, p, t), 2, True),
+    ("artificial_pt", lambda p, t, rho: artificial_pt(rho, p, t), 2, True),
+    ("integrate_nh_master", lambda p, t, rho: integrate_nh_master(rho, p, t, 0.1), 2, False),
+    ("integrate_lindblad", lambda p, t, rho: integrate_lindblad(rho, p, t, 0.1), 3, False),
+    ("postselect", lambda p, t, rho: postselect(rho), 4, False),
+]
+
+
+def _bad_densities(dim: int) -> dict:
+    """A dim x dim matrix that breaks each rule of a density matrix, and nothing else."""
+    ok = np.eye(dim, dtype=complex) / dim
+    nan, skew, twice, negative = ok.copy(), ok.copy(), 2.0 * ok, ok.copy()
+    nan[0, 0] = np.nan
+    skew[1, 0] += 0.1
+    negative[0, 0], negative[1, 1] = -0.1, negative[0, 0] + negative[1, 1] + 0.1
+    return {"NaN": nan, "non-Hermitian": skew, "trace 2": twice, "non-PSD": negative}
+
+
 @pytest.mark.parametrize("row", [False, True])
 def test_qfi_pt_validates_its_input(row):
-    # the probe and the times are checked before anything is computed from them
+    # every public function checks what it is given before it computes anything from it: a probe
+    # (zero, NaN or not of unit norm), an initial density matrix (NaN, non-Hermitian, trace 2 or not
+    # positive semidefinite) and qfi_pt's times raise InvalidMatrix, with no numpy warning first
     p = PtParams(1.0, 0.6)
     at = (lambda t: np.array([1.0, t])) if row else (lambda t: t)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for probe in (np.zeros(2), np.array([np.nan, 1.0])):
-            with pytest.raises(InvalidMatrix):
-                metrology.qfi_pt(p, at(1.0), probe=probe)
+        for name, call in PROBE_TAKERS:
+            for probe in (np.zeros(2), np.array([np.nan, 1.0]), np.array([2.0, 0.0]), np.array([1.0, 1.0])):
+                with pytest.raises(InvalidMatrix):
+                    call(p, at(1.0), probe)
+            if name not in ("effective_evolve", "artificial_pt"):  # a raw vector or a density matrix
+                call(p, at(1.0), PureState2(plus_y()))  # a state instance passes as it is
+        for name, call, dim, takes_rows in DENSITY_TAKERS:
+            t = at(1.0) if takes_rows else 1.0
+            for rho in _bad_densities(dim).values():
+                with pytest.raises(InvalidMatrix):
+                    call(p, t, rho)
+            call(p, t, {2: DensityMatrix2, 3: DensityMatrix3, 4: DensityMatrix4}[dim](np.eye(dim) / dim))
         for t in (np.nan, np.inf):
             with pytest.raises(InvalidMatrix):
                 metrology.qfi_pt(p, at(t))

@@ -36,7 +36,7 @@ from ptsense import (
 )
 from ptsense import dilation, pt_system
 from ptsense.errors import PtsenseError
-from ptsense.sweeps import _PAIRS, SCHEMES, SweepConfig, figure_preset, run
+from ptsense.sweeps import _PAIRS, SCHEMES, SweepConfig, _State, figure_preset, run
 
 #: Propagator builds (su2_like_propagator and su2_like_pair calls) per preset at 129 tau steps: one
 #: per (gamma, delta) family, plus one base-omega family per gamma for the shifts (fig4) and the
@@ -90,6 +90,30 @@ def test_a_zero_delta_entry_is_the_shift_base(tmp_path, monkeypatch, capsys, del
     run(config, output_path=str(tmp_path / "shift.csv"))
     capsys.readouterr()
     assert len(calls) == SHIFT_BUILDS[deltas]
+
+
+def test_only_pairs_that_read_the_tangent_build_it(tmp_path, monkeypatch, capsys):
+    # fig7 reads scheme 1 alone, whose tangent is the channel's: each gamma builds its PT family
+    # without the tangent and its channel with one
+    calls = []
+    _counting(monkeypatch, ("su2_like_propagator", "su2_like_pair"), calls)
+    run(figure_preset("fig7"), output_path=str(tmp_path / "fig7.csv"))
+    capsys.readouterr()
+    gammas = len(figure_preset("fig7").gamma_ratios)
+    assert sorted(calls) == ["su2_like_pair"] * gammas + ["su2_like_propagator"] * gammas
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS), ids="-".join)
+def test_the_tangent_flag_says_which_pairs_read_it(pair):
+    # a pair marked as reading no tangent evaluates on a family built without one; a pair marked
+    # as reading it cannot
+    config = SweepConfig(quantities=(pair[0],), schemes=(pair[1],), gamma_ratios=(0.5,), tau_steps=3)
+    state = _State(config, 0.5, 0.0, np.array([0.0, 1.0]), False, None)
+    if _PAIRS[pair].tangent:
+        with pytest.raises((TypeError, ValueError)):  # arithmetic on the missing tangent, None
+            _PAIRS[pair].evaluate(state)
+    else:
+        _PAIRS[pair].evaluate(state)
 
 
 # -- every column equals its public function -----------------------------------
