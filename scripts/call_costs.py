@@ -2,9 +2,14 @@
 
     python scripts/call_costs.py
 
-Times each call at one fixed point (gamma/omega = 0.6, omega = 1, t = 3, the
-probe bloch_probe(1.1, 0.7)) with timeit, 15 repeats of 200 calls, and prints
-the best repeat in microseconds per call.  The sources under src/ are timed.
+Times each call with timeit, 15 repeats of 200 calls, and prints the best
+repeat in microseconds per call.  Each row alternates between two points
+(gamma/omega = 0.6, omega = 1, t = 3 and t = 3.5, the probe
+bloch_probe(1.1, 0.7)), so that no call reads the state its predecessor left
+(metrology._point): every row times a first call at its point.  The row
+"quick-start request" is the five calls of one library request of the
+benchmark (perfbench/workloads.py), in which three calls share one state.
+The sources under src/ are timed.
 Best-of-N is the least noisy statistic for a call of this size on a shared
 host, but per-call times still move by several percent between processes;
 compare two trees by alternating runs.
@@ -14,46 +19,59 @@ from __future__ import annotations
 
 import sys
 import timeit
+from itertools import cycle
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT, NUMBER = 15, 200
 
 
 def calls() -> dict:
-    """name -> zero-argument callable, the quick-start calls first, then their kernels."""
+    """name -> zero-argument callable alternating between two points, the quick-start calls first, then
+    their kernels."""
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
     import ptsense as api
     from ptsense import dilation, linalg, pt_system, states
 
-    p, t = api.PtParams(omega=1.0, gamma=0.6), 3.0
-    probe = api.bloch_probe(1.1, 0.7)
-    rho0 = api.pure_density(probe)
-    rho4 = api.evolve_enlarged(probe, p, t)
-    h, c2 = api.hamiltonian_pt(p), (0.5 * p.kappa) ** 2
-    m2, m4 = np.array(rho0.matrix), np.array(rho4.matrix)
-    return {
-        "pure_density": lambda: api.pure_density(probe),
-        "evolve_density": lambda: api.evolve_density(rho0, p, t),
-        "evolve_enlarged": lambda: api.evolve_enlarged(probe, p, t),
-        "postselect": lambda: api.postselect(rho4),
-        "weighted_qfi_scheme1": lambda: api.weighted_qfi_scheme1(p, t, probe=probe),
-        "weighted_qfi_scheme2": lambda: api.weighted_qfi_scheme2(p, t),
-        "resource_metrics": lambda: api.resource_metrics(p, t, probe=probe),
-        "susceptibility_pt": lambda: api.susceptibility_pt(p, t),
-        "linalg.su2_like_propagator": lambda: linalg.su2_like_propagator(h, c2, t),
-        "linalg.su2_like_pair": lambda: linalg.su2_like_pair(h, 0.5 * linalg.PAULI_X, c2, 0.5, t),
-        "pt_system.propagator_pt_pair": lambda: pt_system.propagator_pt_pair(p, t),
-        "pt_system.norm_growth": lambda: pt_system.norm_growth(p, t, probe),
-        "dilation.propagator_4d_pair": lambda: dilation.propagator_4d_pair(p, t),
-        "dilation.metric_operator": lambda: dilation.metric_operator(p),
-        "dilation.d_metric": lambda: dilation.d_metric(p),
-        "states.DensityMatrix2": lambda: states.DensityMatrix2(m2),
-        "states.DensityMatrix4": lambda: states.DensityMatrix4(m4),
-        "states.UnnormalizedMatrix2": lambda: states.UnnormalizedMatrix2(m2),
+    def point(t):
+        p, probe = api.PtParams(omega=1.0, gamma=0.6), api.bloch_probe(1.1, 0.7)
+        rho0, rho4 = api.pure_density(probe), api.evolve_enlarged(probe, p, t)
+        return SimpleNamespace(p=p, t=t, probe=probe, rho0=rho0, rho4=rho4, h=api.hamiltonian_pt(p),
+                               c2=(0.5 * p.kappa) ** 2, m2=np.array(rho0.matrix), m4=np.array(rho4.matrix))
+
+    def request(x):
+        api.evolve_density(api.pure_density(x.probe), x.p, x.t)
+        api.postselect(api.evolve_enlarged(x.probe, x.p, x.t))
+        api.weighted_qfi_scheme1(x.p, x.t, probe=x.probe)
+        api.resource_metrics(x.p, x.t, probe=x.probe)
+        api.weighted_qfi_scheme2(x.p, x.t)
+
+    table = {
+        "quick-start request": request,
+        "pure_density": lambda x: api.pure_density(x.probe),
+        "evolve_density": lambda x: api.evolve_density(x.rho0, x.p, x.t),
+        "evolve_enlarged": lambda x: api.evolve_enlarged(x.probe, x.p, x.t),
+        "postselect": lambda x: api.postselect(x.rho4),
+        "weighted_qfi_scheme1": lambda x: api.weighted_qfi_scheme1(x.p, x.t, probe=x.probe),
+        "weighted_qfi_scheme2": lambda x: api.weighted_qfi_scheme2(x.p, x.t),
+        "resource_metrics": lambda x: api.resource_metrics(x.p, x.t, probe=x.probe),
+        "susceptibility_pt": lambda x: api.susceptibility_pt(x.p, x.t),
+        "linalg.su2_like_propagator": lambda x: linalg.su2_like_propagator(x.h, x.c2, x.t),
+        "linalg.su2_like_pair": lambda x: linalg.su2_like_pair(x.h, 0.5 * linalg.PAULI_X, x.c2, 0.5, x.t),
+        "pt_system.propagator_pt_pair": lambda x: pt_system.propagator_pt_pair(x.p, x.t),
+        "pt_system.norm_growth": lambda x: pt_system.norm_growth(x.p, x.t, x.probe),
+        "dilation.propagator_4d_pair": lambda x: dilation.propagator_4d_pair(x.p, x.t),
+        "dilation.metric_operator": lambda x: dilation.metric_operator(x.p),
+        "dilation.d_metric": lambda x: dilation.d_metric(x.p),
+        "states.DensityMatrix2": lambda x: states.DensityMatrix2(x.m2),
+        "states.DensityMatrix4": lambda x: states.DensityMatrix4(x.m4),
+        "states.UnnormalizedMatrix2": lambda x: states.UnnormalizedMatrix2(x.m2),
     }
+    points = (point(3.0), point(3.5))
+    return {name: (lambda fn=fn, turn=cycle(points): fn(next(turn))) for name, fn in table.items()}
 
 
 def main() -> int:

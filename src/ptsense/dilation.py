@@ -15,7 +15,6 @@ import numpy as np
 from .errors import EmptyBranch, MetricSingular
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _EYE, _abs2, per_point, su2_like_pair, su2_like_propagator
 from .params import PtParams
-from .pt_system import _direction, propagator_pt
 from .states import DensityMatrix2, DensityMatrix4, PureState4, _density_of, _finite, _result, _vector
 
 __all__ = [
@@ -147,19 +146,20 @@ def _rates(pops):
     return p_suc, p_fail
 
 
-def _branches(psi, eta: np.ndarray):
-    """(pops, p_suc, p_fail): the populations |a_i|^2 of the enlarged state a of the normalized PT
-    state psi and its rates (_rates); InvalidMatrix unless a is finite."""
-    a = _finite(_enlarged(eta, psi)[0], "state vector")
-    pops = _abs2(a)
+def _branches(a):
+    """(pops, p_suc, p_fail): the populations |a_i|^2 of the enlarged amplitudes a (_enlarged) and
+    their rates (_rates); InvalidMatrix unless a is finite."""
+    pops = _abs2(_finite(a, "state vector"))
     return (pops, *_rates(pops))
 
 
 def evolve_enlarged(psi0, p: PtParams, t) -> DensityMatrix4:
     """Rank-one density matrix of the enlarged state (psi_t, eta psi_t)^T / C_n (the (n, 4, 4) stack
     for a row of times), built from the PT subsystem and the metric rather than from propagator_4d;
-    the tests cross-check the two paths."""
-    a = _enlarged(metric_operator(p), _direction(propagator_pt(p, t) @ _vector(psi0))[0])[0]
+    the tests cross-check the two paths.  The amplitudes are the point state's (metrology._point)."""
+    from .metrology import _point  # metrology builds on this module
+
+    a = _point(p, t, psi0, False).enlarged
     return _result(DensityMatrix4, t, a[..., :, None] * a.conj()[..., None, :])
 
 

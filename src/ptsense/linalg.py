@@ -132,9 +132,18 @@ def su2_like_pair(h, dh, c_squared: float, dc_squared: float, t):
     (Najfeld & Havel 1995).  Stacked like su2_like_propagator for an array of times; g is
     evaluated per element, so a row equals its one-point calls bit for bit.
     """
+    return _su2_pair(h, dh, dc_squared, t, _phase_terms(math.sqrt(c_squared) * t))
+
+
+def _phase_terms(phase):
+    """(cos x, sinc x, g(x)) at the phase x = c t: _cos_sinc's pair and sinc_slope per element."""
+    return (*_cos_sinc(phase), per_element(sinc_slope, phase))
+
+
+def _su2_pair(h, dh, dc_squared: float, t, terms):
+    """su2_like_pair from the _phase_terms of its phase, which pt_system's norm growth reads too."""
     a, da = np.asarray(h, dtype=complex), np.asarray(dh, dtype=complex)
-    phase = math.sqrt(c_squared) * t
-    (cos, sinc), slope = _cos_sinc(phase), per_element(sinc_slope, phase)
+    cos, sinc, slope = terms
     if getattr(t, "ndim", 0):
         cos, sinc, slope, t = cos[:, None, None], sinc[:, None, None], slope[:, None, None], t[:, None, None]
     eye = _EYE[a.shape[0]]

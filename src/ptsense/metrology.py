@@ -42,19 +42,19 @@ eigensolver runs.  Every point of the unbroken phase runs the same code, deep
 decay included: there scheme 2's success rate is the double it is
 (subnormal, or 0) and its QFIs stay finite.
 
-Row evaluation
---------------
+Row evaluation and the point state
+----------------------------------
 The QFI evaluators, resource_metrics, population_shift, the
 susceptibilities, sld, qfi_sld and qfi_two_level are row-batched: given a
 1-D array of n times (stacks of n states and derivatives for the QFI forms),
-each evaluates one (gamma, omega, probe) row in one call and returns n values
-per field, bit for bit the values of n one-point calls.  Called with one
-time, the same code is the scalar API.  The evaluators are compositions of
-private kernels: on the PT family (v, dv) = (U_pt psi0, dU_pt psi0) of
-_pt_family, _direction, _fail_family, dilation._branches, lindblad._decayed,
-_scheme2 and the slopes; on the channel, _channel, _scheme1 and _budget.  A
-sweep calls the same kernels once per (gamma, delta) entry (sweeps._State),
-so a column equals its evaluator.  Every check runs once on the whole call
+each returns n values per field, bit for bit the values of n one-point calls.
+Each evaluator on the sweep path (these and dilation.evolve_enlarged) reads
+one _State of its point or row: the PT family (v, dv), the metric, the
+enlarged amplitudes, the channel and the reports, each built on first read.
+A sweep builds one per (gamma, delta) entry (sweeps._Entry), so a column runs
+its evaluator's code.  _point keeps the last one-point call's state for the
+next call at the same omega, gamma, t and probe, bit for bit: one state, never
+a row's, and no part that raised.  Every check runs once on the whole call
 and raises if any point fails it, with the class a failing point raises
 alone.
 """
@@ -63,16 +63,18 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dilation import _branches, _d_hamiltonian_4d, _dilated, d_metric, metric_operator, propagator_4d_pair
+from .dilation import _branches, _d_hamiltonian_4d, _dilated, _enlarged, d_metric, hamiltonian_4d, metric_operator
 from .errors import EmptyBranch, InvalidDerivative, InvalidScheme
-from .linalg import _abs2, dagger, per_element, per_point, vector_norm
+from .linalg import _abs2, dagger, per_element, per_point, su2_like_pair, vector_norm
 from .lindblad import _decayed
 from .params import PtParams
-from .pt_system import _direction, norm_growth, propagator_pt, propagator_pt_pair
+from .pt_system import _direction, _norm_growth, _pt_pair, propagator_pt
 from .states import _finite, _vector, plus_y
 
 __all__ = [
@@ -144,21 +146,20 @@ def population_shift(scheme: str, p: PtParams, delta: float, t) -> float:
     """
     if abs(delta) > 0.1 * p.omega:
         raise InvalidScheme(f"perturbation delta = {delta:g} exceeds 0.1 * omega")
-    base = _level1(scheme, p, _direction(_pt_family(p, t, plus_y(), False)[0])[0])
+    base = _level1(scheme, _State(p, t, plus_y(), False))
     _finite(t, "time")  # after the scheme name and the metric, which are checked first
     if delta == 0.0:
         return _value(np.zeros_like(base))
-    q = PtParams(p.omega + delta, p.gamma)
-    return _value(_level1(scheme, q, _direction(_pt_family(q, t, plus_y(), False)[0])[0]) - base)
+    return _value(_level1(scheme, _State(PtParams(p.omega + delta, p.gamma), t, plus_y(), False)) - base)
 
 
-def _level1(scheme: str, p: PtParams, psi):
-    """P1 of population_shift from the normalized PT state psi at p: |psi_1|^2 ("pt"), or
+def _level1(scheme: str, s: "_State"):
+    """P1 of population_shift from the state s: |psi_1|^2 of the normalized PT state ("pt"), or
     |a_1|^2 of the enlarged state ("enlarged")."""
     if scheme == "pt":
-        return _abs2(psi)[..., 0]
+        return _abs2(s.psi)[..., 0]
     if scheme == "enlarged":
-        return _branches(psi, metric_operator(p))[0][..., 0]
+        return s.branches[0][..., 0]
     raise InvalidScheme(f"unknown scheme {scheme!r}")
 
 
@@ -334,24 +335,96 @@ def _bound(information, n: int):
     return per_element(lambda info: 1.0 / math.sqrt(n * info) if info > 0.0 else math.inf, information)
 
 
-def _pt_family(p: PtParams, t, probe, tangent: bool = True):
-    """v = U_pt(omega, t) psi0 and its exact omega-derivative at fixed t (None unless tangent):
-    the one family every quantity of both schemes reads."""
-    if not tangent:
-        return propagator_pt(p, t) @ probe, None
-    u, du = propagator_pt_pair(p, t)
-    return u @ probe, du @ probe
+class _State:
+    """The state at a point (p, t, probe), or on a row of times t, which every evaluator reads.
+
+    Each part is built on first read, by the kernels below, and kept; a part that raises (the metric at
+    gamma/omega = 1) keeps nothing and raises at each read.  v = U_pt psi0 comes from the pair (U_pt,
+    dU_pt) in a state built for the tangent, else from propagator_pt, whose U is the pair's bit for bit:
+    the tangent dv is then built from the pair when first read, and v is kept.
+    """
+
+    def __init__(self, p: PtParams, t, probe, tangent: bool, repetitions: int = 1) -> None:
+        self.p, self.t, self.probe, self.tangent, self.repetitions = p, t, probe, tangent, repetitions
+
+    @cached_property
+    def _pair(self):  # (U_pt, dU_pt, the phase terms of both) at fixed t
+        return _pt_pair(self.p, self.t)
+
+    @cached_property
+    def v(self):
+        return (self._pair[0] if self.tangent else propagator_pt(self.p, self.t)) @ self.probe
+
+    @cached_property
+    def family(self):  # (v, dv)
+        return self.v, self._pair[1] @ self.probe
+
+    @cached_property
+    def unit(self):  # (v/|v|, dv/|v|)
+        return _direction(*self.family)
+
+    @cached_property
+    def psi(self):  # v/|v|, the normalized PT state
+        return self.unit[0] if self.tangent else _direction(self.v)[0]
+
+    @cached_property
+    def eta(self):
+        return metric_operator(self.p)
+
+    @cached_property
+    def fail(self):  # (eta v, d(eta v)) with eta = eta(omega) inside: the susceptibilities' failure family
+        (v, dv), eta = self.family, self.eta
+        return _apply(eta, v), _apply(d_metric(self.p), v) + _apply(eta, dv)
+
+    @cached_property
+    def enlarged(self):  # the amplitudes (psi, eta psi)/C_n of evolve_enlarged's state
+        return _enlarged(self.eta, self.psi)[0]
+
+    @cached_property
+    def branches(self):  # (|a_i|^2, p_suc, p_fail) of the enlarged state
+        return _branches(self.enlarged)
+
+    @cached_property
+    def decayed(self):  # (e^{-gamma t/2} v, p_suc) of the three-level state
+        return _decayed(self.p, self.t, self.v)
+
+    @cached_property
+    def channel(self):  # (U_4d psi4_0, its tangent, the tangent's t -> 0 limit over t)
+        return _channel(self.p, self.t, self.probe, self.eta)
+
+    @cached_property
+    def scheme1(self):
+        return _scheme1(self, self.repetitions)
+
+    @cached_property
+    def scheme2(self):
+        return _scheme2(self, self.repetitions)
+
+
+_PLUS_Y = plus_y().tobytes()
+_last: tuple = (None, None)  # (key, state) of the last one-point call of _point, set as one tuple
+
+
+def _point(p: PtParams, t, probe=None, tangent: bool = True) -> _State:
+    """The state of a call at (p, t, probe), after its entry checks: the probe (None for |+>_y) as
+    states._vector checks it, then the times.  A point whose omega, gamma and t are Python floats gets
+    the last such call's state if omega, gamma, t and the probe are the same bit for bit (0.0 and -0.0
+    differ), else a new state that replaces it; any other call, a row included, gets a new state."""
+    global _last
+    amplitudes = _PLUS_Y if probe is None else _vector(probe).tobytes()  # a copy, which the caller cannot mutate
+    _finite(t, "time")
+    if not type(t) is type(p.omega) is type(p.gamma) is float:  # a row, or numbers the key would not pin
+        return _State(p, t, np.frombuffer(amplitudes, dtype=complex), tangent)
+    key, (last, state) = (struct.pack("3d", p.omega, p.gamma, t), amplitudes), _last
+    if key != last:
+        state = _State(p, t, np.frombuffer(amplitudes, dtype=complex), tangent)
+        _last = key, state
+    return state
 
 
 def _apply(m: np.ndarray, v) -> np.ndarray:
     """m v for a vector, or for each vector of a stack."""
     return (m @ v[..., None])[..., 0]
-
-
-def _fail_family(p: PtParams, eta, v, dv):
-    """eta v and its exact omega-derivative: the failure branch of the PT family (v, dv),
-    with the metric eta = eta(omega) of p inside it."""
-    return _apply(eta, v), _apply(d_metric(p), v) + _apply(eta, dv)
 
 
 def _population_slope(u, du, index):
@@ -370,19 +443,19 @@ def susceptibility_pt(p: PtParams, t):
 
     The susceptibilities take a row like every evaluator here.
     """
-    return _population_slope(*_pt_family(p, _finite(t, "time"), plus_y()), 0)
+    return _population_slope(*_point(p, t).family, 0)
 
 
 def susceptibility_a(p: PtParams, t):
     """d(rho_A^11)/d(omega): failure-branch population derivative, of the family eta v."""
-    return _population_slope(*_fail_family(p, metric_operator(p), *_pt_family(p, _finite(t, "time"), plus_y())), 0)
+    return _population_slope(*_point(p, t).fail, 0)
 
 
 def susceptibility_enlarged(p: PtParams, t, index=0):
     """d(rho_4d^{ii})/d(omega) of the enlarged family (v, eta v), which evolve_enlarged
     normalizes; index 0 is the PT subsystem, 2 the auxiliary ((0, 2) gives both)."""
-    eta, (v, dv) = metric_operator(p), _pt_family(p, _finite(t, "time"), plus_y())
-    return _enlarged_slope(v, dv, *_fail_family(p, eta, v, dv), index)
+    s = _point(p, t)
+    return _enlarged_slope(*s.family, *s.fail, index)
 
 
 def _enlarged_slope(v, dv, w, dw, index):
@@ -396,7 +469,7 @@ def susceptibility_eff(p: PtParams, t):
     reduce this to susceptibility_pt.  In deep decay e^{-gamma t} underflows
     and the value is 0, its limit.
     """
-    return _eff_slope(p, t, *_pt_family(p, _finite(t, "time"), plus_y()))
+    return _eff_slope(p, t, *_point(p, t).family)
 
 
 def _eff_slope(p: PtParams, t, v, dv):
@@ -407,15 +480,9 @@ def _eff_slope(p: PtParams, t, v, dv):
 def _channel(p: PtParams, t, probe, eta):
     """(a, da, da0): a = U_4d psi4_0 with psi4_0 = (psi0, eta psi0)/C frozen at the base omega (the
     channel, module docstring), its exact omega-tangent da, and da0 = -i dH_4d psi4_0 = lim da/t at t = 0."""
-    psi0 = _dilated(eta, probe)[0]
-    u4, du4 = propagator_4d_pair(p, t)
-    return u4 @ psi0, du4 @ psi0, -1j * (_d_hamiltonian_4d(p) @ psi0)
-
-
-def _scheme1_inputs(p: PtParams, t, probe):
-    """Scheme 1's branch rates (p_suc, p_fail) and its channel (_channel) for a probe or None."""
-    eta, probe = metric_operator(p), plus_y() if probe is None else _vector(probe)
-    return _branches(_direction(_pt_family(p, t, probe, False)[0])[0], eta)[1:], _channel(p, t, probe, eta)
+    psi0, dh = _dilated(eta, probe)[0], _d_hamiltonian_4d(p)
+    u4, du4 = su2_like_pair(hamiltonian_4d(p), dh, (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)  # propagator_4d_pair, on dh
+    return u4 @ psi0, du4 @ psi0, -1j * (dh @ psi0)
 
 
 def weighted_qfi_scheme1(
@@ -429,13 +496,13 @@ def weighted_qfi_scheme1(
     the amplitudes that evolve_enlarged builds from U_pt psi0, so they equal
     postselect's bit for bit.  fd is accepted for compatibility and not used.
     """
-    rates, channel = _scheme1_inputs(p, t, probe)
-    return _scheme1(*rates, channel, n_repetitions)
+    s = _point(p, t, probe, False)
+    return s.scheme1 if n_repetitions == s.repetitions else _scheme1(s, n_repetitions)
 
 
-def _scheme1(p_suc, p_fail, channel, n_repetitions: int) -> QfiReport:
-    """Scheme 1's report from the branch rates and the channel (a, da, da0) of _channel."""
-    a, da = channel[:2]
+def _scheme1(s: _State, n_repetitions: int) -> QfiReport:
+    """Scheme 1's report from the state's branch rates and channel (a, da, da0)."""
+    (p_suc, p_fail), (a, da) = s.branches[1:], s.channel[:2]
     blocks = _qfi(*_direction(_split(a), _split(da)))
     f_suc, f_fail, f_total = _value(blocks[..., 0]), _value(blocks[..., 1]), _qfi(a, da)
     i_suc, i_fail = f_suc * p_suc, f_fail * p_fail
@@ -500,15 +567,15 @@ def weighted_qfi_scheme2(
     term): the success rate counts twice, unlike scheme 1's i_total = f_total.
     fd is accepted for compatibility and not used.
     """
-    v, dv = _pt_family(p, t, plus_y())
-    return _scheme2(p, t, _direction(v, dv), _decayed(p, t, v)[1], n_repetitions)
+    s = _point(p, t)
+    return s.scheme2 if n_repetitions == s.repetitions else _scheme2(s, n_repetitions)
 
 
-def _scheme2(p: PtParams, t, unit, p_suc, n_repetitions: int) -> QfiReport:
-    """Scheme 2's report from the normalized family unit = (psi, dpsi) of |+>_y and the success
-    rate p_suc = e^{-gamma t} |v|^2 (lindblad._decayed)."""
-    f_suc = _qfi(*unit)
-    growth, d_growth = norm_growth(p, t, plus_y())  # |v|^2 = 1 + gamma growth
+def _scheme2(s: _State, n_repetitions: int) -> QfiReport:
+    """Scheme 2's report from the state of |+>_y: its normalized family, its success rate e^{-gamma t} |v|^2
+    (lindblad._decayed) and the norm growth of v, on the phase terms of the pair (pt_system.norm_growth)."""
+    p, t, p_suc, f_suc = s.p, s.t, s.decayed[1], _qfi(*s.unit)
+    growth, d_growth = _norm_growth(p, t, s.probe, s._pair[2])  # |v|^2 = 1 + gamma growth
     d_log = p.gamma * d_growth / (1.0 + p.gamma * growth)
     log_p = -p.gamma * t + per_element(math.log1p, p.gamma * growth)
     survival, decayed = per_element(math.exp, log_p), -per_element(math.expm1, log_p)
@@ -538,8 +605,7 @@ def qfi_pt(p: PtParams, t, probe=None) -> float:
     """QFI in omega of the normalized PT state, at fixed t: the pure-state QFI of
     (v, dv) with v = U_pt psi0.  Raises InvalidMatrix unless the probe is a unit
     vector (states._vector) and every time is finite."""
-    probe = plus_y() if probe is None else _vector(probe)
-    return _qfi(*_direction(*_pt_family(p, _finite(t, "time"), probe)))
+    return _qfi(*_point(p, t, probe).unit)
 
 
 def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None) -> ResourceReport:
@@ -551,9 +617,9 @@ def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None) -> 
     equals f_total up to roundoff.  Takes a row like weighted_qfi_scheme1.  fd is accepted for
     compatibility and not used.
     """
-    rates, channel = _scheme1_inputs(p, t, probe)
-    report = _scheme1(*rates, channel, 1)
-    xi, zeta = _resources(*_budget(channel))
+    s = _point(p, t, probe, False)
+    report = s.scheme1
+    xi, zeta = _resources(*_budget(s.channel))
     return ResourceReport(xi=xi, zeta=zeta, i_subs=report.i_subs, i_total=report.i_total)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 __all__ = ["PtParams"]
 
@@ -19,6 +19,8 @@ class PtParams:
 
     omega: float = 1.0
     gamma: float = 0.0
+    #: sqrt(omega^2 - gamma^2), zero exactly at the exceptional point; set once per instance.
+    kappa: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.omega) and math.isfinite(self.gamma)):
@@ -31,11 +33,7 @@ class PtParams:
             raise ValueError(
                 f"broken phase rejected: gamma/omega = {self.gamma / self.omega:.6g} > 1"
             )
-
-    @property
-    def kappa(self) -> float:
-        """sqrt(omega^2 - gamma^2); zero exactly at the exceptional point."""
-        return math.sqrt(max((self.omega - self.gamma) * (self.omega + self.gamma), 0.0))
+        object.__setattr__(self, "kappa", math.sqrt(max((self.omega - self.gamma) * (self.omega + self.gamma), 0.0)))
 
     def with_omega(self, omega: float) -> "PtParams":
         """The same gamma at coupling omega."""

@@ -14,18 +14,7 @@ import math
 import numpy as np
 
 from .errors import InvalidStep, NormUnderflow
-from .linalg import (
-    PAULI_X,
-    PAULI_Z,
-    _cos_sinc,
-    dagger,
-    per_element,
-    per_point,
-    sinc_slope,
-    su2_like_pair,
-    su2_like_propagator,
-    vector_norm,
-)
+from .linalg import PAULI_X, PAULI_Z, _phase_terms, _su2_pair, dagger, per_point, su2_like_propagator, vector_norm
 from .params import PtParams
 from .states import DensityMatrix2, PureState2, _density_of, _finite, _result, _vector
 
@@ -59,7 +48,13 @@ def propagator_pt(p: PtParams, t: float) -> np.ndarray:
 def propagator_pt_pair(p: PtParams, t):
     """(propagator_pt, its d/d(omega) at fixed t), in closed form: dH = sigma_x/2 and
     d(kappa^2/4) = omega/2; finite on the whole unbroken phase, the EP included."""
-    return su2_like_pair(hamiltonian_pt(p), 0.5 * PAULI_X, (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)
+    return _pt_pair(p, t)[:2]
+
+
+def _pt_pair(p: PtParams, t):
+    """(U, dU, terms): propagator_pt_pair and the linalg._phase_terms of kappa t/2 it is built from."""
+    terms = _phase_terms(math.sqrt((0.5 * p.kappa) ** 2) * t)  # su2_like_pair's phase, bit for bit
+    return (*_su2_pair(hamiltonian_pt(p), 0.5 * PAULI_X, 0.5 * p.omega, t, terms), terms)
 
 
 def norm_growth(p: PtParams, t, psi0):
@@ -70,15 +65,18 @@ def norm_growth(p: PtParams, t, psi0):
     the norm comes without the cancellation in |U psi0|^2 - 1, also where
     gamma is far below the roundoff of |U psi0|^2.  Per point for an array of t.
     """
-    a = _vector(psi0)
+    return _norm_growth(p, t, _vector(psi0), _phase_terms(0.5 * p.kappa * t))
+
+
+def _norm_growth(p: PtParams, t, a, terms):
+    """norm_growth of the amplitudes a of a unit vector, from the _phase_terms of x = kappa t/2."""
     z = abs(a[0]) ** 2 - abs(a[1]) ** 2  # <sigma_z>
     y = 2.0 * (a[0].conjugate() * a[1]).imag  # <sigma_y>
     w, g = p.omega, p.gamma
-    x = 0.5 * p.kappa * t
-    c, sinc = _cos_sinc(x)
+    c, sinc, slope = terms
     s = t * sinc
     dc = -0.25 * w * t * t * sinc  # dx/d(omega) = omega t^2/(4x)
-    ds = 0.25 * w * t * t * t * per_element(sinc_slope, x)
+    ds = 0.25 * w * t * t * t * slope
     m = c * s * z + 0.5 * w * s * s * y + 0.5 * g * s * s
     dm = (dc * s + c * ds) * z + (0.5 * s * s + w * s * ds) * y + g * s * ds
     return m, dm

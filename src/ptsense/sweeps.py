@@ -2,7 +2,7 @@
 
 Which (quantity, scheme) pairs exist, the rows each writes per grid point and
 how they are evaluated is one table, `_PAIRS`.  Each (gamma/omega,
-delta/omega) entry of the config has one _State, which every scheme and
+delta/omega) entry of the config has one state (_Entry), which every scheme and
 quantity reads: the PT family v = U_pt psi0 over the entry's tau row and its
 exact omega-tangent, and the parts built from them on first use by the
 kernels of the scalar API.  Each pair is a closed-form read of the state with
@@ -29,22 +29,16 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, groupby, product, zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .dilation import _branches, metric_operator
 from .errors import ConfigError, PtsenseError, WriteError
 from .linalg import _abs2
-from .lindblad import _decayed, _survival, liouvillian_matrix
-from .metrology import (
-    _bound, _budget, _channel, _eff_slope, _enlarged_slope, _fail_family, _level1, _population_slope, _pt_family, _qfi,
-    _resources, _scheme1, _scheme2,
-)
+from .lindblad import _survival, liouvillian_matrix
+from .metrology import _State, _bound, _budget, _eff_slope, _enlarged_slope, _population_slope, _qfi, _resources
 from .params import PtParams
-from .pt_system import _direction
 from .states import bloch_probe, minus_y, plus_y
 
 __all__ = ["SweepConfig", "run", "figure_preset", "QUANTITIES", "SCHEMES", "FIGURE_NAMES"]
@@ -183,62 +177,17 @@ def _fmt(value) -> str:
     return repr(float(value)) if value == value else "undefined"
 
 
-class _State:
-    """The one state of a (gamma/omega, delta/omega) entry of the config, which every pair reads.
-
-    It holds the PT family v = U_pt(omega + delta) psi0 at the reachable times t and, when a
-    requested quantity reads it, the exact tangent dv, from one propagator build; each other part
-    is built from them on first use, by the kernels (and checks) of the scalar API.  A part that
-    raises (the metric at gamma/omega = 1) raises at each read.  `base` is the state at delta = 0 of
-    the entry's gamma, which the population shifts subtract: the state itself at delta = 0.
+class _Entry(_State):
+    """The state (metrology._State) of a (gamma/omega, delta/omega) entry of the config on its reachable
+    times t, which every pair reads; built for the tangent when a requested pair reads it.  `base` is the
+    entry at delta = 0 of the entry's gamma, which the population shifts subtract: itself at delta = 0.
     """
 
     def __init__(self, config: SweepConfig, gamma_ratio: float, delta_ratio: float, t, tangent: bool, base) -> None:
-        self.config, self.gamma_ratio, self.t, self.tangent = config, gamma_ratio, t, tangent
-        self.delta = delta_ratio * config.omega
+        self.gamma_ratio, self.delta = gamma_ratio, delta_ratio * config.omega
         self.base = self if self.delta == 0.0 else base
-        self.p = PtParams(omega=config.omega + self.delta, gamma=gamma_ratio * config.omega)
-        self.probe = config.probe_vector()
-
-    @cached_property
-    def family(self):  # (v, dv), with dv None unless a requested quantity reads it
-        return _pt_family(self.p, self.t, self.probe, self.tangent)
-
-    @cached_property
-    def unit(self):  # (v/|v|, dv/|v|)
-        return _direction(*self.family)
-
-    @cached_property
-    def eta(self):
-        return metric_operator(self.p)
-
-    @cached_property
-    def fail(self):  # (eta v, d(eta v)), the susceptibilities' failure family
-        return _fail_family(self.p, self.eta, *self.family)
-
-    @cached_property
-    def branches(self):  # (|a_i|^2, p_suc, p_fail) of the enlarged state
-        return _branches(self.unit[0], self.eta)
-
-    @cached_property
-    def decayed(self):  # (e^{-gamma t/2} v, p_suc) of the three-level state
-        return _decayed(self.p, self.t, self.family[0])
-
-    @cached_property
-    def channel(self):  # (U_4d psi4_0, its tangent, the tangent's t -> 0 limit over t)
-        return _channel(self.p, self.t, self.probe, self.eta)
-
-    @cached_property
-    def scheme1(self):
-        return _scheme1(*self.branches[1:], self.channel, self.config.repetitions)
-
-    @cached_property
-    def scheme2(self):
-        return _scheme2(self.p, self.t, self.unit, self.decayed[1], self.config.repetitions)
-
-    @cached_property
-    def level1(self):  # population_shift's level-1 population of v/|v|
-        return _level1("pt", self.p, self.unit[0])
+        p = PtParams(omega=config.omega + self.delta, gamma=gamma_ratio * config.omega)
+        super().__init__(p, t, config.probe_vector(), tangent, config.repetitions)
 
     def shift(self, level1) -> list:
         """The population_shift column of the level-1 population level1(state)."""
@@ -246,27 +195,27 @@ class _State:
         return [np.zeros_like(base) if self.delta == 0.0 else level1(self) - base]
 
 
-def _populations_3l(s: _State):
+def _populations_3l(s: _Entry):
     """|phi_i|^2, the sink's 1 - p_suc, and the level-1 populations of the effective state
     (|phi_1|^2, trace p_suc, checked as effective_evolve checks it) and of the amplified one (|v_1|^2)."""
     phi, p_suc = s.decayed
     pops = _abs2(phi)
-    return [pops[:, 0], pops[:, 1], 1.0 - _survival(p_suc), pops[:, 0], _abs2(s.family[0])[:, 0]]
+    return [pops[:, 0], pops[:, 1], 1.0 - _survival(p_suc), pops[:, 0], _abs2(s.v)[:, 0]]
 
 
-def _rates_dilation(s: _State):
+def _rates_dilation(s: _Entry):
     """p_suc, p_fail and rho_pt_11, rho_a_11 as postselect divides them: by a reciprocal."""
     pops, p_suc, p_fail = s.branches
     return [p_suc, p_fail, pops[:, 0] * (1.0 / p_suc), pops[:, 2] * (1.0 / p_fail)]
 
 
-def _resources_dilation(s: _State):
+def _resources_dilation(s: _Entry):
     """xi and zeta of the channel's budget, after the rate checks that resource_metrics runs too."""
     _ = s.branches
     return list(_resources(*_budget(s.channel)))
 
 
-def _liouvillian_spectrum(s: _State):
+def _liouvillian_spectrum(s: _Entry):
     """The four eigenvalues, which do not depend on time (only tau = 0 is written)."""
     _, values = liouvillian_matrix(s.p)
     ordered = sorted(values, key=lambda z: (round(z.imag, 12), round(z.real, 12)))
@@ -301,16 +250,16 @@ _SHIFT = ("population_shift_1",)
 #: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs the plus_y
 #: probe and whether it reads the PT tangent, which an entry builds only then.  A pair missing here is rejected.
 _PAIRS = {
-    ("population", "pt"): _Pair(_POP[:2], lambda s: list(_abs2(s.unit[0]).T)),
+    ("population", "pt"): _Pair(_POP[:2], lambda s: list(_abs2(s.psi).T)),
     ("population", "dilation"): _Pair(_POP, lambda s: list(s.branches[0].T)),
     ("population", "lindblad"): _Pair(
         _POP[:3] + ("population_eff_1", "population_artificial_1"), _populations_3l, True),
     ("postselect_rates", "dilation"): _Pair(("p_suc", "p_fail", "rho_pt_11", "rho_a_11"), _rates_dilation),
     ("postselect_rates", "lindblad"): _Pair(("p_suc", "p_fail", "rho_pt_11"), lambda s: [
-        s.decayed[1], 1.0 - s.decayed[1], _abs2(s.unit[0])[:, 0]], True),
-    ("population_shift", "pt"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
+        s.decayed[1], 1.0 - s.decayed[1], _abs2(s.psi)[:, 0]], True),
+    ("population_shift", "pt"): _Pair(_SHIFT, lambda s: s.shift(lambda x: _abs2(x.psi)[:, 0]), True),
     ("population_shift", "dilation"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.branches[0][:, 0]), True),
-    ("population_shift", "lindblad"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.level1), True),
+    ("population_shift", "lindblad"): _Pair(_SHIFT, lambda s: s.shift(lambda x: _abs2(x.psi)[:, 0]), True),
     ("susceptibility", "pt"): _Pair(("susceptibility_pt", "susceptibility_a"), lambda s: [
         _population_slope(*s.family, 0), _population_slope(*s.fail, 0)], True, True),
     ("susceptibility", "dilation"): _Pair(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda s: list(
@@ -324,7 +273,7 @@ _PAIRS = {
         "scheme1", {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
     ("qfi_weighted", "lindblad"): _fields("scheme2", {"i_eff": "i_total"}),
     ("sensitivity_bound", "pt"): _Pair(("delta_omega_pt",), lambda s: [
-        _bound(_qfi(*s.unit), s.config.repetitions)], tangent=True),
+        _bound(_qfi(*s.unit), s.repetitions)], tangent=True),
     ("sensitivity_bound", "dilation"): _fields(
         "scheme1", {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
     ("sensitivity_bound", "lindblad"): _fields(
@@ -364,7 +313,7 @@ def _column(column, keep: list[bool], prefixes: list[str], head: str, end: str, 
     return lines, values
 
 
-def _columns(config: SweepConfig, state: _State, delta_ratio: float, taus: list[float],
+def _columns(config: SweepConfig, state: _Entry, delta_ratio: float, taus: list[float],
              texts: list[tuple[str, str]]) -> list[tuple]:
     """The columns (row name, scheme, lines, values) of one (gamma, delta) entry of the config, every
     scheme: the line and the finite value of the name at each tau, None where it has none, in tau
@@ -424,9 +373,9 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
         texts = list(zip(tau_texts, map(_fmt, times)))
         # one delta = 0 family per gamma, built on first read; a delta = 0 entry of the config is that family
         zero = [d * config.omega == 0.0 for d in config.delta_ratios]
-        base = _State(config, g, 0.0, t, tangent and any(zero), None)
+        base = _Entry(config, g, 0.0, t, tangent and any(zero), None)
         for d, is_zero in zip(config.delta_ratios, zero):
-            state = base if is_zero else _State(config, g, d, t, tangent, base)
+            state = base if is_zero else _Entry(config, g, d, t, tangent, base)
             groups.setdefault((g, d), []).extend(_columns(config, state, d, taus, texts))
     sizes = [len(list(equal)) for _, equal in groupby(taus)]
     repeats = [(end - size, end) for size, end in zip(sizes, accumulate(sizes)) if size > 1]

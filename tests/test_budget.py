@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptsense import PtParams, bloch_probe, resource_metrics, weighted_qfi_scheme1
-from ptsense.metrology import _budget, _scheme1_inputs
+from ptsense.metrology import _budget, _point
 
 RATIOS = st.floats(0.0, 1.0 - 1e-6)
 TAUS = st.floats(0.0, 4.0 * math.pi)
@@ -32,7 +32,7 @@ def _budget_at(p, t, probe):
     warnings raised as errors."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return resource_metrics(p, t, probe=probe), _budget(_scheme1_inputs(p, t, probe)[1])
+        return resource_metrics(p, t, probe=probe), _budget(_point(p, t, probe).channel)
 
 
 @settings(max_examples=150, deadline=None)
@@ -54,7 +54,7 @@ def test_budget_adds_up_to_the_enlarged_system_qfi(gamma_ratio, tau, theta, phi)
     p = PtParams(1.0, gamma_ratio)
     t = tau / p.kappa
     probe = bloch_probe(theta, phi)
-    channel = _scheme1_inputs(p, t, probe)[1]
+    channel = _point(p, t, probe).channel
     peak = np.abs(channel[1]).max()
     f_total = weighted_qfi_scheme1(p, t, probe=probe).f_total
     assert sum(_budget(channel)) * peak * peak == pytest.approx(f_total, rel=1e-12)

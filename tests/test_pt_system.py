@@ -1,5 +1,6 @@
 """PT-symmetric two-level dynamics: propagator path, closed forms, integrator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,17 @@ def test_params_reject_broken_phase():
 def test_kappa_identity():
     p = PtParams(omega=1.3, gamma=0.7)
     assert abs(p.kappa**2 + p.gamma**2 - p.omega**2) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_kappa_is_set_once_per_instance(omega, ratio, other):
+    # kappa is a field computed in __post_init__, bit for bit the closed form, and replace() recomputes it
+    p = PtParams(omega=omega, gamma=min(ratio * omega, omega))
+    assert p.kappa == math.sqrt(max((p.omega - p.gamma) * (p.omega + p.gamma), 0.0))
+    q = dataclasses.replace(p, gamma=min(other * omega, omega))
+    assert q.kappa == math.sqrt(max((q.omega - q.gamma) * (q.omega + q.gamma), 0.0))
+    assert p == PtParams(p.omega, p.gamma) and "kappa" not in repr(p)
 
 
 def test_propagator_identity_at_t0():

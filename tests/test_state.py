@@ -34,11 +34,11 @@ from ptsense import (
     weighted_qfi_scheme1,
     weighted_qfi_scheme2,
 )
-from ptsense import dilation, pt_system
+from ptsense import linalg, pt_system
 from ptsense.errors import PtsenseError
-from ptsense.sweeps import _PAIRS, SCHEMES, SweepConfig, _State, figure_preset, run
+from ptsense.sweeps import _PAIRS, SCHEMES, SweepConfig, _Entry, figure_preset, run
 
-#: Propagator builds (su2_like_propagator and su2_like_pair calls) per preset at 129 tau steps: one
+#: Propagator builds (su2_like_propagator and _su2_pair, su2_like_pair's kernel, calls) per preset at 129 tau steps: one
 #: per (gamma, delta) family, plus one base-omega family per gamma for the shifts (fig4) and the
 #: channel propagator of scheme 1's f_total (fig6, fig7).
 BUILDS = {"fig2": 4, "fig3": 4, "fig4": 12, "fig5": 12, "fig6": 10, "fig7": 10}
@@ -67,8 +67,8 @@ def _counting(monkeypatch, names, calls):
 @pytest.mark.parametrize("name", sorted(BUILDS))
 def test_one_propagator_build_per_family(tmp_path, monkeypatch, capsys, name):
     calls = []
-    _counting(monkeypatch, ("su2_like_propagator", "su2_like_pair") + DYNAMICS, calls)
-    assert pt_system.su2_like_pair is not dilation.su2_like_pair  # both bindings are wrapped
+    _counting(monkeypatch, ("su2_like_propagator", "_su2_pair") + DYNAMICS, calls)
+    assert pt_system._su2_pair is not linalg._su2_pair  # both bindings are wrapped
     run(figure_preset(name), output_path=str(tmp_path / f"{name}.csv"))
     capsys.readouterr()
     assert [c for c in calls if c in DYNAMICS] == []
@@ -84,7 +84,7 @@ SHIFT_BUILDS = {(0.0, 0.001): 2, (0.001, 0.0): 2, (0.0, 0.001, 0.0): 2, (0.001, 
 @pytest.mark.parametrize("deltas", sorted(SHIFT_BUILDS))
 def test_a_zero_delta_entry_is_the_shift_base(tmp_path, monkeypatch, capsys, deltas, scheme):
     calls = []
-    _counting(monkeypatch, ("su2_like_propagator", "su2_like_pair") + DYNAMICS, calls)
+    _counting(monkeypatch, ("su2_like_propagator", "_su2_pair") + DYNAMICS, calls)
     config = SweepConfig(quantities=("population_shift",), schemes=(scheme,), gamma_ratios=(0.5,),
                          delta_ratios=deltas, tau_steps=9)
     run(config, output_path=str(tmp_path / "shift.csv"))
@@ -96,24 +96,22 @@ def test_only_pairs_that_read_the_tangent_build_it(tmp_path, monkeypatch, capsys
     # fig7 reads scheme 1 alone, whose tangent is the channel's: each gamma builds its PT family
     # without the tangent and its channel with one
     calls = []
-    _counting(monkeypatch, ("su2_like_propagator", "su2_like_pair"), calls)
+    _counting(monkeypatch, ("su2_like_propagator", "_su2_pair"), calls)
     run(figure_preset("fig7"), output_path=str(tmp_path / "fig7.csv"))
     capsys.readouterr()
     gammas = len(figure_preset("fig7").gamma_ratios)
-    assert sorted(calls) == ["su2_like_pair"] * gammas + ["su2_like_propagator"] * gammas
+    assert sorted(calls) == ["_su2_pair"] * gammas + ["su2_like_propagator"] * gammas
 
 
 @pytest.mark.parametrize("pair", sorted(_PAIRS), ids="-".join)
-def test_the_tangent_flag_says_which_pairs_read_it(pair):
-    # a pair marked as reading no tangent evaluates on a family built without one; a pair marked
-    # as reading it cannot
+def test_the_tangent_flag_says_which_pairs_read_it(monkeypatch, pair):
+    # on an entry built without the tangent, a pair marked as reading it builds the PT propagator
+    # pair on first read, and a pair marked as reading no tangent never does
+    calls = []
+    _counting(monkeypatch, ("_pt_pair",), calls)
     config = SweepConfig(quantities=(pair[0],), schemes=(pair[1],), gamma_ratios=(0.5,), tau_steps=3)
-    state = _State(config, 0.5, 0.0, np.array([0.0, 1.0]), False, None)
-    if _PAIRS[pair].tangent:
-        with pytest.raises((TypeError, ValueError)):  # arithmetic on the missing tangent, None
-            _PAIRS[pair].evaluate(state)
-    else:
-        _PAIRS[pair].evaluate(state)
+    _PAIRS[pair].evaluate(_Entry(config, 0.5, 0.0, np.array([0.0, 1.0]), False, None))
+    assert calls == (["_pt_pair"] if _PAIRS[pair].tangent else [])
 
 
 # -- every column equals its public function -----------------------------------
