@@ -13,12 +13,24 @@ The sources under src/ are timed.
 Best-of-N is the least noisy statistic for a call of this size on a shared
 host, but per-call times still move by several percent between processes;
 compare two trees by alternating runs.
+
+A second table times each figure preset in process (sweeps.run, best of
+REPEAT runs, the dataset written to a temporary directory) at 2 and at 33
+tau steps, so the difference shows the part of a sweep that does not depend
+on its number of points, and counts the propagator builds of one run at 129
+steps (calls of linalg.su2_like_propagator and linalg._su2_pair, the kernel
+of every propagator pair).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
+import tempfile
+import time
 import timeit
+from contextlib import redirect_stdout
+from io import StringIO
 from itertools import cycle
 from pathlib import Path
 from types import SimpleNamespace
@@ -74,6 +86,46 @@ def calls() -> dict:
     return {name: (lambda fn=fn, turn=cycle(points): fn(next(turn))) for name, fn in table.items()}
 
 
+def builds(run, config) -> int:
+    """Propagator builds of one sweep: calls of su2_like_propagator and _su2_pair, through every ptsense binding."""
+    count = []
+    modules = [m for key, m in sorted(sys.modules.items()) if key == "ptsense" or key.startswith("ptsense.")]
+    saved = [(m, name, getattr(m, name)) for m in modules for name in ("su2_like_propagator", "_su2_pair")
+             if hasattr(m, name)]
+    for module, name, fn in saved:
+        setattr(module, name, lambda *a, _fn=fn, **k: count.append(1) or _fn(*a, **k))
+    try:
+        run(config)
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    return len(count)
+
+
+def sweeps() -> dict:
+    """preset -> (best ms at 2 tau steps, best ms at 33, propagator builds at 129)."""
+    from ptsense.sweeps import FIGURE_NAMES, figure_preset
+    from ptsense.sweeps import run as run_sweep
+
+    out = {}
+    with tempfile.TemporaryDirectory() as folder, redirect_stdout(StringIO()):
+        def run(config):
+            run_sweep(config, output_path=str(Path(folder) / "out.csv"))
+
+        def best(config):
+            times = []
+            for _ in range(REPEAT):
+                start = time.perf_counter()
+                run(config)
+                times.append(time.perf_counter() - start)
+            return min(times) * 1e3
+
+        for name in FIGURE_NAMES:
+            preset = figure_preset(name)
+            out[name] = (*(best(dataclasses.replace(preset, tau_steps=n)) for n in (2, 33)), builds(run, preset))
+    return out
+
+
 def main() -> int:
     table = calls()
     width = max(map(len, table))
@@ -81,6 +133,10 @@ def main() -> int:
     for name, call in table.items():
         best = min(timeit.Timer(call).repeat(repeat=REPEAT, number=NUMBER)) / NUMBER
         print(f"{name:<{width}}  {best * 1e6:8.2f}")
+    print()
+    print(f"{'preset':<{width}}  ms at 2 tau  ms at 33 tau  builds at 129 (best of {REPEAT})")
+    for name, (two, many, count) in sweeps().items():
+        print(f"{name:<{width}}  {two:11.2f}  {many:12.2f}  {count:13d}")
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -70,7 +71,9 @@ def _apply_overrides(config: SweepConfig, args: argparse.Namespace) -> SweepConf
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ptsense",
         description="Parameter sweeps for a PT-symmetric two-level quantum sensor.",
@@ -84,9 +87,12 @@ def main(argv: list[str] | None = None) -> int:
     figure_parser = sub.add_parser("figure", help="run a named figure preset")
     figure_parser.add_argument("name", choices=list(FIGURE_NAMES))
     _add_override_flags(figure_parser)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed the usage error (2) or --help (0)
         return exc.code
     try:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, MetricSingular
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _EYE, _abs2, per_point, su2_like_pair, su2_like_propagator
-from .params import PtParams
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _EYE, _abs2, per_point, su2_like_pair, su2_like_propagator, vector_norm
+from .params import PtParams, per_entry
 from .states import DensityMatrix2, DensityMatrix4, PureState4, _density_of, _finite, _result, _vector
 
 __all__ = [
@@ -51,28 +51,36 @@ class PostSelectionOutcome:
 
 def metric_operator(p: PtParams) -> np.ndarray:
     """The Hermitian positive metric eta = (omega I + gamma sigma_y)/kappa, which links the
-    auxiliary to the PT subsystem (chi = eta psi).
+    auxiliary to the PT subsystem (chi = eta psi); the (n, 2, 2) stack for per-point parameters.
 
     Singular at the exceptional point; gamma/omega >= 1 - 1e-12 is rejected.
     """
-    if p.gamma / p.omega >= 1.0 - _EP_MARGIN:
-        raise MetricSingular(
-            f"metric operator singular: gamma/omega = {p.gamma / p.omega:.12g}"
-        )
-    return (p.omega * _EYE[2] + p.gamma * PAULI_Y) / p.kappa
+    _nonsingular(p, "metric operator singular: gamma/omega = {:.12g}")
+    w, g = per_point(p.omega, 2), per_point(p.gamma, 2)
+    return (w * _EYE[2] + g * PAULI_Y) / per_point(p.kappa, 2)
+
+
+def _nonsingular(p: PtParams, message: str) -> None:
+    """MetricSingular, with the message formatted on gamma/omega, unless each entry's is below 1 - 1e-12."""
+    for q in getattr(p, "entries", (p,)):  # the PtParams of each entry of per-point parameters
+        if q.gamma / q.omega >= 1.0 - _EP_MARGIN:
+            raise MetricSingular(message.format(q.gamma / q.omega))
 
 
 def d_metric(p: PtParams) -> np.ndarray:
     """d(eta)/d(omega) = I/kappa - omega (omega I + gamma sigma_y)/kappa^3, written as
     -gamma (gamma I + omega sigma_y)/kappa^3, which has no cancellation near the EP."""
-    return -p.gamma * (p.gamma * _EYE[2] + p.omega * PAULI_Y) / p.kappa ** 3
+    w, g = per_point(p.omega, 2), per_point(p.gamma, 2)
+    return -g * (g * _EYE[2] + w * PAULI_Y) / per_point(per_entry(p, lambda q: q.kappa ** 3), 2)
 
 
 def _dilated(eta: np.ndarray, amps: np.ndarray):
-    """(psi0, eta psi0)^T normalized, and its norm factor; unvalidated."""
-    raw = np.concatenate([amps, eta @ amps])
-    norm = np.linalg.norm(raw)
-    return raw / norm, 1.0 / norm
+    """(psi0, eta psi0)^T normalized, and its norm factor; unvalidated.  A stack of metrics gives a stack."""
+    chi = eta @ amps
+    raw = np.empty(chi.shape[:-1] + (4,), dtype=complex)
+    raw[..., :2], raw[..., 2:] = amps, chi
+    norm = vector_norm(raw)
+    return raw / per_point(norm, 1), 1.0 / norm
 
 
 def dilate_initial(psi0, p: PtParams) -> PureState4:
@@ -81,11 +89,12 @@ def dilate_initial(psi0, p: PtParams) -> PureState4:
 
 
 def _blocks_4d(diagonal: float, off: float) -> np.ndarray:
-    """[[d sigma_x, i o sigma_z], [-i o sigma_z, d sigma_x]], the form of H_4d and of its derivative."""
-    out = np.empty((4, 4), dtype=complex)
-    out[:2, :2] = out[2:, 2:] = diagonal * PAULI_X
-    out[:2, 2:] = 1j * off * PAULI_Z
-    out[2:, :2] = -1j * off * PAULI_Z
+    """[[d sigma_x, i o sigma_z], [-i o sigma_z, d sigma_x]], the form of H_4d and its derivative, or their stack."""
+    out = np.empty(getattr(diagonal, "shape", ()) + (4, 4), dtype=complex)
+    d, o = per_point(diagonal, 2), per_point(off, 2)
+    out[..., :2, :2] = out[..., 2:, 2:] = d * PAULI_X
+    out[..., :2, 2:] = 1j * o * PAULI_Z
+    out[..., 2:, :2] = -1j * o * PAULI_Z
     return out
 
 
@@ -100,8 +109,7 @@ def hamiltonian_4d(p: PtParams) -> np.ndarray:
     products are taken in closed form, which keeps full relative accuracy near
     the EP where eta and eta^{-1} have entries of order omega/kappa.
     """
-    if p.gamma / p.omega >= 1.0 - _EP_MARGIN:
-        raise MetricSingular("enlarged Hamiltonian needs a non-singular metric")
+    _nonsingular(p, "enlarged Hamiltonian needs a non-singular metric")
     k, w = p.kappa, p.omega
     return _blocks_4d(k * k / (2.0 * w), p.gamma * k / (2.0 * w))
 
@@ -120,7 +128,7 @@ def propagator_4d(p: PtParams, t: float) -> np.ndarray:
 def _d_hamiltonian_4d(p: PtParams) -> np.ndarray:
     """dH_4d/d(omega): the product rule on hamiltonian_4d's blocks, with d(kappa) = omega/kappa."""
     w, g = p.omega, p.gamma
-    return _blocks_4d((w * w + g * g) / (2.0 * w * w), g ** 3 / (2.0 * p.kappa * w * w))
+    return _blocks_4d((w * w + g * g) / (2.0 * w * w), per_entry(p, lambda q: q.gamma ** 3) / (2.0 * p.kappa * w * w))
 
 
 def propagator_4d_pair(p: PtParams, t):

@@ -99,20 +99,20 @@ def _cos_sinc(phase):
     return np.cos(phase), np.sin(y) / y
 
 
-def su2_like_propagator(h, c_squared: float, t) -> np.ndarray:
+def su2_like_propagator(h, c_squared, t) -> np.ndarray:
     """exp(-i*H*t) for H with H^2 = c^2 * I (c real, c >= 0).
 
     Evaluates cos(c t) I - i t sinc(c t) H, which is regular at c = 0 and is
     the exact exponential whenever the involutory condition holds.  For a 1-D
-    array of times the propagators are stacked along a leading axis.
+    array of times the propagators are stacked along a leading axis, and h and
+    c_squared may hold one generator and one value per time.
     """
     a = np.asarray(h, dtype=complex)
-    c = math.sqrt(c_squared)
-    phase = c * t
-    cos, sinc = _cos_sinc(phase)
+    c = np.sqrt(c_squared) if getattr(c_squared, "ndim", 0) else math.sqrt(c_squared)  # both correctly rounded
+    cos, sinc = _cos_sinc(c * t)
     if getattr(t, "ndim", 0):
         cos, sinc, t = cos[:, None, None], sinc[:, None, None], t[:, None, None]
-    return cos * _EYE[a.shape[0]] - 1j * t * sinc * a
+    return cos * _EYE[a.shape[-1]] - 1j * t * sinc * a
 
 
 def sinc_slope(x: float) -> float:
@@ -141,11 +141,12 @@ def _phase_terms(phase):
 
 
 def _su2_pair(h, dh, dc_squared: float, t, terms):
-    """su2_like_pair from the _phase_terms of its phase, which pt_system's norm growth reads too."""
+    """su2_like_pair from the _phase_terms of its phase, which pt_system's norm growth reads too; h, dh and
+    dc_squared may hold one value per time of a row."""
     a, da = np.asarray(h, dtype=complex), np.asarray(dh, dtype=complex)
     cos, sinc, slope = terms
     if getattr(t, "ndim", 0):
-        cos, sinc, slope, t = cos[:, None, None], sinc[:, None, None], slope[:, None, None], t[:, None, None]
-    eye = _EYE[a.shape[0]]
+        cos, sinc, slope, t, dc_squared = (per_point(x, 2) for x in (cos, sinc, slope, t, dc_squared))
+    eye = _EYE[a.shape[-1]]
     u = cos * eye - 1j * t * sinc * a
     return u, -0.5 * t * t * dc_squared * (sinc * eye + 1j * t * slope * a) - 1j * t * sinc * da

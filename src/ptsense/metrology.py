@@ -51,12 +51,14 @@ each returns n values per field, bit for bit the values of n one-point calls.
 Each evaluator on the sweep path (these and dilation.evolve_enlarged) reads
 one _State of its point or row: the PT family (v, dv), the metric, the
 enlarged amplitudes, the channel and the reports, each built on first read.
-A sweep builds one per (gamma, delta) entry (sweeps._Entry), so a column runs
-its evaluator's code.  _point keeps the last one-point call's state for the
-next call at the same omega, gamma, t and probe, bit for bit: one state, never
-a row's, and no part that raised.  Every check runs once on the whole call
-and raises if any point fails it, with the class a failing point raises
-alone.
+A sweep builds one for all its (gamma, delta) entries, stacked on one row at
+per-point parameters (params.PointParams), each entry a slice (sweeps._Stack):
+the kernels build (n, d, d) stacks and derive each scalar per entry as a
+one-point call does, so a column runs its evaluator's code once per sweep.
+_point keeps the last one-point call's state for the next call at the same
+omega, gamma, t and probe, bit for bit: one state, never a row's, and no part
+that raised.  Every check runs once on the whole call and raises if any point
+fails it, with the class a failing point raises alone.
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ import numpy as np
 
 from .dilation import _branches, _d_hamiltonian_4d, _dilated, _enlarged, d_metric, hamiltonian_4d, metric_operator
 from .errors import EmptyBranch, InvalidDerivative, InvalidScheme
-from .linalg import _abs2, dagger, per_element, per_point, su2_like_pair, vector_norm
+from .linalg import _abs2, _phase_terms, _su2_pair, dagger, per_element, per_point, vector_norm
 from .lindblad import _decayed
 from .params import PtParams
-from .pt_system import _direction, _norm_growth, _pt_pair, propagator_pt
+from .pt_system import _direction, _norm_growth, _phase, _pt_pair, propagator_pt
 from .states import _finite, _vector, plus_y
 
 __all__ = [
@@ -348,8 +350,12 @@ class _State:
         self.p, self.t, self.probe, self.tangent, self.repetitions = p, t, probe, tangent, repetitions
 
     @cached_property
-    def _pair(self):  # (U_pt, dU_pt, the phase terms of both) at fixed t
-        return _pt_pair(self.p, self.t)
+    def terms(self):  # (cos, sinc, sinc_slope) of the phase kappa t/2 that the PT pair and the channel share
+        return _phase_terms(_phase(self.p, self.t))
+
+    @cached_property
+    def _pair(self):  # (U_pt, dU_pt) at fixed t
+        return _pt_pair(self.p, self.t, self.terms)
 
     @cached_property
     def v(self):
@@ -390,7 +396,7 @@ class _State:
 
     @cached_property
     def channel(self):  # (U_4d psi4_0, its tangent, the tangent's t -> 0 limit over t)
-        return _channel(self.p, self.t, self.probe, self.eta)
+        return _channel(self.p, self.t, self.probe, self.eta, self.terms)
 
     @cached_property
     def scheme1(self):
@@ -407,16 +413,19 @@ _last: tuple = (None, None)  # (key, state) of the last one-point call of _point
 
 def _point(p: PtParams, t, probe=None, tangent: bool = True) -> _State:
     """The state of a call at (p, t, probe), after its entry checks: the probe (None for |+>_y) as
-    states._vector checks it, then the times.  A point whose omega, gamma and t are Python floats gets
-    the last such call's state if omega, gamma, t and the probe are the same bit for bit (0.0 and -0.0
-    differ), else a new state that replaces it; any other call, a row included, gets a new state."""
+    states._vector checks it, then the times.  A point whose omega, gamma and t are floats (numpy's float64
+    included) gets the last such call's state if omega, gamma, t and the probe are the same bit for bit (0.0
+    and -0.0 differ), else a new state that replaces it, built on them as Python floats; any other call, a
+    row included, gets a new state."""
     global _last
     amplitudes = _PLUS_Y if probe is None else _vector(probe).tobytes()  # a copy, which the caller cannot mutate
     _finite(t, "time")
-    if not type(t) is type(p.omega) is type(p.gamma) is float:  # a row, or numbers the key would not pin
-        return _State(p, t, np.frombuffer(amplitudes, dtype=complex), tangent)
+    if not (isinstance(t, float) and isinstance(p.omega, float) and isinstance(p.gamma, float)):
+        return _State(p, t, np.frombuffer(amplitudes, dtype=complex), tangent)  # a row, or numbers no key pins
     key, (last, state) = (struct.pack("3d", p.omega, p.gamma, t), amplitudes), _last
     if key != last:
+        if not type(t) is type(p.omega) is type(p.gamma) is float:  # a numpy scalar's ** need not round as a float's
+            p, t = PtParams(float(p.omega), float(p.gamma)), float(t)
         state = _State(p, t, np.frombuffer(amplitudes, dtype=complex), tangent)
         _last = key, state
     return state
@@ -477,12 +486,13 @@ def _eff_slope(p: PtParams, t, v, dv):
     return _value(2.0 * per_element(math.exp, -p.gamma * t) * (v1.real * dv1.real + v1.imag * dv1.imag))
 
 
-def _channel(p: PtParams, t, probe, eta):
+def _channel(p: PtParams, t, probe, eta, terms):
     """(a, da, da0): a = U_4d psi4_0 with psi4_0 = (psi0, eta psi0)/C frozen at the base omega (the
-    channel, module docstring), its exact omega-tangent da, and da0 = -i dH_4d psi4_0 = lim da/t at t = 0."""
+    channel, module docstring), its exact omega-tangent da, and da0 = -i dH_4d psi4_0 = lim da/t at t = 0.
+    H_4d squares to (kappa/2)^2 like H_pt, so the pair is propagator_4d_pair's on the PT pair's phase terms."""
     psi0, dh = _dilated(eta, probe)[0], _d_hamiltonian_4d(p)
-    u4, du4 = su2_like_pair(hamiltonian_4d(p), dh, (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)  # propagator_4d_pair, on dh
-    return u4 @ psi0, du4 @ psi0, -1j * (dh @ psi0)
+    u4, du4 = _su2_pair(hamiltonian_4d(p), dh, 0.5 * p.omega, t, terms)
+    return _apply(u4, psi0), _apply(du4, psi0), -1j * _apply(dh, psi0)
 
 
 def weighted_qfi_scheme1(
@@ -575,7 +585,7 @@ def _scheme2(s: _State, n_repetitions: int) -> QfiReport:
     """Scheme 2's report from the state of |+>_y: its normalized family, its success rate e^{-gamma t} |v|^2
     (lindblad._decayed) and the norm growth of v, on the phase terms of the pair (pt_system.norm_growth)."""
     p, t, p_suc, f_suc = s.p, s.t, s.decayed[1], _qfi(*s.unit)
-    growth, d_growth = _norm_growth(p, t, s.probe, s._pair[2])  # |v|^2 = 1 + gamma growth
+    growth, d_growth = _norm_growth(p, t, s.probe, s.terms)  # |v|^2 = 1 + gamma growth
     d_log = p.gamma * d_growth / (1.0 + p.gamma * growth)
     log_p = -p.gamma * t + per_element(math.log1p, p.gamma * growth)
     survival, decayed = per_element(math.exp, log_p), -per_element(math.expm1, log_p)

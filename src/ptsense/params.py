@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+
+import numpy as np
 
 __all__ = ["PtParams"]
 
@@ -38,3 +41,22 @@ class PtParams:
     def with_omega(self, omega: float) -> "PtParams":
         """The same gamma at coupling omega."""
         return replace(self, omega=omega)
+
+
+class PointParams:
+    """Per-point parameters of a row stacking entries: entries[k] holds at sizes[k] consecutive points.  omega, gamma
+    and kappa hold one value per point; a kernel derives any other scalar per entry (per_entry)."""
+
+    def __init__(self, entries, sizes) -> None:
+        self.entries, self.sizes = tuple(entries), tuple(sizes)
+        self.omega, self.gamma, self.kappa = (self.each(attrgetter(f)) for f in ("omega", "gamma", "kappa"))
+
+    def each(self, fn) -> np.ndarray:
+        """fn of each entry's PtParams, repeated over the entry's points."""
+        return np.repeat(np.array([fn(p) for p in self.entries], dtype=float), self.sizes)
+
+
+def per_entry(p, fn):
+    """fn(p) for one PtParams; for PointParams, fn of each entry repeated over its points.  For the scalars
+    that Python and numpy need not round alike (x ** 2, math.sqrt)."""
+    return p.each(fn) if isinstance(p, PointParams) else fn(p)

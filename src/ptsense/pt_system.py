@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidStep, NormUnderflow
 from .linalg import PAULI_X, PAULI_Z, _phase_terms, _su2_pair, dagger, per_point, su2_like_propagator, vector_norm
-from .params import PtParams
+from .params import PtParams, per_entry
 from .states import DensityMatrix2, PureState2, _density_of, _finite, _result, _vector
 
 __all__ = [
@@ -30,8 +30,8 @@ __all__ = [
 
 
 def hamiltonian_pt(p: PtParams) -> np.ndarray:
-    """(omega/2) sigma_x + i (gamma/2) sigma_z."""
-    return 0.5 * p.omega * PAULI_X + 0.5j * p.gamma * PAULI_Z
+    """(omega/2) sigma_x + i (gamma/2) sigma_z; the (n, 2, 2) stack for per-point parameters."""
+    return per_point(0.5 * p.omega, 2) * PAULI_X + per_point(0.5j * p.gamma, 2) * PAULI_Z
 
 
 def propagator_pt(p: PtParams, t: float) -> np.ndarray:
@@ -42,19 +42,23 @@ def propagator_pt(p: PtParams, t: float) -> np.ndarray:
     (relative error ~1e-16/kappa^2), which would corrupt the phase at
     kappa*t >> 1.
     """
-    return su2_like_propagator(hamiltonian_pt(p), (0.5 * p.kappa) ** 2, t)
+    return su2_like_propagator(hamiltonian_pt(p), per_entry(p, lambda q: (0.5 * q.kappa) ** 2), t)
 
 
 def propagator_pt_pair(p: PtParams, t):
     """(propagator_pt, its d/d(omega) at fixed t), in closed form: dH = sigma_x/2 and
     d(kappa^2/4) = omega/2; finite on the whole unbroken phase, the EP included."""
-    return _pt_pair(p, t)[:2]
+    return _pt_pair(p, t, _phase_terms(_phase(p, t)))
 
 
-def _pt_pair(p: PtParams, t):
-    """(U, dU, terms): propagator_pt_pair and the linalg._phase_terms of kappa t/2 it is built from."""
-    terms = _phase_terms(math.sqrt((0.5 * p.kappa) ** 2) * t)  # su2_like_pair's phase, bit for bit
-    return (*_su2_pair(hamiltonian_pt(p), 0.5 * PAULI_X, 0.5 * p.omega, t, terms), terms)
+def _phase(p: PtParams, t):
+    """su2_like_pair's phase sqrt((kappa/2)^2) t of the propagators, bit for bit, with the root taken per entry."""
+    return per_entry(p, lambda q: math.sqrt((0.5 * q.kappa) ** 2)) * t
+
+
+def _pt_pair(p: PtParams, t, terms):
+    """propagator_pt_pair from the linalg._phase_terms of its phase (_phase), which the channel and norm growth read."""
+    return _su2_pair(hamiltonian_pt(p), 0.5 * PAULI_X, 0.5 * p.omega, t, terms)
 
 
 def norm_growth(p: PtParams, t, psi0):

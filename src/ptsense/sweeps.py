@@ -1,26 +1,27 @@
 """Parameter sweeps over (gamma/omega, tau, delta) producing flat datasets.
 
 Which (quantity, scheme) pairs exist, the rows each writes per grid point and
-how they are evaluated is one table, `_PAIRS`.  Each (gamma/omega,
-delta/omega) entry of the config has one state (_Entry), which every scheme and
-quantity reads: the PT family v = U_pt psi0 over the entry's tau row and its
-exact omega-tangent, and the parts built from them on first use by the
-kernels of the scalar API.  Each pair is a closed-form read of the state with
-one value per point.  A check fails for a whole row: a pair whose read raises
-a PtsenseError (the dilation's MetricSingular at gamma/omega = 1) writes the
-single row "<quantity>_undefined" at every point, as does a pair at the
-points of the tau grid that the entry cannot reach (t = inf at the
-exceptional point).
+how they are evaluated is one table, `_PAIRS`.  A sweep has one state
+(_Stack), which every scheme and quantity reads: its row holds the reachable
+times of every (gamma/omega, delta/omega) entry of the config one after
+another, at per-point parameters, each entry a slice.  Its parts are the PT
+family v = U_pt psi0, its exact omega-tangent, and what the kernels of the
+scalar API build from them on first use.  Each pair is one closed-form read
+of the stack.  A check fails for a whole entry: if the stack raises a
+PtsenseError (the dilation's MetricSingular at gamma/omega = 1), the pair is
+read again entry by entry, and an entry that raises again writes the single
+row "<quantity>_undefined" at every point, as does a pair at the points of
+the tau grid that an entry cannot reach (t = inf at the exceptional point).
 
-The writer is columnar: each (gamma/omega, delta/omega) group of rows is
-formatted a column (row name and scheme) at a time, on one prefix per point,
-and emitted already in (gamma/omega, delta/omega, tau, quantity, scheme)
-order, equal keys in config order, so reruns are byte-identical.  Floats are
-written as float repr() (shortest round-trip, at most 17 significant digits);
-non-finite or failed entries are the sentinels "inf"/"undefined", and complex
-spectra are written like "-0.6+0.8j".  A JSON dataset is an array of objects
-with the CSV's keys, in compact separators, where finite floats are numbers
-and sentinels strings.
+The writer is columnar: each row name is formatted once over the stack, on
+one prefix per point, and cut into (gamma/omega, delta/omega) groups emitted
+in (gamma/omega, delta/omega, tau, quantity, scheme) order, equal keys in
+config order, so reruns are byte-identical.  Floats are written as float
+repr() (shortest round-trip, at most 17 significant digits); non-finite or
+failed entries are the sentinels "inf"/"undefined", and complex spectra are
+written like "-0.6+0.8j".  A JSON dataset is an array of objects with the
+CSV's keys, in compact separators, where finite floats are numbers and
+sentinels strings.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, product, zip_longest
+from functools import cached_property
+from itertools import accumulate, chain, groupby, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from .errors import ConfigError, PtsenseError, WriteError
 from .linalg import _abs2
 from .lindblad import _survival, liouvillian_matrix
 from .metrology import _State, _bound, _budget, _eff_slope, _enlarged_slope, _population_slope, _qfi, _resources
-from .params import PtParams
+from .params import PointParams, PtParams
 from .states import bloch_probe, minus_y, plus_y
 
 __all__ = ["SweepConfig", "run", "figure_preset", "QUANTITIES", "SCHEMES", "FIGURE_NAMES"]
@@ -177,25 +179,71 @@ def _fmt(value) -> str:
     return repr(float(value)) if value == value else "undefined"
 
 
-class _Entry(_State):
-    """The state (metrology._State) of a (gamma/omega, delta/omega) entry of the config on its reachable
-    times t, which every pair reads; built for the tangent when a requested pair reads it.  `base` is the
-    entry at delta = 0 of the entry's gamma, which the population shifts subtract: itself at delta = 0.
-    """
+class _Entry:
+    """A (gamma/omega, delta/omega) entry of the config: its reachable times t, the text of each point of its tau
+    grid up to the quantity, and `base`, the entry at delta = 0 of its gamma that the population shifts subtract."""
 
-    def __init__(self, config: SweepConfig, gamma_ratio: float, delta_ratio: float, t, tangent: bool, base) -> None:
-        self.gamma_ratio, self.delta = gamma_ratio, delta_ratio * config.omega
-        self.base = self if self.delta == 0.0 else base
-        p = PtParams(omega=config.omega + self.delta, gamma=gamma_ratio * config.omega)
-        super().__init__(p, t, config.probe_vector(), tangent, config.repetitions)
+    def __init__(self, config: SweepConfig, gamma_ratio: float, delta_ratio: float, t, texts) -> None:
+        self.gamma_ratio, self.delta_ratio, self.delta = gamma_ratio, delta_ratio, delta_ratio * config.omega
+        self.p, self.t, self.base = PtParams(omega=config.omega + self.delta, gamma=gamma_ratio * config.omega), t, None
+        if config.format == "json":  # json.dumps writes an int gamma as an int
+            grid = f'"gamma_ratio":{json.dumps(gamma_ratio)},"delta_ratio":{json.dumps(delta_ratio)},"quantity":'
+            self.prefixes = [f'{{"tau":{tau},"t":{json.dumps(x) if x == "inf" else x},{grid}' for tau, x in texts]
+        else:
+            grid = f"{_fmt(gamma_ratio)},{_fmt(delta_ratio)},"
+            self.prefixes = [f"{tau},{x},{grid}" for tau, x in texts]
+
+
+class _Stack(_State):
+    """The state (metrology._State) of entries stacked on one row, which every pair reads: their reachable times
+    one after another, at per-point parameters (params.PointParams; one entry's own PtParams), so an entry e
+    is the slice at[id(e)] of every part.  `bases` holds the population shifts' bases that are not among the
+    entries, as a state of their own built without the tangent, whose slices follow the entries'."""
+
+    def __init__(self, config: SweepConfig, entries: list, tangent: bool, bases: list) -> None:
+        sizes = [len(e.t) for e in entries + bases]
+        p = entries[0].p if len(entries) == 1 else PointParams([e.p for e in entries], sizes[:len(entries)])
+        super().__init__(p, np.concatenate([e.t for e in entries]), config.probe_vector(), tangent, config.repetitions)
+        self.config, self.entries, self.bases = config, entries, _Stack(config, bases, False, []) if bases else None
+        start = [0, *accumulate(sizes)]
+        self.at = {id(e): slice(a, b) for e, a, b in zip(entries + bases, start, start[1:])}  # in entries + bases
+
+    @cached_property
+    def alone(self) -> list:
+        """A state of each entry on its own (with its shift base), shared by the pairs that raise on the stack."""
+        return [_Stack(self.config, [e], self.tangent, [e.base] if e.delta and e.base else []) for e in self.entries]
 
     def shift(self, level1) -> list:
-        """The population_shift column of the level-1 population level1(state)."""
-        base = level1(self.base)
-        return [np.zeros_like(base) if self.delta == 0.0 else level1(self) - base]
+        """The population_shift column of the level-1 population level1(state): each entry's less its base's,
+        0 at delta = 0."""
+        values = level1(self) if self.bases is None else np.concatenate([level1(self), level1(self.bases)])
+        return [np.concatenate([values[self.at[id(e)]] - values[self.at[id(e.base)]] if e.delta else np.zeros(len(e.t))
+                                for e in self.entries])]
 
 
-def _populations_3l(s: _Entry):
+def _entries(config: SweepConfig, taus: list[float], shifts: bool) -> tuple[list, list]:
+    """The entries of the config in config order (gamma, then delta), and the delta = 0 bases of the population
+    shifts (shifts: whether one is requested) that are not among them: one per gamma, shared by its deltas."""
+    tau_texts = [_fmt(tau) for tau in taus]
+    entries, bases = [], []
+    for g in config.gamma_ratios:
+        # t, the reachable times: kappa = 0 at the exceptional point leaves tau = 0 alone
+        kappa = PtParams(omega=config.omega, gamma=g * config.omega).kappa
+        times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
+        t = np.array([time for tau, time in zip(taus, times) if kappa > 0.0 or tau == 0.0])
+        texts = list(zip(tau_texts, map(_fmt, times)))
+        row = [_Entry(config, g, d, t, texts) for d in config.delta_ratios]
+        base = next((e for e in row if e.delta == 0.0), None)  # a delta = 0 entry of the config is the base
+        if base is None and shifts:
+            base = _Entry(config, g, 0.0, t, texts)
+            bases.append(base)
+        for e in row:
+            e.base = base
+        entries += row
+    return entries, bases
+
+
+def _populations_3l(s: _Stack):
     """|phi_i|^2, the sink's 1 - p_suc, and the level-1 populations of the effective state
     (|phi_1|^2, trace p_suc, checked as effective_evolve checks it) and of the amplified one (|v_1|^2)."""
     phi, p_suc = s.decayed
@@ -203,23 +251,23 @@ def _populations_3l(s: _Entry):
     return [pops[:, 0], pops[:, 1], 1.0 - _survival(p_suc), pops[:, 0], _abs2(s.v)[:, 0]]
 
 
-def _rates_dilation(s: _Entry):
+def _rates_dilation(s: _Stack):
     """p_suc, p_fail and rho_pt_11, rho_a_11 as postselect divides them: by a reciprocal."""
     pops, p_suc, p_fail = s.branches
     return [p_suc, p_fail, pops[:, 0] * (1.0 / p_suc), pops[:, 2] * (1.0 / p_fail)]
 
 
-def _resources_dilation(s: _Entry):
+def _resources_dilation(s: _Stack):
     """xi and zeta of the channel's budget, after the rate checks that resource_metrics runs too."""
     _ = s.branches
     return list(_resources(*_budget(s.channel)))
 
 
-def _liouvillian_spectrum(s: _Entry):
-    """The four eigenvalues, which do not depend on time (only tau = 0 is written)."""
-    _, values = liouvillian_matrix(s.p)
-    ordered = sorted(values, key=lambda z: (round(z.imag, 12), round(z.real, 12)))
-    return [[complex(z)] * len(s.t) for z in ordered]
+def _liouvillian_spectrum(s: _Stack):
+    """The four eigenvalues of each entry, which do not depend on time (only tau = 0 is written)."""
+    order = lambda z: (round(z.imag, 12), round(z.real, 12))  # noqa: E731
+    spectra = [sorted(liouvillian_matrix(e.p)[1], key=order) for e in s.entries]
+    return [[complex(z[i]) for z, e in zip(spectra, s.entries) for _ in e.t] for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -227,8 +275,9 @@ class _Pair:
     """What one (quantity, scheme) pair writes at each grid point.
 
     `evaluate(state)` returns one sequence of values per row name over the
-    state's points; if it raises a PtsenseError the pair is undefined at every
-    point.  A time-independent pair is written once, at tau = 0.
+    state's points; if it raises a PtsenseError on a state of one entry, the
+    pair is undefined at every point of that entry.  A time-independent pair
+    is written once, at tau = 0.
     """
 
     rows: tuple[str, ...]
@@ -299,7 +348,7 @@ def _check_pairs(config: SweepConfig) -> None:
 
 
 def _column(column, keep: list[bool], prefixes: list[str], head: str, end: str, quote) -> tuple[list, list]:
-    """The lines and finite values of one row name at the first len(column) points of the tau grid.
+    """The lines and finite values of one row name at the points of column, one prefix per point.
 
     A finite float is written as its repr(), any other entry (complex, inf, NaN) as its quoted _fmt
     text with no value; a point where `keep` is False has neither.
@@ -313,42 +362,21 @@ def _column(column, keep: list[bool], prefixes: list[str], head: str, end: str, 
     return lines, values
 
 
-def _columns(config: SweepConfig, state: _Entry, delta_ratio: float, taus: list[float],
-             texts: list[tuple[str, str]]) -> list[tuple]:
-    """The columns (row name, scheme, lines, values) of one (gamma, delta) entry of the config, every
-    scheme: the line and the finite value of the name at each tau, None where it has none, in tau
-    order; a column may end early.  A pair that raised, or a point past the entry's reachable times,
-    has one "<quantity>_undefined" line there.  The prefix of each point, from its (tau, t) texts,
-    is formatted once.
-    """
-    gamma_ratio = state.gamma_ratio
-    if config.format == "json":
-        quote = json.dumps  # escapes strings; writes an int gamma as an int
-        grid = f'"gamma_ratio":{quote(gamma_ratio)},"delta_ratio":{quote(delta_ratio)},"quantity":'
-        prefixes = [f'{{"tau":{tau},"t":{quote(t) if t == "inf" else t},{grid}' for tau, t in texts]
-        middle, suffix = ',"value":', ',"scheme":{},"probe":{}}}'
-    else:
-        quote = str
-        grid = f"{_fmt(gamma_ratio)},{_fmt(delta_ratio)},"
-        prefixes = [f"{tau},{t},{grid}" for tau, t in texts]
-        middle, suffix = ",", ",{},{}"
-    out = []
-    for scheme in config.schemes:
-        end = suffix.format(quote(scheme), quote(config.probe_label()))
-        for quantity in config.quantities:
-            pair = _PAIRS[quantity, scheme]
-            try:
-                columns, reached = pair.evaluate(state), len(state.t)
-            except PtsenseError:
-                columns, reached = None, 0
-            written = [tau == 0.0 or not pair.time_independent for tau in taus]
-            keep, failed = written[:reached], [False] * reached + written[reached:]
-            for name, column in zip(pair.rows, columns, strict=True) if any(keep) else ():
-                out.append((name, scheme, *_column(column, keep, prefixes, quote(name) + middle, end, quote)))
-            if any(failed):  # NaN is written as "undefined"
-                name, nan = quantity + "_undefined", [math.nan] * len(failed)
-                out.append((name, scheme, *_column(nan, failed, prefixes, quote(name) + middle, end, quote)))
-    return out
+def _evaluate(stack: _Stack, pair: _Pair) -> tuple[list, list[bool]]:
+    """The pair's columns over the stack's points and, per entry, whether it is defined.  If the stack raises a
+    PtsenseError, each entry is read alone (_Stack.alone); one that raises again holds zeros."""
+    try:
+        return pair.evaluate(stack), [True] * len(stack.entries)
+    except PtsenseError:
+        pass
+    parts = []
+    for alone in stack.alone:
+        try:
+            parts.append(pair.evaluate(alone))
+        except PtsenseError:
+            parts.append(None)
+    return [np.concatenate([np.asarray(got[r]) if got else np.zeros(len(e.t)) for e, got in zip(stack.entries, parts)])
+            for r in range(len(pair.rows))], [got is not None for got in parts]
 
 
 def run(config: SweepConfig, output_path: str | None = None) -> Path:
@@ -362,21 +390,41 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
     path = Path(output_path or config.output_path or f"{config.name}.{config.format}")
 
     taus = [config.tau_max * i / (config.tau_steps - 1) for i in range(config.tau_steps)]
-    tau_texts = [_fmt(tau) for tau in taus]
-    tangent = any(_PAIRS[pair].tangent for pair in product(config.quantities, config.schemes))
+    pairs = [(scheme, quantity, _PAIRS[quantity, scheme]) for scheme in config.schemes
+             for quantity in config.quantities]
+    entries, bases = _entries(config, taus, "population_shift" in config.quantities)
+    stack = _Stack(config, entries, any(pair.tangent for *_, pair in pairs), bases)
+    if config.format == "json":
+        quote = json.dumps  # escapes strings
+        middle, suffix = ',"value":', ',"scheme":{},"probe":{}}}'
+    else:
+        quote = str
+        middle, suffix = ",", ",{},{}"
+    points = list(chain.from_iterable(e.prefixes[:len(e.t)] for e in entries))
+    at_zero = list(chain.from_iterable((tau == 0.0 for tau in taus[:len(e.t)]) for e in entries))
+    columns = [[] for _ in entries]  # (row name, scheme, lines, values) of each entry, in config order
+    for scheme, quantity, pair in pairs:
+        end = suffix.format(quote(scheme), quote(config.probe_label()))
+        evaluated, ok = _evaluate(stack, pair)
+        keep = list(chain.from_iterable([defined] * len(e.t) for defined, e in zip(ok, entries)))
+        if pair.time_independent:  # written at tau = 0 only
+            keep = [k and zero for k, zero in zip(keep, at_zero)]
+        for name, column in zip(pair.rows, evaluated, strict=True) if any(ok) else ():
+            lines, numbers = _column(column, keep, points, quote(name) + middle, end, quote)
+            for out, defined, e in zip(columns, ok, entries):
+                if defined:
+                    out.append((name, scheme, lines[stack.at[id(e)]], numbers[stack.at[id(e)]]))
+        # a pair that raised, or a point past the entry's reachable times, has one "<quantity>_undefined" line there
+        for out, defined, e in zip(columns, ok, entries):
+            failed = [(not defined or i >= len(e.t)) and (tau == 0.0 or not pair.time_independent)
+                      for i, tau in enumerate(taus)]
+            if any(failed):  # NaN is written as "undefined"
+                name = quantity + "_undefined"
+                out.append((name, scheme, *_column([math.nan] * len(taus), failed, e.prefixes, quote(name) + middle,
+                                                   end, quote)))
     groups: dict[tuple, list] = {}  # equal (gamma, delta) values share a group: 0 and 0.0 keep their own text
-    for g in config.gamma_ratios:
-        # t, the reachable times: kappa = 0 at the exceptional point leaves tau = 0 alone
-        kappa = PtParams(omega=config.omega, gamma=g * config.omega).kappa
-        times = [tau / kappa if kappa > 0.0 else (0.0 if tau == 0.0 else math.inf) for tau in taus]
-        t = np.array([time for tau, time in zip(taus, times) if kappa > 0.0 or tau == 0.0])
-        texts = list(zip(tau_texts, map(_fmt, times)))
-        # one delta = 0 family per gamma, built on first read; a delta = 0 entry of the config is that family
-        zero = [d * config.omega == 0.0 for d in config.delta_ratios]
-        base = _Entry(config, g, 0.0, t, tangent and any(zero), None)
-        for d, is_zero in zip(config.delta_ratios, zero):
-            state = base if is_zero else _Entry(config, g, d, t, tangent, base)
-            groups.setdefault((g, d), []).extend(_columns(config, state, d, taus, texts))
+    for e, out in zip(entries, columns):
+        groups.setdefault((e.gamma_ratio, e.delta_ratio), []).extend(out)
     sizes = [len(list(equal)) for _, equal in groupby(taus)]
     repeats = [(end - size, end) for size, end in zip(sizes, accumulate(sizes)) if size > 1]
     texts, values = [], []

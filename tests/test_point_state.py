@@ -112,6 +112,20 @@ def test_an_equal_but_distinct_params_hits():
     assert _point(PtParams(1.0, 0.6), 3.0, probe) is _point(PtParams(1.0, 0.6), 3.0, probe.copy())
 
 
+@pytest.mark.parametrize("omega, gamma", [(1.0, 0.6), (np.float64(1.0), np.float64(0.6))], ids=["float", "float64"])
+def test_numpy_float_times_share_one_state(omega, gamma):
+    # a loop over the elements of a times array passes numpy float64 scalars, which the key reads exactly
+    probe = bloch_probe(1.1, 0.7)
+    p, t = PtParams(omega, gamma), np.float64(3.0)
+    qfi_pt(*ELSEWHERE)
+    metrics = resource_metrics(p, t, probe=probe)
+    state = _point(p, t, probe)
+    report = weighted_qfi_scheme1(p, t, probe=probe)
+    assert _point(p, t, probe) is state and _point(PtParams(1.0, 0.6), 3.0, probe) is state
+    assert _bits(metrics) == _bits(_cold("resource_metrics", PtParams(1.0, 0.6), 3.0, probe))
+    assert _bits(report) == _bits(_cold("weighted_qfi_scheme1", PtParams(1.0, 0.6), 3.0, probe))
+
+
 def test_a_failed_part_is_not_kept():
     # the metric is singular at gamma = omega: a first call raises, keeps no part, and raises again
     p, t, probe = PtParams(1.0, 1.0), 1.0, bloch_probe(1.1, 0.7)
@@ -159,6 +173,6 @@ def test_a_quick_start_request_builds_the_metric_and_the_channel_once(monkeypatc
     workloads.run_request(ptsense, workloads.Request(0.3, 1.0, 0.4, 0.2), {})  # another point first
     calls = []
     _counting(monkeypatch, ("metric_operator",), calls)
-    _counting(monkeypatch, ("su2_like_pair",), calls, where=lambda h, *args: np.shape(h) == (4, 4))
+    _counting(monkeypatch, ("_su2_pair",), calls, where=lambda h, *args: np.shape(h) == (4, 4))
     workloads.run_request(ptsense, request, {})
-    assert sorted(calls) == ["metric_operator", "su2_like_pair"]
+    assert sorted(calls) == ["_su2_pair", "metric_operator"]

@@ -16,6 +16,7 @@ calls return finite values there.
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,7 @@ from ptsense import (
     weighted_qfi_scheme2,
 )
 from ptsense.errors import InvalidMatrix
+from ptsense.metrology import _budget, _point
 
 RATIOS = st.floats(0.0, 1.0 - 1e-6)
 #: a subnormal t^2 keeps no relative precision, so a bound is not checked finer than this
@@ -92,6 +94,53 @@ def test_scheme2_total_qfi_obeys_the_speed_limit(gamma_ratio, tau):
     t = tau / p.kappa
     f_total = weighted_qfi_scheme2(p, t).f_total
     assert f_total <= t * t * (1.0 + 1e-12) + TINY
+
+
+@settings(max_examples=80, deadline=None)
+@given(RATIOS, TAUS, THETAS, PHIS)
+def test_scheme1_information_budget_obeys_the_speed_limit(gamma_ratio, tau, theta, phi):
+    # the upper end of the chain i_subs <= i_subs + F_C <= S = i_subs + F_C + F_coh <= t^2 sn(dH_4d)^2; the
+    # terms are taken on the tangent over its largest |component| (metrology._budget)
+    p = PtParams(1.0, gamma_ratio)
+    t = tau / p.kappa
+    channel = _point(p, t, bloch_probe(theta, phi)).channel
+    peak = np.abs(channel[1]).max()
+    assert sum(_budget(channel)) * peak * peak <= t * t * _sn_dh4(p) ** 2 * (1.0 + 1e-12) + TINY
+
+
+def _success_rate_information(gamma_ratio: float, t: float):
+    """(F_C, p): F_C = (dp/domega)^2/(p (1 - p)) of scheme 2's success rate p(omega) = e^{-gamma t} |U_pt(omega)
+    psi0|^2 at omega = 1 and fixed t, psi0 = |+>_y, and p: mpmath on the closed-form propagator, differentiated
+    numerically, with digits enough that 1 - p = O(gamma t) keeps 40 of them."""
+    if gamma_ratio == 0.0 or t == 0.0:  # p = 1 at every omega
+        return 0.0, mpmath.mpf(1)
+    with mpmath.workdps(60 + max(0, -math.floor(math.log10(gamma_ratio) + math.log10(t)))):
+        g, t = mpmath.mpf(gamma_ratio), mpmath.mpf(t)
+
+        def rate(w):
+            x = mpmath.sqrt(w * w - g * g) * t / 2
+            c, s = mpmath.cos(x), t * mpmath.sinc(x)
+            # U psi0 = cos(x) psi0 - i t sinc(x) H psi0, H = [[i g/2, w/2], [w/2, -i g/2]], psi0 = (1, i)/sqrt(2)
+            v1 = c - 1j * s * (1j * g / 2 + 1j * w / 2)
+            v2 = 1j * c - 1j * s * (w / 2 + g / 2)
+            return mpmath.exp(-g * t) * (abs(v1) ** 2 + abs(v2) ** 2) / 2
+
+        p, dp = rate(mpmath.mpf(1)), mpmath.diff(rate, mpmath.mpf(1))
+        return float(dp * dp / (p * (1 - p))), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(RATIOS, TAUS)
+def test_scheme2_total_qfi_is_rate_information_plus_weighted_qfi(gamma_ratio, tau):
+    # f_total = F_C + i_suc: the information of which outcome fired plus the success-weighted QFI of the
+    # conditioned state (the sink carries no coherence term).  A success rate below the smallest normal
+    # double keeps only its absolute precision, 4.9e-324, which f_total carries as a relative error
+    p = PtParams(1.0, gamma_ratio)
+    t = tau / p.kappa
+    report = weighted_qfi_scheme2(p, t)
+    f_c, rate = _success_rate_information(gamma_ratio, t)
+    expected = f_c + report.i_suc
+    assert abs(report.f_total - expected) <= 1e-12 * expected + float(mpmath.mpf(expected) * 1e-323 / rate)
 
 
 @settings(max_examples=80, deadline=None)

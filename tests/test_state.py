@@ -1,17 +1,26 @@
-"""One state per (gamma, delta) entry of a sweep.
+"""One stacked state per sweep: every (gamma, delta) entry is a slice of one row.
 
-Every column a sweep writes is read from one PT family (v, dv) per entry:
-the tests count the propagators each figure preset builds, check that the
-sweep path calls none of the public dynamics functions, and check each
-column against the public function it stands for.
+Every column a sweep writes is read from one PT family (v, dv) over the row
+that stacks every entry's times: the tests count the propagators each figure
+preset builds, check that the sweep path calls none of the public dynamics
+functions, check each column against the public function it stands for, and
+check that a sweep equals its one-entry sweeps byte for byte.
 """
 
+import dataclasses
+import io
+import json
 import math
 import sys
+import tempfile
 from collections import defaultdict
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ptsense import (
     PtParams,
@@ -36,12 +45,12 @@ from ptsense import (
 )
 from ptsense import linalg, pt_system
 from ptsense.errors import PtsenseError
-from ptsense.sweeps import _PAIRS, SCHEMES, SweepConfig, _Entry, figure_preset, run
+from ptsense.sweeps import _PAIRS, QUANTITIES, SCHEMES, SweepConfig, _entries, _Stack, figure_preset, run
 
 #: Propagator builds (su2_like_propagator and _su2_pair, su2_like_pair's kernel, calls) per preset at 129 tau steps: one
-#: per (gamma, delta) family, plus one base-omega family per gamma for the shifts (fig4) and the
-#: channel propagator of scheme 1's f_total (fig6, fig7).
-BUILDS = {"fig2": 4, "fig3": 4, "fig4": 12, "fig5": 12, "fig6": 10, "fig7": 10}
+#: PT family for the whole sweep, plus the family of the base-omega entries of the shifts (fig4) or the channel
+#: propagator of scheme 1's f_total (fig6, fig7).
+BUILDS = {"fig2": 1, "fig3": 1, "fig4": 2, "fig5": 1, "fig6": 2, "fig7": 2}
 
 DYNAMICS = ("evolve_density", "evolve_state", "evolve_enlarged", "postselect", "analytic_rho_3l",
             "effective_evolve", "artificial_pt", "postselect_3l")
@@ -72,12 +81,13 @@ def test_one_propagator_build_per_family(tmp_path, monkeypatch, capsys, name):
     run(figure_preset(name), output_path=str(tmp_path / f"{name}.csv"))
     capsys.readouterr()
     assert [c for c in calls if c in DYNAMICS] == []
-    assert len(calls) == BUILDS[name]
+    assert len(calls) == BUILDS[name] <= 2
 
 
 #: Propagator builds of population-shift sweeps at gamma/omega = 0.5: a delta = 0 entry is the
-#: per-gamma base, so a delta list holding 0 builds one family per distinct delta.
-SHIFT_BUILDS = {(0.0, 0.001): 2, (0.001, 0.0): 2, (0.0, 0.001, 0.0): 2, (0.001, 0.002): 3}
+#: per-gamma base, so a delta list holding 0 builds the sweep's family alone, and one without it
+#: builds a second family for the bases.
+SHIFT_BUILDS = {(0.0, 0.001): 1, (0.001, 0.0): 1, (0.0, 0.001, 0.0): 1, (0.001, 0.002): 2}
 
 
 @pytest.mark.parametrize("scheme", ["pt", "dilation"])
@@ -93,24 +103,25 @@ def test_a_zero_delta_entry_is_the_shift_base(tmp_path, monkeypatch, capsys, del
 
 
 def test_only_pairs_that_read_the_tangent_build_it(tmp_path, monkeypatch, capsys):
-    # fig7 reads scheme 1 alone, whose tangent is the channel's: each gamma builds its PT family
+    # fig7 reads scheme 1 alone, whose tangent is the channel's: the sweep builds its PT family
     # without the tangent and its channel with one
     calls = []
     _counting(monkeypatch, ("su2_like_propagator", "_su2_pair"), calls)
     run(figure_preset("fig7"), output_path=str(tmp_path / "fig7.csv"))
     capsys.readouterr()
-    gammas = len(figure_preset("fig7").gamma_ratios)
-    assert sorted(calls) == ["_su2_pair"] * gammas + ["su2_like_propagator"] * gammas
+    assert sorted(calls) == ["_su2_pair", "su2_like_propagator"]
 
 
 @pytest.mark.parametrize("pair", sorted(_PAIRS), ids="-".join)
 def test_the_tangent_flag_says_which_pairs_read_it(monkeypatch, pair):
-    # on an entry built without the tangent, a pair marked as reading it builds the PT propagator
+    # on a stack built without the tangent, a pair marked as reading it builds the PT propagator
     # pair on first read, and a pair marked as reading no tangent never does
     calls = []
     _counting(monkeypatch, ("_pt_pair",), calls)
-    config = SweepConfig(quantities=(pair[0],), schemes=(pair[1],), gamma_ratios=(0.5,), tau_steps=3)
-    _PAIRS[pair].evaluate(_Entry(config, 0.5, 0.0, np.array([0.0, 1.0]), False, None))
+    config = SweepConfig(quantities=(pair[0],), schemes=(pair[1],), gamma_ratios=(0.5, 0.9),
+                         delta_ratios=(0.0, 0.01), tau_steps=3)
+    entries, bases = _entries(config, [0.0, 1.0], pair[0] == "population_shift")
+    _PAIRS[pair].evaluate(_Stack(config, entries, False, bases))
     assert calls == (["_pt_pair"] if _PAIRS[pair].tangent else [])
 
 
@@ -234,9 +245,6 @@ POPULATION_RTOL = {0.5: 2e-15, 1.0 - 1e-5: 1e-12}
 
 
 def test_population_columns_match_the_60_digit_reference(tmp_path, capsys):
-    import json
-    from pathlib import Path
-
     points = json.loads((Path(__file__).resolve().parent / REFERENCE).read_text())["populations"]
     written = {}
     for tau_max, steps in ((2.0, 2), (4.0 * math.pi, 3)):  # tau = 2, and tau = 2 pi and 4 pi
@@ -258,3 +266,122 @@ def test_population_columns_match_the_60_digit_reference(tmp_path, capsys):
                 assert t == point["t"]
                 ref = float(text)
                 assert abs(got - ref) <= POPULATION_RTOL[g] * abs(ref), f"{key} at gamma/omega={g!r}, tau={tau!r}"
+
+
+# -- a sweep equals its one-entry sweeps ----------------------------------------
+
+#: gamma/omega and delta/omega values, equal ones (0 and 0.0, 1 and 1.0) and the exceptional point included
+GAMMA_VALUES = st.one_of(st.sampled_from([0, 0.0, 0.6, 1.0 - 1e-6, 1, 1.0]), st.floats(0.0, 1.0))
+DELTA_VALUES = st.one_of(st.sampled_from([0, 0.0, 0.001]), st.floats(0.0, 0.1))
+
+
+def _dataset(config, path) -> str:
+    with redirect_stdout(io.StringIO()):
+        return run(config, output_path=str(path)).read_text()
+
+
+def _merged(config, texts: list[str]) -> str:
+    """The one-entry datasets texts (in config order) as one sweep writes them: ordered by (gamma, delta, tau,
+    quantity, scheme), stably."""
+    if config.format == "json":
+        objects = [o for text in texts for o in json.loads(text)]
+        objects.sort(key=lambda o: (o["gamma_ratio"], o["delta_ratio"], float(o["tau"]), o["quantity"], o["scheme"]))
+        return "[" + ",".join(json.dumps(o, separators=(",", ":")) for o in objects) + "]\n"
+    lines = [line for text in texts for line in text.splitlines()[1:]]
+    fields = [line.split(",", 7) for line in lines]
+    order = sorted(range(len(lines)), key=lambda i: (float(fields[i][2]), float(fields[i][3]), float(fields[i][0]),
+                                                     fields[i][4], fields[i][6]))
+    return "\n".join([texts[0].splitlines()[0]] + [lines[i] for i in order]) + "\n"
+
+
+@st.composite
+def _configs(draw):
+    schemes = tuple(draw(st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=3, unique=True)))
+    custom = draw(st.booleans())
+    valid = [q for q in QUANTITIES
+             if all((q, s) in _PAIRS and not (custom and _PAIRS[q, s].plus_y_only) for s in schemes)]
+    assume(valid)
+    return SweepConfig(
+        quantities=tuple(draw(st.lists(st.sampled_from(valid), min_size=1, max_size=3, unique=True))),
+        schemes=schemes,
+        gamma_ratios=tuple(draw(st.lists(GAMMA_VALUES, min_size=1, max_size=3))),
+        delta_ratios=tuple(draw(st.lists(DELTA_VALUES, min_size=1, max_size=3))),
+        tau_steps=draw(st.integers(2, 5)),
+        format=draw(st.sampled_from(["csv", "json"])),
+        **(CUSTOM if custom else {}),
+    )
+
+
+def _config(quantities, schemes, gammas, deltas, fmt="csv", **kwargs):
+    return SweepConfig(quantities=quantities, schemes=schemes, gamma_ratios=gammas, delta_ratios=deltas,
+                       tau_steps=4, format=fmt, **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configs())
+@example(_config(("population_shift", "population"), SCHEMES, (0.6, 0, 1.0, 0.0), (0.001, 0, 0.0)))
+@example(_config(("population_shift", "susceptibility"), ("pt", "dilation"), (1, 0.5, 1), (0.002, 0.001), "json"))
+@example(_config(("liouvillian_spectrum", "qfi_single"), ("lindblad",), (1.0, 0.3, 0.3), (0.0, 0.05), "json"))
+@example(_config(("qfi_weighted", "resources"), ("dilation",), (1.0, 0.9, 0), (0.0, 0.0, 0.01), **CUSTOM))
+def test_a_sweep_equals_its_one_entry_sweeps(config):
+    # the stack's rows, its per-entry re-evaluation after a failure (gamma/omega = 1) and its shift bases
+    # give each entry the bytes that a sweep of that entry alone writes
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / f"out.{config.format}"
+        whole = _dataset(config, path)
+        alone = [_dataset(dataclasses.replace(config, gamma_ratios=(g,), delta_ratios=(d,)), path)
+                 for g in config.gamma_ratios for d in config.delta_ratios]
+    assert whole == _merged(config, alone)
+
+
+# -- scale covariance ------------------------------------------------------------
+
+def _power(name: str) -> int:
+    """The power of omega a row's values carry: rates of change 1/omega (susceptibilities), QFIs 1/omega^2,
+    Cramer-Rao bounds and eigenvalues omega, populations, rates and the budget ratios none."""
+    if name.startswith("susceptibility"):
+        return -1
+    if name.startswith(("qfi", "i_")):
+        return -2
+    return 1 if name.startswith(("delta_omega", "liouvillian")) else 0
+
+
+def _rows(config, path) -> dict:
+    """(tau, gamma, delta, row name, scheme) -> (t, value) texts of the sweep's CSV dataset."""
+    rows = {}
+    for line in _dataset(config, path).splitlines()[1:]:
+        tau, t, gamma, delta, name, value, scheme, _ = line.split(",", 7)
+        rows[tau, gamma, delta, name, scheme] = (t, value)
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SCHEMES), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       st.lists(st.one_of(st.floats(0.0, 0.99), st.just(1.0)), min_size=1, max_size=3),
+       st.lists(st.one_of(st.just(0.0), st.floats(0.02, 0.1)), min_size=1, max_size=2))
+def test_a_sweep_at_omega_s_is_the_sweep_at_omega_1_scaled(scheme, s, gammas, deltas):
+    # every value carries omega to a known power and tau is dimensionless, so the dataset at omega = s is the
+    # one at omega = 1 with t/s, QFIs/s^2 and susceptibilities/s, and the same undefined rows.  Each value is
+    # compared to 1e-12 of its size or, for those that are roundoff of zero, of its row's unit (1, t or t^2), and
+    # subnormal values to their absolute precision.
+    # Next to the EP the rounding of gamma = (gamma/omega) s alone moves values by more than 1e-12, so gamma/omega
+    # and gamma/(omega + delta) stay below 0.99, or the entry is the EP itself
+    quantities = tuple(q for q in QUANTITIES if (q, scheme) in _PAIRS)
+    config = SweepConfig(quantities=quantities, schemes=(scheme,), gamma_ratios=tuple(gammas),
+                         delta_ratios=tuple(deltas), tau_steps=7)
+    with tempfile.TemporaryDirectory() as folder:
+        unit = _rows(config, Path(folder) / "unit.csv")
+        scaled = _rows(dataclasses.replace(config, omega=s), Path(folder) / "scaled.csv")
+    assert unit.keys() == scaled.keys()
+    for key, (t, value) in unit.items():
+        t_s, value_s = scaled[key]
+        assert (t == "inf") == (t_s == "inf") and (value in ("undefined", "inf")) == (value_s in ("undefined", "inf"))
+        if t != "inf":
+            assert float(t_s) * s == pytest.approx(float(t), rel=1e-12, abs=0.0), key
+        if value in ("undefined", "inf"):
+            assert value_s == value, key
+            continue
+        power = _power(key[3])
+        x, y = complex(value), complex(value_s) * s ** -power
+        scale = float(t) ** -power if power < 0 else (1.0 if power == 0 else 0.0)
+        assert abs(x - y) <= 1e-12 * max(abs(x), scale) + sys.float_info.min * max(1.0, s ** -power), key  # subnormals

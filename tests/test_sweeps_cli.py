@@ -359,6 +359,38 @@ def test_cli_unknown_flag_returns_usage_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_consecutive_calls_do_not_affect_each_other(tmp_path, capsys):
+    # main keeps one parser for the process: a figure call leaves nothing in the next sweep call, and the
+    # append flags of one call do not carry into the next (a repeated quantity would exit 2)
+    assert main(["figure", "fig3", "--tau-steps", "3", "--output", str(tmp_path / "fig3.csv")]) == 0
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--quantity", "population", "--quantity", "postselect_rates", "--scheme", "lindblad",
+            "--gamma-list", "0.5", "--tau-steps", "3", "--output", str(out)]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    assert main(argv + ["--scheme", "pt"]) == 2  # postselect_rates has no pt scheme
+    assert "postselect_rates requires scheme" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert out.read_bytes() == first
+    assert main(["sweep", "--tau-steps", "3"]) == 2  # no quantity, scheme or gamma list of an earlier call is kept
+    assert "--config or (--quantity, --scheme, --gamma-list) required" in capsys.readouterr().err
+
+
+def test_exit_codes_and_help_repeat(tmp_path, capsys):
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "ptsense" in help_text and "figure" in help_text
+    assert main(["figure", "fig99"]) == 2  # argparse's usage error
+    assert "invalid choice" in capsys.readouterr().err
+    good = ["sweep", "--quantity", "population", "--scheme", "pt", "--gamma-list", "0", "--tau-steps", "3"]
+    assert main(good + ["--output", str(tmp_path / "missing" / "x.csv")]) == 3
+    assert main(good + ["--gamma-list", "2"]) == 2
+    assert main(good + ["--output", str(tmp_path / "ok.csv")]) == 0
+    capsys.readouterr()
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == help_text
+
+
 def test_cli_figure_runs_small(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     code = main(["figure", "fig3", "--output", str(out), "--tau-steps", "9",
