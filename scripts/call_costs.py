@@ -18,8 +18,7 @@ A second table times each figure preset in process (sweeps.run, best of
 REPEAT runs, the dataset written to a temporary directory) at 2 and at 33
 tau steps, so the difference shows the part of a sweep that does not depend
 on its number of points, and counts the propagator builds of one run at 129
-steps (calls of linalg.su2_like_propagator and linalg._su2_pair, the kernel
-of every propagator pair).
+steps (calls of linalg._propagator, the one kernel of every propagator).
 """
 
 from __future__ import annotations
@@ -51,8 +50,11 @@ def calls() -> dict:
     def point(t):
         p, probe = api.PtParams(omega=1.0, gamma=0.6), api.bloch_probe(1.1, 0.7)
         rho0, rho4 = api.pure_density(probe), api.evolve_enlarged(probe, p, t)
+        phase = pt_system._phase(p, t)
+        terms = (*linalg._cos_sinc(phase), linalg.sinc_slope(phase))
         return SimpleNamespace(p=p, t=t, probe=probe, rho0=rho0, rho4=rho4, h=api.hamiltonian_pt(p),
-                               c2=(0.5 * p.kappa) ** 2, m2=np.array(rho0.matrix), m4=np.array(rho4.matrix))
+                               c2=(0.5 * p.kappa) ** 2, phase=phase, terms=terms, m2=np.array(rho0.matrix),
+                               m4=np.array(rho4.matrix))
 
     def request(x):
         api.evolve_density(api.pure_density(x.probe), x.p, x.t)
@@ -72,10 +74,12 @@ def calls() -> dict:
         "resource_metrics": lambda x: api.resource_metrics(x.p, x.t, probe=x.probe),
         "susceptibility_pt": lambda x: api.susceptibility_pt(x.p, x.t),
         "linalg.su2_like_propagator": lambda x: linalg.su2_like_propagator(x.h, x.c2, x.t),
-        "linalg.su2_like_pair": lambda x: linalg.su2_like_pair(x.h, 0.5 * linalg.PAULI_X, x.c2, 0.5, x.t),
-        "pt_system.propagator_pt_pair": lambda x: pt_system.propagator_pt_pair(x.p, x.t),
+        "linalg._cos_sinc": lambda x: linalg._cos_sinc(x.phase),
+        "linalg._propagator": lambda x: linalg._propagator(x.h, x.t, *x.terms[:2]),
+        "linalg._tangent": lambda x: linalg._tangent(x.h, 0.5 * linalg.PAULI_X, 0.5, x.t, x.terms),
+        "pt_system.propagator_pt": lambda x: pt_system.propagator_pt(x.p, x.t),
         "pt_system.norm_growth": lambda x: pt_system.norm_growth(x.p, x.t, x.probe),
-        "dilation.propagator_4d_pair": lambda x: dilation.propagator_4d_pair(x.p, x.t),
+        "dilation.propagator_4d": lambda x: dilation.propagator_4d(x.p, x.t),
         "dilation.metric_operator": lambda x: dilation.metric_operator(x.p),
         "dilation.d_metric": lambda x: dilation.d_metric(x.p),
         "states.DensityMatrix2": lambda x: states.DensityMatrix2(x.m2),
@@ -87,11 +91,10 @@ def calls() -> dict:
 
 
 def builds(run, config) -> int:
-    """Propagator builds of one sweep: calls of su2_like_propagator and _su2_pair, through every ptsense binding."""
+    """Propagator builds of one sweep: calls of _propagator, through every ptsense binding."""
     count = []
     modules = [m for key, m in sorted(sys.modules.items()) if key == "ptsense" or key.startswith("ptsense.")]
-    saved = [(m, name, getattr(m, name)) for m in modules for name in ("su2_like_propagator", "_su2_pair")
-             if hasattr(m, name)]
+    saved = [(m, "_propagator", m._propagator) for m in modules if hasattr(m, "_propagator")]
     for module, name, fn in saved:
         setattr(module, name, lambda *a, _fn=fn, **k: count.append(1) or _fn(*a, **k))
     try:

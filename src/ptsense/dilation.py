@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBranch, MetricSingular
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _EYE, _abs2, per_point, su2_like_pair, su2_like_propagator, vector_norm
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _EYE, _abs2, per_point, su2_like_propagator, vector_norm
 from .params import PtParams, per_entry
 from .states import DensityMatrix2, DensityMatrix4, PureState4, _density_of, _finite, _result, _vector
 
@@ -24,7 +24,6 @@ __all__ = [
     "dilate_initial",
     "hamiltonian_4d",
     "propagator_4d",
-    "propagator_4d_pair",
     "evolve_enlarged",
     "postselect",
 ]
@@ -131,12 +130,6 @@ def _d_hamiltonian_4d(p: PtParams) -> np.ndarray:
     return _blocks_4d((w * w + g * g) / (2.0 * w * w), per_entry(p, lambda q: q.gamma ** 3) / (2.0 * p.kappa * w * w))
 
 
-def propagator_4d_pair(p: PtParams, t):
-    """(propagator_4d, its d/d(omega) at fixed t), in closed form: d(kappa^2/4) = omega/2."""
-    h4 = hamiltonian_4d(p)  # raises MetricSingular next to the EP
-    return su2_like_pair(h4, _d_hamiltonian_4d(p), (0.5 * p.kappa) ** 2, 0.5 * p.omega, t)
-
-
 def _enlarged(eta: np.ndarray, psi):
     """Unvalidated amplitudes (psi, eta psi)/C_n of the enlarged state of a unit psi, and C_n."""
     chi = (eta @ psi[..., None])[..., 0]
@@ -167,7 +160,7 @@ def evolve_enlarged(psi0, p: PtParams, t) -> DensityMatrix4:
     the tests cross-check the two paths.  The amplitudes are the point state's (metrology._point)."""
     from .metrology import _point  # metrology builds on this module
 
-    a = _point(p, t, psi0, False).enlarged
+    a = _point(p, t, psi0).enlarged
     return _result(DensityMatrix4, t, a[..., :, None] * a.conj()[..., None, :])
 
 

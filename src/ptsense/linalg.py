@@ -2,9 +2,12 @@
 
 The Pauli matrices, the conjugate transpose and vector norms of stacks, the
 per-point helpers of row evaluation, and the closed-form propagator
-exp(-i H t) = cos(c t) I - i t sinc(c t) H of a generator with H^2 = c^2 I,
-with its omega-derivative.  Both generators of the toolkit, H_pt and H_4d,
-square to (kappa/2)^2 I, so no general exponential or eigensolver is needed.
+U = exp(-i H t) = cos(c t) I - i t sinc(c t) H of a generator with
+H^2 = c^2 I.  U is written once, in _propagator, and its omega-derivative
+once, in _tangent; both read the terms of the phase c t that their caller
+computes, so the point state (metrology._State) shares one set between U_pt
+and U_4d.  Both generators of the toolkit, H_pt and H_4d, square to
+(kappa/2)^2 I, so no general exponential or eigensolver is needed.
 
 cos and sinc of the phase come from _cos_sinc, which repeats np.sinc's own
 arithmetic without its Python wrapper.  It keeps np.sinc's round trip
@@ -28,7 +31,6 @@ __all__ = [
     "per_element",
     "per_point",
     "su2_like_propagator",
-    "su2_like_pair",
     "sinc_slope",
 ]
 
@@ -107,12 +109,8 @@ def su2_like_propagator(h, c_squared, t) -> np.ndarray:
     array of times the propagators are stacked along a leading axis, and h and
     c_squared may hold one generator and one value per time.
     """
-    a = np.asarray(h, dtype=complex)
     c = np.sqrt(c_squared) if getattr(c_squared, "ndim", 0) else math.sqrt(c_squared)  # both correctly rounded
-    cos, sinc = _cos_sinc(c * t)
-    if getattr(t, "ndim", 0):
-        cos, sinc, t = cos[:, None, None], sinc[:, None, None], t[:, None, None]
-    return cos * _EYE[a.shape[-1]] - 1j * t * sinc * a
+    return _propagator(np.asarray(h, dtype=complex), t, *_cos_sinc(c * t))
 
 
 def sinc_slope(x: float) -> float:
@@ -123,30 +121,23 @@ def sinc_slope(x: float) -> float:
     return 0.0 if math.isinf(x) else (math.cos(x) - math.sin(x) / x) / (x * x)  # math.cos(inf) raises
 
 
-def su2_like_pair(h, dh, c_squared: float, dc_squared: float, t):
-    """(U, dU): U = su2_like_propagator(h, c_squared, t), bit for bit, and dU = dU/d(omega) at
-    fixed t, for H(omega) with dH = dh and c^2(omega) with derivative dc_squared.
-
-    With x = c t, S = sinc and g(x) = (cos x - S(x))/x^2 (so dx/d(omega) = t dc^2/(2c)),
-    dU = -(t^2/2) dc^2 [S(x) I + i t g(x) H] - i t S(x) dH, which is regular at c = 0
-    (Najfeld & Havel 1995).  Stacked like su2_like_propagator for an array of times; g is
-    evaluated per element, so a row equals its one-point calls bit for bit.
-    """
-    return _su2_pair(h, dh, dc_squared, t, _phase_terms(math.sqrt(c_squared) * t))
-
-
-def _phase_terms(phase):
-    """(cos x, sinc x, g(x)) at the phase x = c t: _cos_sinc's pair and sinc_slope per element."""
-    return (*_cos_sinc(phase), per_element(sinc_slope, phase))
-
-
-def _su2_pair(h, dh, dc_squared: float, t, terms):
-    """su2_like_pair from the _phase_terms of its phase, which pt_system's norm growth reads too; h, dh and
-    dc_squared may hold one value per time of a row."""
-    a, da = np.asarray(h, dtype=complex), np.asarray(dh, dtype=complex)
-    cos, sinc, slope = terms
+def _propagator(h: np.ndarray, t, cos, sinc) -> np.ndarray:
+    """U = cos I - i t sinc H from the _cos_sinc of the phase c t; h, cos and sinc may hold one value per time of
+    a row, stacked like su2_like_propagator."""
     if getattr(t, "ndim", 0):
-        cos, sinc, slope, t, dc_squared = (per_point(x, 2) for x in (cos, sinc, slope, t, dc_squared))
-    eye = _EYE[a.shape[-1]]
-    u = cos * eye - 1j * t * sinc * a
-    return u, -0.5 * t * t * dc_squared * (sinc * eye + 1j * t * slope * a) - 1j * t * sinc * da
+        cos, sinc, t = (per_point(x, 2) for x in (cos, sinc, t))
+    return cos * _EYE[h.shape[-1]] - 1j * t * sinc * h
+
+
+def _tangent(h: np.ndarray, dh: np.ndarray, dc_squared, t, terms) -> np.ndarray:
+    """dU = dU/d(omega) of _propagator's U at fixed t, for H(omega) with dH = dh and c^2(omega) with derivative
+    dc_squared, from the terms (cos x, sinc x, sinc_slope(x)) of its phase x = c t.
+
+    With S = sinc and g = sinc_slope (so dx/d(omega) = t dc^2/(2c)),
+    dU = -(t^2/2) dc^2 [S(x) I + i t g(x) H] - i t S(x) dH, which is regular at c = 0
+    (Najfeld & Havel 1995).  Stacked like _propagator.
+    """
+    sinc, slope = terms[1:]
+    if getattr(t, "ndim", 0):
+        sinc, slope, t, dc_squared = (per_point(x, 2) for x in (sinc, slope, t, dc_squared))
+    return -0.5 * t * t * dc_squared * (sinc * _EYE[h.shape[-1]] + 1j * t * slope * h) - 1j * t * sinc * dh

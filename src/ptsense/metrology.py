@@ -10,9 +10,10 @@ reporting; kappa depends on omega, so fixing tau instead would change every
 curve.
 
 They are taken in closed form.  Every propagator is
-cos(c t) I - i t sinc(c t) H with c^2 = kappa^2/4, and linalg.su2_like_pair
-returns it with its omega-derivative, which is regular on the whole unbroken
-phase, the exceptional point included.  No derivative depends on a step size.
+U = cos(c t) I - i t sinc(c t) H with c^2 = kappa^2/4: linalg._propagator
+builds it and linalg._tangent its omega-derivative, which is regular on the
+whole unbroken phase, the exceptional point included.  No derivative depends
+on a step size.
 
 Populations and susceptibilities use the physical parameterized states: the
 state families exactly as an apparatus tuned to omega' would prepare them.
@@ -73,10 +74,11 @@ import numpy as np
 
 from .dilation import _branches, _d_hamiltonian_4d, _dilated, _enlarged, d_metric, hamiltonian_4d, metric_operator
 from .errors import EmptyBranch, InvalidDerivative, InvalidScheme
-from .linalg import _abs2, _phase_terms, _su2_pair, dagger, per_element, per_point, vector_norm
+from .linalg import (PAULI_X, _abs2, _cos_sinc, _propagator, _tangent, dagger, per_element, per_point, sinc_slope,
+                     vector_norm)
 from .lindblad import _decayed
 from .params import PtParams
-from .pt_system import _direction, _norm_growth, _phase, _pt_pair, propagator_pt
+from .pt_system import _direction, _norm_growth, _phase, hamiltonian_pt
 from .states import _finite, _vector, plus_y
 
 __all__ = [
@@ -148,11 +150,11 @@ def population_shift(scheme: str, p: PtParams, delta: float, t) -> float:
     """
     if abs(delta) > 0.1 * p.omega:
         raise InvalidScheme(f"perturbation delta = {delta:g} exceeds 0.1 * omega")
-    base = _level1(scheme, _State(p, t, plus_y(), False))
+    base = _level1(scheme, _State(p, t, plus_y()))
     _finite(t, "time")  # after the scheme name and the metric, which are checked first
     if delta == 0.0:
         return _value(np.zeros_like(base))
-    return _value(_level1(scheme, _State(PtParams(p.omega + delta, p.gamma), t, plus_y(), False)) - base)
+    return _value(_level1(scheme, _State(PtParams(p.omega + delta, p.gamma), t, plus_y())) - base)
 
 
 def _level1(scheme: str, s: "_State"):
@@ -341,29 +343,30 @@ class _State:
     """The state at a point (p, t, probe), or on a row of times t, which every evaluator reads.
 
     Each part is built on first read, by the kernels below, and kept; a part that raises (the metric at
-    gamma/omega = 1) keeps nothing and raises at each read.  v = U_pt psi0 comes from the pair (U_pt,
-    dU_pt) in a state built for the tangent, else from propagator_pt, whose U is the pair's bit for bit:
-    the tangent dv is then built from the pair when first read, and v is kept.
+    gamma/omega = 1) keeps nothing and raises at each read.  U_pt and U_4d share the phase kappa t/2
+    (pt_system._phase) and its terms: v = U_pt psi0 reads cos and sinc, and a tangent (dv, the channel's)
+    reads the sinc slope too, which only a tangent builds.
     """
 
-    def __init__(self, p: PtParams, t, probe, tangent: bool, repetitions: int = 1) -> None:
-        self.p, self.t, self.probe, self.tangent, self.repetitions = p, t, probe, tangent, repetitions
+    def __init__(self, p: PtParams, t, probe, repetitions: int = 1) -> None:
+        self.p, self.t, self.probe, self.repetitions = p, t, probe, repetitions
 
     @cached_property
-    def terms(self):  # (cos, sinc, sinc_slope) of the phase kappa t/2 that the PT pair and the channel share
-        return _phase_terms(_phase(self.p, self.t))
+    def cos_sinc(self):  # (cos, sinc) of the phase kappa t/2
+        return _cos_sinc(_phase(self.p, self.t))
 
     @cached_property
-    def _pair(self):  # (U_pt, dU_pt) at fixed t
-        return _pt_pair(self.p, self.t, self.terms)
+    def terms(self):  # (cos, sinc, sinc_slope) of the phase, which the tangents and the norm growth read
+        return (*self.cos_sinc, per_element(sinc_slope, _phase(self.p, self.t)))
 
     @cached_property
     def v(self):
-        return (self._pair[0] if self.tangent else propagator_pt(self.p, self.t)) @ self.probe
+        return _propagator(hamiltonian_pt(self.p), self.t, *self.cos_sinc) @ self.probe
 
     @cached_property
     def family(self):  # (v, dv)
-        return self.v, self._pair[1] @ self.probe
+        dv = _tangent(hamiltonian_pt(self.p), 0.5 * PAULI_X, 0.5 * self.p.omega, self.t, self.terms) @ self.probe
+        return self.v, dv
 
     @cached_property
     def unit(self):  # (v/|v|, dv/|v|)
@@ -371,7 +374,7 @@ class _State:
 
     @cached_property
     def psi(self):  # v/|v|, the normalized PT state
-        return self.unit[0] if self.tangent else _direction(self.v)[0]
+        return _direction(self.v)[0]
 
     @cached_property
     def eta(self):
@@ -411,7 +414,7 @@ _PLUS_Y = plus_y().tobytes()
 _last: tuple = (None, None)  # (key, state) of the last one-point call of _point, set as one tuple
 
 
-def _point(p: PtParams, t, probe=None, tangent: bool = True) -> _State:
+def _point(p: PtParams, t, probe=None) -> _State:
     """The state of a call at (p, t, probe), after its entry checks: the probe (None for |+>_y) as
     states._vector checks it, then the times.  A point whose omega, gamma and t are floats (numpy's float64
     included) gets the last such call's state if omega, gamma, t and the probe are the same bit for bit (0.0
@@ -421,12 +424,12 @@ def _point(p: PtParams, t, probe=None, tangent: bool = True) -> _State:
     amplitudes = _PLUS_Y if probe is None else _vector(probe).tobytes()  # a copy, which the caller cannot mutate
     _finite(t, "time")
     if not (isinstance(t, float) and isinstance(p.omega, float) and isinstance(p.gamma, float)):
-        return _State(p, t, np.frombuffer(amplitudes, dtype=complex), tangent)  # a row, or numbers no key pins
+        return _State(p, t, np.frombuffer(amplitudes, dtype=complex))  # a row, or numbers no key pins
     key, (last, state) = (struct.pack("3d", p.omega, p.gamma, t), amplitudes), _last
     if key != last:
         if not type(t) is type(p.omega) is type(p.gamma) is float:  # a numpy scalar's ** need not round as a float's
             p, t = PtParams(float(p.omega), float(p.gamma)), float(t)
-        state = _State(p, t, np.frombuffer(amplitudes, dtype=complex), tangent)
+        state = _State(p, t, np.frombuffer(amplitudes, dtype=complex))
         _last = key, state
     return state
 
@@ -489,9 +492,9 @@ def _eff_slope(p: PtParams, t, v, dv):
 def _channel(p: PtParams, t, probe, eta, terms):
     """(a, da, da0): a = U_4d psi4_0 with psi4_0 = (psi0, eta psi0)/C frozen at the base omega (the
     channel, module docstring), its exact omega-tangent da, and da0 = -i dH_4d psi4_0 = lim da/t at t = 0.
-    H_4d squares to (kappa/2)^2 like H_pt, so the pair is propagator_4d_pair's on the PT pair's phase terms."""
-    psi0, dh = _dilated(eta, probe)[0], _d_hamiltonian_4d(p)
-    u4, du4 = _su2_pair(hamiltonian_4d(p), dh, 0.5 * p.omega, t, terms)
+    H_4d squares to (kappa/2)^2 like H_pt, so U_4d and dU_4d are built on U_pt's phase terms."""
+    psi0, h, dh = _dilated(eta, probe)[0], hamiltonian_4d(p), _d_hamiltonian_4d(p)
+    u4, du4 = _propagator(h, t, *terms[:2]), _tangent(h, dh, 0.5 * p.omega, t, terms)
     return _apply(u4, psi0), _apply(du4, psi0), -1j * _apply(dh, psi0)
 
 
@@ -506,7 +509,7 @@ def weighted_qfi_scheme1(
     the amplitudes that evolve_enlarged builds from U_pt psi0, so they equal
     postselect's bit for bit.  fd is accepted for compatibility and not used.
     """
-    s = _point(p, t, probe, False)
+    s = _point(p, t, probe)
     return s.scheme1 if n_repetitions == s.repetitions else _scheme1(s, n_repetitions)
 
 
@@ -583,7 +586,7 @@ def weighted_qfi_scheme2(
 
 def _scheme2(s: _State, n_repetitions: int) -> QfiReport:
     """Scheme 2's report from the state of |+>_y: its normalized family, its success rate e^{-gamma t} |v|^2
-    (lindblad._decayed) and the norm growth of v, on the phase terms of the pair (pt_system.norm_growth)."""
+    (lindblad._decayed) and the norm growth of v, on the state's phase terms (pt_system.norm_growth)."""
     p, t, p_suc, f_suc = s.p, s.t, s.decayed[1], _qfi(*s.unit)
     growth, d_growth = _norm_growth(p, t, s.probe, s.terms)  # |v|^2 = 1 + gamma growth
     d_log = p.gamma * d_growth / (1.0 + p.gamma * growth)
@@ -627,7 +630,7 @@ def resource_metrics(p: PtParams, t, fd: FdConfig | None = None, probe=None) -> 
     equals f_total up to roundoff.  Takes a row like weighted_qfi_scheme1.  fd is accepted for
     compatibility and not used.
     """
-    s = _point(p, t, probe, False)
+    s = _point(p, t, probe)
     report = s.scheme1
     xi, zeta = _resources(*_budget(s.channel))
     return ResourceReport(xi=xi, zeta=zeta, i_subs=report.i_subs, i_total=report.i_total)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -37,10 +37,6 @@ class PtParams:
                 f"broken phase rejected: gamma/omega = {self.gamma / self.omega:.6g} > 1"
             )
         object.__setattr__(self, "kappa", math.sqrt(max((self.omega - self.gamma) * (self.omega + self.gamma), 0.0)))
-
-    def with_omega(self, omega: float) -> "PtParams":
-        """The same gamma at coupling omega."""
-        return replace(self, omega=omega)
 
 
 class PointParams:

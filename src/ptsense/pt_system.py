@@ -14,14 +14,14 @@ import math
 import numpy as np
 
 from .errors import InvalidStep, NormUnderflow
-from .linalg import PAULI_X, PAULI_Z, _phase_terms, _su2_pair, dagger, per_point, su2_like_propagator, vector_norm
+from .linalg import (PAULI_X, PAULI_Z, _cos_sinc, dagger, per_element, per_point, sinc_slope, su2_like_propagator,
+                     vector_norm)
 from .params import PtParams, per_entry
 from .states import DensityMatrix2, PureState2, _density_of, _finite, _result, _vector
 
 __all__ = [
     "hamiltonian_pt",
     "propagator_pt",
-    "propagator_pt_pair",
     "norm_growth",
     "evolve_state",
     "evolve_density",
@@ -45,20 +45,10 @@ def propagator_pt(p: PtParams, t: float) -> np.ndarray:
     return su2_like_propagator(hamiltonian_pt(p), per_entry(p, lambda q: (0.5 * q.kappa) ** 2), t)
 
 
-def propagator_pt_pair(p: PtParams, t):
-    """(propagator_pt, its d/d(omega) at fixed t), in closed form: dH = sigma_x/2 and
-    d(kappa^2/4) = omega/2; finite on the whole unbroken phase, the EP included."""
-    return _pt_pair(p, t, _phase_terms(_phase(p, t)))
-
-
 def _phase(p: PtParams, t):
-    """su2_like_pair's phase sqrt((kappa/2)^2) t of the propagators, bit for bit, with the root taken per entry."""
+    """propagator_pt's phase sqrt((kappa/2)^2) t, bit for bit, with the root taken per entry: the phase of U_pt and
+    U_4d in the point state (metrology._State)."""
     return per_entry(p, lambda q: math.sqrt((0.5 * q.kappa) ** 2)) * t
-
-
-def _pt_pair(p: PtParams, t, terms):
-    """propagator_pt_pair from the linalg._phase_terms of its phase (_phase), which the channel and norm growth read."""
-    return _su2_pair(hamiltonian_pt(p), 0.5 * PAULI_X, 0.5 * p.omega, t, terms)
 
 
 def norm_growth(p: PtParams, t, psi0):
@@ -69,11 +59,12 @@ def norm_growth(p: PtParams, t, psi0):
     the norm comes without the cancellation in |U psi0|^2 - 1, also where
     gamma is far below the roundoff of |U psi0|^2.  Per point for an array of t.
     """
-    return _norm_growth(p, t, _vector(psi0), _phase_terms(0.5 * p.kappa * t))
+    x = 0.5 * p.kappa * t
+    return _norm_growth(p, t, _vector(psi0), (*_cos_sinc(x), per_element(sinc_slope, x)))
 
 
 def _norm_growth(p: PtParams, t, a, terms):
-    """norm_growth of the amplitudes a of a unit vector, from the _phase_terms of x = kappa t/2."""
+    """norm_growth of the amplitudes a of a unit vector, from (cos x, sinc x, sinc_slope(x)) at x = kappa t/2."""
     z = abs(a[0]) ** 2 - abs(a[1]) ** 2  # <sigma_z>
     y = 2.0 * (a[0].conjugate() * a[1]).imag  # <sigma_y>
     w, g = p.omega, p.gamma

@@ -5,13 +5,14 @@ how they are evaluated is one table, `_PAIRS`.  A sweep has one state
 (_Stack), which every scheme and quantity reads: its row holds the reachable
 times of every (gamma/omega, delta/omega) entry of the config one after
 another, at per-point parameters, each entry a slice.  Its parts are the PT
-family v = U_pt psi0, its exact omega-tangent, and what the kernels of the
-scalar API build from them on first use.  Each pair is one closed-form read
-of the stack.  A check fails for a whole entry: if the stack raises a
-PtsenseError (the dilation's MetricSingular at gamma/omega = 1), the pair is
-read again entry by entry, and an entry that raises again writes the single
-row "<quantity>_undefined" at every point, as does a pair at the points of
-the tau grid that an entry cannot reach (t = inf at the exceptional point).
+family v = U_pt psi0 and what the kernels of the scalar API build from it on
+first use, the exact omega-tangents included: a sweep whose pairs read none
+builds none.  Each pair is one closed-form read of the stack.  A check fails
+for a whole entry: if the stack raises a PtsenseError (the dilation's
+MetricSingular at gamma/omega = 1), the pair is read again entry by entry,
+and an entry that raises again writes the single row "<quantity>_undefined"
+at every point, as does a pair at the points of the tau grid that an entry
+cannot reach (t = inf at the exceptional point).
 
 The writer is columnar: each row name is formatted once over the stack, on
 one prefix per point, and cut into (gamma/omega, delta/omega) groups emitted
@@ -196,22 +197,22 @@ class _Entry:
 
 class _Stack(_State):
     """The state (metrology._State) of entries stacked on one row, which every pair reads: their reachable times
-    one after another, at per-point parameters (params.PointParams; one entry's own PtParams), so an entry e
-    is the slice at[id(e)] of every part.  `bases` holds the population shifts' bases that are not among the
-    entries, as a state of their own built without the tangent, whose slices follow the entries'."""
+    one after another, at per-point parameters (params.PointParams), so an entry e is the slice at[id(e)] of
+    every part.  `bases` holds the population shifts' bases that are not among the entries, as a state of their
+    own, whose slices follow the entries'."""
 
-    def __init__(self, config: SweepConfig, entries: list, tangent: bool, bases: list) -> None:
+    def __init__(self, config: SweepConfig, entries: list, bases: list) -> None:
         sizes = [len(e.t) for e in entries + bases]
-        p = entries[0].p if len(entries) == 1 else PointParams([e.p for e in entries], sizes[:len(entries)])
-        super().__init__(p, np.concatenate([e.t for e in entries]), config.probe_vector(), tangent, config.repetitions)
-        self.config, self.entries, self.bases = config, entries, _Stack(config, bases, False, []) if bases else None
+        p = PointParams([e.p for e in entries], sizes[:len(entries)])
+        super().__init__(p, np.concatenate([e.t for e in entries]), config.probe_vector(), config.repetitions)
+        self.config, self.entries, self.bases = config, entries, _Stack(config, bases, []) if bases else None
         start = [0, *accumulate(sizes)]
         self.at = {id(e): slice(a, b) for e, a, b in zip(entries + bases, start, start[1:])}  # in entries + bases
 
     @cached_property
     def alone(self) -> list:
         """A state of each entry on its own (with its shift base), shared by the pairs that raise on the stack."""
-        return [_Stack(self.config, [e], self.tangent, [e.base] if e.delta and e.base else []) for e in self.entries]
+        return [_Stack(self.config, [e], [e.base] if e.delta and e.base else []) for e in self.entries]
 
     def shift(self, level1) -> list:
         """The population_shift column of the level-1 population level1(state): each entry's less its base's,
@@ -283,21 +284,20 @@ class _Pair:
     rows: tuple[str, ...]
     evaluate: object
     plus_y_only: bool = False
-    tangent: bool = False
     time_independent: bool = False
 
 
 def _fields(report: str, fields: dict[str, str]) -> _Pair:
     """Pair whose rows, keyed by row name, are fields of the state's report ("scheme1" or "scheme2")."""
-    scheme2 = report == "scheme2"  # plus_y only, and reads the PT tangent (scheme 1 reads the channel's)
-    return _Pair(tuple(fields), lambda s: [getattr(getattr(s, report), f) for f in fields.values()], scheme2, scheme2)
+    return _Pair(tuple(fields), lambda s: [getattr(getattr(s, report), f) for f in fields.values()],
+                 report == "scheme2")
 
 
 _POP = ("population_1", "population_2", "population_3", "population_4")
 _SHIFT = ("population_shift_1",)
 
 #: Every valid (quantity, scheme) pair: its row names, its evaluator and, as True, whether it needs the plus_y
-#: probe and whether it reads the PT tangent, which an entry builds only then.  A pair missing here is rejected.
+#: probe.  A pair missing here is rejected.
 _PAIRS = {
     ("population", "pt"): _Pair(_POP[:2], lambda s: list(_abs2(s.psi).T)),
     ("population", "dilation"): _Pair(_POP, lambda s: list(s.branches[0].T)),
@@ -310,19 +310,19 @@ _PAIRS = {
     ("population_shift", "dilation"): _Pair(_SHIFT, lambda s: s.shift(lambda x: x.branches[0][:, 0]), True),
     ("population_shift", "lindblad"): _Pair(_SHIFT, lambda s: s.shift(lambda x: _abs2(x.psi)[:, 0]), True),
     ("susceptibility", "pt"): _Pair(("susceptibility_pt", "susceptibility_a"), lambda s: [
-        _population_slope(*s.family, 0), _population_slope(*s.fail, 0)], True, True),
+        _population_slope(*s.family, 0), _population_slope(*s.fail, 0)], True),
     ("susceptibility", "dilation"): _Pair(("susceptibility_4d_pt", "susceptibility_4d_a"), lambda s: list(
-        _enlarged_slope(*s.family, *s.fail, (0, 2)).T), True, True),
+        _enlarged_slope(*s.family, *s.fail, (0, 2)).T), True),
     ("susceptibility", "lindblad"): _Pair(("susceptibility_eff",), lambda s: [
-        _eff_slope(s.p, s.t, *s.family)], True, True),
-    ("qfi_single", "pt"): _Pair(("qfi_pt",), lambda s: [_qfi(*s.unit)], tangent=True),
+        _eff_slope(s.p, s.t, *s.family)], True),
+    ("qfi_single", "pt"): _Pair(("qfi_pt",), lambda s: [_qfi(*s.unit)]),
     ("qfi_single", "dilation"): _fields("scheme1", {"qfi_pt": "f_suc", "qfi_a": "f_fail", "qfi_4d": "f_total"}),
     ("qfi_single", "lindblad"): _fields("scheme2", {"qfi_eff": "f_total", "qfi_conditioned": "f_suc"}),
     ("qfi_weighted", "dilation"): _fields(
         "scheme1", {"i_suc": "i_suc", "i_fail": "i_fail", "i_subs": "i_subs", "i_4d": "i_total"}),
     ("qfi_weighted", "lindblad"): _fields("scheme2", {"i_eff": "i_total"}),
     ("sensitivity_bound", "pt"): _Pair(("delta_omega_pt",), lambda s: [
-        _bound(_qfi(*s.unit), s.repetitions)], tangent=True),
+        _bound(_qfi(*s.unit), s.repetitions)]),
     ("sensitivity_bound", "dilation"): _fields(
         "scheme1", {"delta_omega_subs": "delta_omega_weighted", "delta_omega_4d": "delta_omega_total"}),
     ("sensitivity_bound", "lindblad"): _fields(
@@ -393,7 +393,7 @@ def run(config: SweepConfig, output_path: str | None = None) -> Path:
     pairs = [(scheme, quantity, _PAIRS[quantity, scheme]) for scheme in config.schemes
              for quantity in config.quantities]
     entries, bases = _entries(config, taus, "population_shift" in config.quantities)
-    stack = _Stack(config, entries, any(pair.tangent for *_, pair in pairs), bases)
+    stack = _Stack(config, entries, bases)
     if config.format == "json":
         quote = json.dumps  # escapes strings
         middle, suffix = ',"value":', ',"scheme":{},"probe":{}}}'
@@ -487,12 +487,4 @@ def figure_preset(name: str) -> SweepConfig:
         preset = _FIGURE_PRESETS[name]
     except KeyError:
         raise ConfigError(f"figure: unknown preset {name!r}; pick one of {', '.join(FIGURE_NAMES)}") from None
-    return SweepConfig(
-        omega=1.0,
-        tau_max=4.0 * math.pi,
-        tau_steps=129,
-        probe="plus_y",
-        repetitions=1,
-        name=name,
-        **preset,
-    )
+    return SweepConfig(name=name, **preset)

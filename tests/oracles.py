@@ -72,7 +72,7 @@ def fd_scheme1(p: PtParams, t: float, probe, h: float = 1e-6) -> dict[str, float
     psi0 = dilate_initial(probe, p).amplitudes
 
     def channel(omega: float) -> np.ndarray:
-        return propagator_4d(p.with_omega(omega), t) @ psi0
+        return propagator_4d(PtParams(omega, p.gamma), t) @ psi0
 
     def blocks(omega: float) -> np.ndarray:
         a = channel(omega)
@@ -90,10 +90,10 @@ def fd_scheme2(p: PtParams, t: float, h: float = 1e-6) -> dict[str, float]:
     """f_total as the SLD QFI of the three-level state and f_suc of the renormalized effective state."""
 
     def three_level(omega: float) -> np.ndarray:
-        return analytic_rho_3l(p.with_omega(omega), t).matrix
+        return analytic_rho_3l(PtParams(omega, p.gamma), t).matrix
 
     def conditioned(omega: float) -> np.ndarray:
-        return effective_evolve(plus_y(), p.with_omega(omega), t).normalized().matrix
+        return effective_evolve(plus_y(), PtParams(omega, p.gamma), t).normalized().matrix
 
     return {
         "f_total": qfi_sld(three_level(p.omega), richardson(three_level, p.omega, h)),
@@ -106,7 +106,7 @@ def fd_qfi_pt(p: PtParams, t: float, probe, h: float = 1e-6) -> float:
     rho0 = pure_density(probe)
 
     def family(omega: float) -> np.ndarray:
-        return evolve_density(rho0, p.with_omega(omega), t).matrix
+        return evolve_density(rho0, PtParams(omega, p.gamma), t).matrix
 
     return qfi_two_level(family(p.omega), richardson(family, p.omega, h))
 
@@ -118,7 +118,7 @@ def fd_susceptibilities(p: PtParams, t: float, h: float = 1e-6) -> dict[str, flo
     rho0 = pure_density(plus_y())
 
     def populations(omega: float) -> np.ndarray:
-        q = p.with_omega(omega)
+        q = PtParams(omega, p.gamma)
         enlarged = evolve_enlarged(plus_y(), q, t)
         return np.array([
             evolve_density(rho0, q, t).matrix[0, 0].real,

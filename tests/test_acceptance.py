@@ -181,8 +181,8 @@ def test_criterion_06_qfi_form_equivalence(rng):
         for tau in (1.0, 3.0, 5.0):
             t = tau / p.kappa
             rho = evolve_density(pure_density(plus_y()), p, t).matrix
-            dr = (evolve_density(pure_density(plus_y()), p.with_omega(1 + h), t).matrix
-                  - evolve_density(pure_density(plus_y()), p.with_omega(1 - h), t).matrix) / (2 * h)
+            dr = (evolve_density(pure_density(plus_y()), PtParams(1 + h, p.gamma), t).matrix
+                  - evolve_density(pure_density(plus_y()), PtParams(1 - h, p.gamma), t).matrix) / (2 * h)
             f = (qfi_sld(rho, dr), qfi_spectral(rho, dr), qfi_two_level(rho, dr))
             worst = max(worst, (max(f) - min(f)) / max(1.0, f[0]))
     assert worst <= 1e-8

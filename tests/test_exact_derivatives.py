@@ -20,6 +20,7 @@ from oracles import fd_qfi_pt, fd_scheme1, fd_scheme2, fd_susceptibilities
 from ptsense import (
     PtParams,
     bloch_probe,
+    hamiltonian_pt,
     propagator_pt,
     qfi_pt,
     resource_metrics,
@@ -30,10 +31,16 @@ from ptsense import (
     weighted_qfi_scheme1,
     weighted_qfi_scheme2,
 )
-from ptsense.linalg import su2_like_pair, su2_like_propagator
-from ptsense.pt_system import propagator_pt_pair
+from ptsense.linalg import PAULI_X, _cos_sinc, _propagator, _tangent, sinc_slope, su2_like_propagator
 
 REFERENCE = Path(__file__).resolve().parent / "near_ep_reference.json"
+
+
+def _pair(h, dh, c_squared: float, dc_squared: float, t: float):
+    """(U, dU) of H with H^2 = c^2 I at one time: the two propagator kernels on the terms of the phase c t."""
+    x = math.sqrt(c_squared) * t
+    cos, sinc = _cos_sinc(x)
+    return _propagator(h, t, cos, sinc), _tangent(h, dh, dc_squared, t, (cos, sinc, sinc_slope(x)))
 
 
 def _close(exact: float, fd: float) -> bool:
@@ -93,7 +100,7 @@ def test_tangent_is_continuous_across_the_series_switch(c_squared):
             return su2_like_propagator(h + s * dh, c_squared + s * 0.7, t)
 
         fd = (u(step) - u(-step)) / (2 * step)
-        u_pair, exact = su2_like_pair(h, dh, c_squared, 0.7, t)
+        u_pair, exact = _pair(h, dh, c_squared, 0.7, t)
         assert np.array_equal(u_pair, su2_like_propagator(h, c_squared, t))  # bit for bit
         assert np.max(np.abs(exact - fd)) <= 1e-8 * max(1.0, np.max(np.abs(exact)))
 
@@ -133,7 +140,7 @@ def test_tangent_at_the_exceptional_point():
     at_ep, t = PtParams(1.0, 1.0), 0.5
     h = 1j * (propagator_pt(at_ep, 1.0) - np.eye(2))
     expected = -(t * t / 4) * (np.eye(2) - (1j * t / 3) * h) - 0.5j * t * np.array([[0, 1], [1, 0]])
-    assert np.max(np.abs(propagator_pt_pair(at_ep, t)[1] - expected)) <= 1e-15
+    assert np.max(np.abs(_pair(hamiltonian_pt(at_ep), 0.5 * PAULI_X, 0.0, 0.5, t)[1] - expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("row", [False, True])

@@ -176,14 +176,14 @@ def test_qfi_pure_family_all_forms_agree():
     from ptsense import evolve_density, evolve_state, plus_y, pure_density
 
     rho = evolve_density(pure_density(plus_y()), p, t).matrix
-    dr = (evolve_density(pure_density(plus_y()), p.with_omega(1 + h), t).matrix
-          - evolve_density(pure_density(plus_y()), p.with_omega(1 - h), t).matrix) / (2 * h)
+    dr = (evolve_density(pure_density(plus_y()), PtParams(1 + h, p.gamma), t).matrix
+          - evolve_density(pure_density(plus_y()), PtParams(1 - h, p.gamma), t).matrix) / (2 * h)
     f_2l = qfi_two_level(rho, dr)
     f_sld = qfi_sld(rho, dr)
     psi = evolve_state(plus_y(), p, t).amplitudes
     # gauge-smooth pure-state derivative from the same closed-form family
-    psi_p = evolve_state(plus_y(), p.with_omega(1 + h), t).amplitudes
-    psi_m = evolve_state(plus_y(), p.with_omega(1 - h), t).amplitudes
+    psi_p = evolve_state(plus_y(), PtParams(1 + h, p.gamma), t).amplitudes
+    psi_m = evolve_state(plus_y(), PtParams(1 - h, p.gamma), t).amplitudes
     f_pure = qfi_pure(psi, (psi_p - psi_m) / (2 * h))
     assert f_2l == pytest.approx(f_sld, abs=1e-8 * f_2l)
     assert f_2l == pytest.approx(f_pure, rel=1e-6)

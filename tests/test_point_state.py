@@ -135,7 +135,7 @@ def test_a_failed_part_is_not_kept():
             weighted_qfi_scheme1(p, t, probe=probe)
         with pytest.raises(MetricSingular):
             evolve_enlarged(probe, p, t)
-    assert not {"eta", "enlarged", "branches", "channel", "scheme1"} & set(vars(_point(p, t, probe, False)))
+    assert not {"eta", "enlarged", "branches", "channel", "scheme1"} & set(vars(_point(p, t, probe)))
 
 
 def test_rows_bypass_the_memo_and_it_holds_one_state():
@@ -173,6 +173,15 @@ def test_a_quick_start_request_builds_the_metric_and_the_channel_once(monkeypatc
     workloads.run_request(ptsense, workloads.Request(0.3, 1.0, 0.4, 0.2), {})  # another point first
     calls = []
     _counting(monkeypatch, ("metric_operator",), calls)
-    _counting(monkeypatch, ("_su2_pair",), calls, where=lambda h, *args: np.shape(h) == (4, 4))
+    _counting(monkeypatch, ("_propagator",), calls, where=lambda h, *args: np.shape(h) == (4, 4))
     workloads.run_request(ptsense, request, {})
-    assert sorted(calls) == ["_su2_pair", "metric_operator"]
+    assert sorted(calls) == ["_propagator", "metric_operator"]
+
+
+def test_a_cold_scheme1_call_evaluates_cos_and_sinc_once(monkeypatch):
+    # U_pt and the channel's U_4d and dU_4d share the phase kappa t/2: one _cos_sinc per cold call
+    weighted_qfi_scheme1(*ELSEWHERE)
+    calls = []
+    _counting(monkeypatch, ("_cos_sinc",), calls)
+    weighted_qfi_scheme1(PtParams(1.0, 0.6), 3.0, probe=bloch_probe(1.1, 0.7))
+    assert calls == ["_cos_sinc"]

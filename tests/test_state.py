@@ -43,12 +43,12 @@ from ptsense import (
     weighted_qfi_scheme1,
     weighted_qfi_scheme2,
 )
-from ptsense import linalg, pt_system
+from ptsense import linalg, metrology
 from ptsense.errors import PtsenseError
 from ptsense.sweeps import _PAIRS, QUANTITIES, SCHEMES, SweepConfig, _entries, _Stack, figure_preset, run
 
-#: Propagator builds (su2_like_propagator and _su2_pair, su2_like_pair's kernel, calls) per preset at 129 tau steps: one
-#: PT family for the whole sweep, plus the family of the base-omega entries of the shifts (fig4) or the channel
+#: Propagator builds (calls of linalg._propagator, the one kernel of every propagator) per preset at 129 tau steps:
+#: one PT family for the whole sweep, plus the family of the base-omega entries of the shifts (fig4) or the channel
 #: propagator of scheme 1's f_total (fig6, fig7).
 BUILDS = {"fig2": 1, "fig3": 1, "fig4": 2, "fig5": 1, "fig6": 2, "fig7": 2}
 
@@ -76,8 +76,8 @@ def _counting(monkeypatch, names, calls):
 @pytest.mark.parametrize("name", sorted(BUILDS))
 def test_one_propagator_build_per_family(tmp_path, monkeypatch, capsys, name):
     calls = []
-    _counting(monkeypatch, ("su2_like_propagator", "_su2_pair") + DYNAMICS, calls)
-    assert pt_system._su2_pair is not linalg._su2_pair  # both bindings are wrapped
+    _counting(monkeypatch, ("_propagator",) + DYNAMICS, calls)
+    assert metrology._propagator is not linalg._propagator  # both bindings are wrapped
     run(figure_preset(name), output_path=str(tmp_path / f"{name}.csv"))
     capsys.readouterr()
     assert [c for c in calls if c in DYNAMICS] == []
@@ -94,7 +94,7 @@ SHIFT_BUILDS = {(0.0, 0.001): 1, (0.001, 0.0): 1, (0.0, 0.001, 0.0): 1, (0.001, 
 @pytest.mark.parametrize("deltas", sorted(SHIFT_BUILDS))
 def test_a_zero_delta_entry_is_the_shift_base(tmp_path, monkeypatch, capsys, deltas, scheme):
     calls = []
-    _counting(monkeypatch, ("su2_like_propagator", "_su2_pair") + DYNAMICS, calls)
+    _counting(monkeypatch, ("_propagator",) + DYNAMICS, calls)
     config = SweepConfig(quantities=("population_shift",), schemes=(scheme,), gamma_ratios=(0.5,),
                          delta_ratios=deltas, tau_steps=9)
     run(config, output_path=str(tmp_path / "shift.csv"))
@@ -103,26 +103,33 @@ def test_a_zero_delta_entry_is_the_shift_base(tmp_path, monkeypatch, capsys, del
 
 
 def test_only_pairs_that_read_the_tangent_build_it(tmp_path, monkeypatch, capsys):
-    # fig7 reads scheme 1 alone, whose tangent is the channel's: the sweep builds its PT family
-    # without the tangent and its channel with one
+    # fig7 reads scheme 1 alone, whose tangent is the channel's: the sweep builds the PT family's
+    # propagator and the channel's, and the channel's tangent alone
     calls = []
-    _counting(monkeypatch, ("su2_like_propagator", "_su2_pair"), calls)
+    _counting(monkeypatch, ("_propagator", "_tangent"), calls)
     run(figure_preset("fig7"), output_path=str(tmp_path / "fig7.csv"))
     capsys.readouterr()
-    assert sorted(calls) == ["_su2_pair", "su2_like_propagator"]
+    assert sorted(calls) == ["_propagator", "_propagator", "_tangent"]
+
+
+#: The pairs that read populations or spectra only: a state evaluates them without building a tangent.
+NO_TANGENT = {("population", "pt"), ("population", "dilation"), ("population", "lindblad"),
+              ("postselect_rates", "dilation"), ("postselect_rates", "lindblad"), ("population_shift", "pt"),
+              ("population_shift", "dilation"), ("population_shift", "lindblad"),
+              ("liouvillian_spectrum", "lindblad")}
 
 
 @pytest.mark.parametrize("pair", sorted(_PAIRS), ids="-".join)
 def test_the_tangent_flag_says_which_pairs_read_it(monkeypatch, pair):
-    # on a stack built without the tangent, a pair marked as reading it builds the PT propagator
-    # pair on first read, and a pair marked as reading no tangent never does
+    # on a fresh stack, the pairs of NO_TANGENT make no _tangent call, and every other pair reads the
+    # PT family's or the channel's tangent, which the stack builds on that first read
     calls = []
-    _counting(monkeypatch, ("_pt_pair",), calls)
+    _counting(monkeypatch, ("_tangent",), calls)
     config = SweepConfig(quantities=(pair[0],), schemes=(pair[1],), gamma_ratios=(0.5, 0.9),
                          delta_ratios=(0.0, 0.01), tau_steps=3)
     entries, bases = _entries(config, [0.0, 1.0], pair[0] == "population_shift")
-    _PAIRS[pair].evaluate(_Stack(config, entries, False, bases))
-    assert calls == (["_pt_pair"] if _PAIRS[pair].tangent else [])
+    _PAIRS[pair].evaluate(_Stack(config, entries, bases))
+    assert (calls == []) == (pair in NO_TANGENT)
 
 
 # -- every column equals its public function -----------------------------------
